@@ -17,23 +17,41 @@ the enumeration covers every instance: any conflicting pair of seeds
 zero-extends to two genuine diagrams violating the implication, and
 conversely deeper placements only ever see a subset of the enumerated top
 rows.  The verdict is therefore exact, not a heuristic.
+
+Seeds are enumerated in lexicographic chunks: 256 at first, doubling up to
+1024, so an early False stays cheap and memory stays bounded.  A chunk is a
+uint8 digit matrix with one seed per column; its patch rows grow by table
+lookup on the whole matrix at once (rules.lookup_windows), and each seed is
+keyed by its rectangle as fixed-width bytes.  np.unique finds the first
+occurrence of every key inside the chunk, and a sorted table carried from
+chunk to chunk holds, for each key met before, its determined value and the
+first seed that produced it.  The first seed whose value differs from its
+key's reference is the first conflict of the one-seed-at-a-time search, so
+seeds_checked and the counterexample pair do not depend on the chunking.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .configuration import Configuration, left_edge
 from .errors import BadDims, IncompatibleRule, NotECA, ZeroNotQuiescent
-from .rules import Automaton, LocalRule, apply, map_windows, trim_vacuous
+from .numeric import MulSpec, fractional_multiplication_rule
+from .rules import Automaton, LocalRule, apply, lookup_windows, map_windows, trim_vacuous
 from .words import format_word
 
 #: default number of table evaluations a decider call may spend
 DEFAULT_BUDGET = 10**8
+
+#: seeds in the decider's first chunk; each later chunk doubles, up to the cap
+_FIRST_CHUNK = 256
+_CHUNK_CAP = 2**10
 
 
 class Verdict(Enum):
@@ -175,6 +193,16 @@ def is_left_permutive(
     return True
 
 
+def _seed_digits(first: int, count: int, size: int, seed_len: int) -> np.ndarray:
+    """Seeds first .. first+count-1 of the lexicographic order, one per
+    column, most significant symbol in row 0."""
+    index = np.arange(first, first + count, dtype=np.int64)
+    digits = np.empty((seed_len, count), dtype=np.uint8)
+    for k in range(seed_len - 1, -1, -1):
+        index, digits[k] = np.divmod(index, size)
+    return digits
+
+
 def is_left_expansive(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
@@ -205,29 +233,54 @@ def is_left_expansive(
     starts = [c - k * m for k in range(n_rows)]
     det_index = (c - 1) - dims.h * m
     w = dims.w
-    seen: dict[bytes, tuple[int, bytes]] = {}
-    checked = 0
-    for tup in itertools.product(range(size), repeat=seed_len):
-        seed = bytes(tup)
-        checked += 1
-        rows = [seed]
+    key_type = np.dtype((np.void, n_rows * w))
+    # every rectangle met in earlier chunks, sorted by key, with its
+    # determined value and the first seed that produced it
+    known_keys = np.empty(0, dtype=key_type)
+    known_vals = np.empty(0, dtype=np.uint8)
+    known_seeds = np.empty(0, dtype=np.int64)
+    first, count = 0, _FIRST_CHUNK
+    while first < seed_space:
+        count = min(count, seed_space - first)
+        rows = [_seed_digits(first, count, size, seed_len)]
         for _ in range(n_rows - 1):
-            rows.append(map_windows(rule, rows[-1]))
-        key = b"".join(rows[k][starts[k]:starts[k] + w] for k in range(n_rows))
-        val = rows[dims.h][det_index]
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = (val, seed)
-        elif prev[0] != val:
+            rows.append(lookup_windows(rule, rows[-1]))
+        rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
+        keys = np.ascontiguousarray(rect.T).view(key_type).ravel()
+        vals = rows[dims.h][det_index]
+        uniq, where, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        pos = np.searchsorted(known_keys, uniq)
+        known = pos < len(known_keys)
+        known[known] = known_keys[pos[known]] == uniq[known]
+        # each key's reference: its entry from an earlier chunk, else its
+        # first seed in this one
+        ref_vals = vals[where]
+        ref_seeds = where + first
+        ref_vals[known] = known_vals[pos[known]]
+        ref_seeds[known] = known_seeds[pos[known]]
+        clash = vals != ref_vals[inverse]
+        if clash.any():
+            j = int(clash.argmax())
+            seed_a = _seed_digits(int(ref_seeds[inverse[j]]), 1, size, seed_len).tobytes()
+            seed_b = rows[0][:, j].tobytes()
+            patch_rows = [seed_b]
+            for _ in range(n_rows - 1):
+                patch_rows.append(map_windows(rule, patch_rows[-1]))
             cex = Counterexample(
-                seed_a=prev[1], seed_b=seed,
-                rectangle=tuple(rows[k][starts[k]:starts[k] + w] for k in range(n_rows)),
-                value_a=prev[0], value_b=val,
+                seed_a=seed_a, seed_b=seed_b,
+                rectangle=tuple(patch_rows[k][starts[k]:starts[k] + w] for k in range(n_rows)),
+                value_a=int(ref_vals[inverse[j]]), value_b=patch_rows[dims.h][det_index],
                 rect_col=c, det_col=c - 1, ref_row=dims.h,
             )
-            return PropertyVerdict(name, Verdict.FALSE, dims, size, checked, seed_space,
+            return PropertyVerdict(name, Verdict.FALSE, dims, size, first + j + 1, seed_space,
                                    counterexample=cex)
-    return PropertyVerdict(name, Verdict.TRUE, dims, size, checked, seed_space)
+        new = ~known
+        known_keys = np.insert(known_keys, pos[new], uniq[new])
+        known_vals = np.insert(known_vals, pos[new], ref_vals[new])
+        known_seeds = np.insert(known_seeds, pos[new], ref_seeds[new])
+        first += count
+        count = min(2 * count, _CHUNK_CAP)
+    return PropertyVerdict(name, Verdict.TRUE, dims, size, seed_space, seed_space)
 
 
 @dataclass(frozen=True)
@@ -393,6 +446,18 @@ def _is_shift_inverse_table(rule: LocalRule) -> bool:
     )
 
 
+def _is_fractional_multiplication(trimmed: LocalRule) -> bool:
+    """True iff the trimmed rule is the multiply-by-p/q automaton for some
+    coprime p > q > 1 with p*q equal to the alphabet size."""
+    size = trimmed.alphabet.size
+    for q in range(2, isqrt(size) + 1):
+        p, rest = divmod(size, q)
+        if rest == 0 and p > q and gcd(p, q) == 1 \
+                and trimmed == fractional_multiplication_rule(MulSpec(p, q)).rule:
+            return True
+    return False
+
+
 def classify_rapid(
     automaton: Automaton,
     search_bounds: tuple[int, int, int] = (2, 2, 4),
@@ -433,7 +498,7 @@ def classify_rapid(
     if _is_shift_inverse_table(trimmed):
         return RapidClassification("No", None, None,
                                    "inverse shift moves the left edge right, never left")
-    if automaton.name and automaton.name.startswith("mul:"):
+    if _is_fractional_multiplication(trimmed):
         return RapidClassification(
             "Yes", ExpansivityDims(1, 1, 1), "exact-family",
             "fractional multiplication automaton: expansive at (1,1,1) with speed "

@@ -11,7 +11,9 @@ detection is ever needed.
 Tables are stored flat, indexed by the radix value of the neighborhood
 (leftmost symbol most significant).  Bulk application of a rule along a long
 word is vectorized with numpy past a size threshold; small inputs take a
-plain rolling-index loop.
+plain rolling-index loop.  The same numpy lookup maps many equal-length
+words at once when they are stacked as the columns of a matrix, which is
+how the expansivity decider grows a chunk of seeds.
 """
 
 from __future__ import annotations
@@ -174,11 +176,30 @@ def _table_array(rule: LocalRule):
     return np.frombuffer(rule.table, dtype=np.uint8)
 
 
+def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
+    """Apply the rule to every length-(m+n+1) window along axis 0 of a
+    symbol array, by radix-index table lookup.
+
+    A 1-D array is one word; a 2-D array of shape (length, count) holds
+    ``count`` words column-wise and is mapped in one pass.  The result has
+    m+n fewer rows and the table's ``uint8`` dtype.
+    """
+    width, size = rule.width, rule.alphabet.size
+    out_len = len(symbols) - width + 1
+    arr = symbols.astype(np.int64)
+    idx = arr[0:out_len].copy()
+    for k in range(1, width):
+        idx *= size
+        idx += arr[k:k + out_len]
+    return _table_array(rule)[idx]
+
+
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
-    Returns a word shorter by m+n.  This is the single evaluation kernel
-    behind apply(), patch() and the expansivity decider.
+    Returns a word shorter by m+n.  This is the evaluation kernel behind
+    apply() and patch(); long words go through lookup_windows(), which the
+    expansivity decider also uses to grow whole chunks of seeds at once.
     """
     width = rule.width
     out_len = len(samples) - width + 1
@@ -190,12 +211,7 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
         # the padded region
         return samples.translate(rule.table + bytes(256 - size))
     if out_len >= _NUMPY_CUTOFF:
-        arr = np.frombuffer(samples, dtype=np.uint8).astype(np.int64)
-        idx = arr[0:out_len].copy()
-        for k in range(1, width):
-            idx *= size
-            idx += arr[k:k + out_len]
-        return _table_array(rule)[idx].tobytes()
+        return lookup_windows(rule, np.frombuffer(samples, dtype=np.uint8)).tobytes()
     table = rule.table
     high = size ** (width - 1)
     idx = 0

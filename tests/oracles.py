@@ -8,11 +8,22 @@ genuinely different routes to the same answer.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from leftex import Alphabet, Configuration
+from leftex import (
+    Alphabet,
+    Automaton,
+    Configuration,
+    Counterexample,
+    ExpansivityDims,
+    PropertyVerdict,
+    Verdict,
+)
+from leftex.properties import DEFAULT_BUDGET
+from leftex.rules import map_windows
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
 RULE30 = {
@@ -105,6 +116,55 @@ def seq_prefix_oracle(head, period, count):
         else:
             out.append(period[(i - len(head)) % len(period)])
     return out
+
+
+def left_expansive_oracle(
+    automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
+) -> PropertyVerdict:
+    """The expansivity decider one seed at a time: grow each seed's patch
+    with map_windows and keep the first seed seen for every rectangle."""
+    rule = automaton.rule
+    size = rule.alphabet.size
+    m, n = rule.memory, rule.anticipation
+    radius = max(m, n)
+    n_rows = dims.h + dims.d + 1
+    seed_len = (dims.w + 1) + 2 * radius * (n_rows - 1)
+    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
+    seed_space = size**seed_len
+    needed = seed_space * per_seed
+    name = f"left-expansive({dims.h},{dims.d},{dims.w})"
+    if needed > budget:
+        return PropertyVerdict(
+            name, Verdict.UNKNOWN, dims, size, 0, seed_space,
+            evals_needed=needed, budget=budget,
+        )
+    c = max((n_rows - 1) * m, dims.h * m + 1)
+    starts = [c - k * m for k in range(n_rows)]
+    det_index = (c - 1) - dims.h * m
+    w = dims.w
+    seen: dict[bytes, tuple[int, bytes]] = {}
+    checked = 0
+    for tup in itertools.product(range(size), repeat=seed_len):
+        seed = bytes(tup)
+        checked += 1
+        rows = [seed]
+        for _ in range(n_rows - 1):
+            rows.append(map_windows(rule, rows[-1]))
+        key = b"".join(rows[k][starts[k]:starts[k] + w] for k in range(n_rows))
+        val = rows[dims.h][det_index]
+        prev = seen.get(key)
+        if prev is None:
+            seen[key] = (val, seed)
+        elif prev[0] != val:
+            cex = Counterexample(
+                seed_a=prev[1], seed_b=seed,
+                rectangle=tuple(rows[k][starts[k]:starts[k] + w] for k in range(n_rows)),
+                value_a=prev[0], value_b=val,
+                rect_col=c, det_col=c - 1, ref_row=dims.h,
+            )
+            return PropertyVerdict(name, Verdict.FALSE, dims, size, checked, seed_space,
+                                   counterexample=cex)
+    return PropertyVerdict(name, Verdict.TRUE, dims, size, checked, seed_space)
 
 
 # -- hypothesis strategies -------------------------------------------------

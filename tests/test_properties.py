@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from leftex import (
     Alphabet,
@@ -25,6 +28,7 @@ from leftex import (
 )
 from leftex.errors import BadDims, IncompatibleRule, NotECA, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
+from oracles import left_expansive_oracle
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -192,6 +196,79 @@ def test_monotonicity_of_dimensions():
             assert is_left_expansive(automaton, ExpansivityDims(*grown)).status is Verdict.TRUE
 
 
+#: seed spaces the differential test lets the per-seed oracle enumerate
+ORACLE_SEED_SPACE = 20_000
+
+
+@st.composite
+def small_decider_queries(draw):
+    """A random rule over 2 or 3 symbols with memory and anticipation at
+    most 2, and dimensions whose seed space the oracle can enumerate."""
+    size = draw(st.sampled_from([2, 3]))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    table = bytes(draw(st.lists(st.integers(0, size - 1), min_size=size ** (m + n + 1),
+                                max_size=size ** (m + n + 1))))
+    radius = max(m, n)
+    cells = [(h, d, w) for h in range(3) for d in range(3) for w in range(1, 4)
+             if size ** ((w + 1) + 2 * radius * (h + d)) <= ORACLE_SEED_SPACE]
+    dims = ExpansivityDims(*draw(st.sampled_from(cells)))
+    return Automaton(LocalRule(Alphabet(size), m, n, table)), dims
+
+
+@given(small_decider_queries())
+@settings(max_examples=150, deadline=None)
+def test_decider_matches_per_seed_oracle(query):
+    automaton, dims = query
+    assert is_left_expansive(automaton, dims) == left_expansive_oracle(automaton, dims)
+
+
+def seed_index(seed, size):
+    value = 0
+    for s in seed:
+        value = value * size + s
+    return value
+
+
+@pytest.mark.parametrize("size, m, n, table, dims, index_a, index_b", [
+    # seed_a in the first chunk (256 seeds), the conflict in a full-size one
+    (2, 0, 2, b"\x00\x00\x01\x01\x01\x00\x01\x00", (1, 2, 1), 0, 8192),
+    # seed_a in the second chunk, the conflict in the third
+    (2, 0, 2, b"\x01\x00\x01\x01\x01\x01\x00\x01", (2, 0, 2), 384, 1408),
+    # seed_a and the conflict in different full-size chunks
+    (2, 2, 0, b"\x00\x00\x01\x00\x00\x00\x00\x01", (2, 1, 1), 3968, 8064),
+    (3, 0, 1, bytes([1, 2, 1, 1, 2, 2, 1, 2, 0]), (2, 0, 3), 1701, 3888),
+])
+def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index_a, index_b):
+    """The first conflict lies in a later chunk than the first occurrence of
+    its rectangle, so it is found through the table carried between chunks."""
+    automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+    dims = ExpansivityDims(*dims)
+    verdict = is_left_expansive(automaton, dims)
+    assert verdict == left_expansive_oracle(automaton, dims)
+    assert verdict.status is Verdict.FALSE
+    assert seed_index(verdict.counterexample.seed_a, size) == index_a
+    assert seed_index(verdict.counterexample.seed_b, size) == index_b == verdict.seeds_checked - 1
+
+
+def test_budget_verdicts_match_the_oracle():
+    for budget in (3, 10**3, 10**6):
+        assert is_left_expansive(MUL32, ExpansivityDims(1, 1, 1), budget=budget) == \
+            left_expansive_oracle(MUL32, ExpansivityDims(1, 1, 1), budget=budget)
+
+
+def test_decider_memory_is_bounded():
+    """1.68M seeds at (2,1,1) are enumerated in bounded chunks, so the peak
+    stays far below what materializing the seed space would take."""
+    tracemalloc.start()
+    try:
+        verdict = is_left_expansive(MUL32, ExpansivityDims(2, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status is Verdict.TRUE and verdict.seed_space == 6**8
+    assert peak < 8 * 2**20
+
+
 def test_find_dims_examples():
     assert find_left_expansive_dims(eca(30), 2, 2, 4).dims == ExpansivityDims(0, 1, 2)
     assert find_left_expansive_dims(shift_rule(A2), 2, 2, 2).dims == ExpansivityDims(1, 0, 1)
@@ -260,6 +337,18 @@ def test_classify_mul():
     assert result.verdict == "Yes"
     assert result.dims == ExpansivityDims(1, 1, 1)
     assert result.speed_basis == "exact-family"
+
+
+def test_classify_recognizes_multiplication_by_table_not_name():
+    for number in (110, 54, 2):
+        impostor = Automaton(eca(number).rule, name="mul:x")
+        assert classify_rapid(impostor).verdict == classify_rapid(Automaton(eca(number).rule)).verdict
+        assert classify_rapid(impostor).verdict != "Yes"
+    for p, q in ((3, 2), (5, 2)):
+        unnamed = Automaton(fractional_multiplication_rule(MulSpec(p, q)).rule)
+        result = classify_rapid(unnamed)
+        assert (result.verdict, result.dims, result.speed_basis) == (
+            "Yes", ExpansivityDims(1, 1, 1), "exact-family")
 
 
 def test_classify_shift_variants():
