@@ -10,14 +10,11 @@ from .configuration import (
     left_edge,
     parse_configuration,
     seq_equal,
-    shift_by,
-    window,
 )
 from .dynamics import (
     AperiodicityReport,
     PeriodCertificate,
     aperiodicity_scan,
-    bound_calculators,
     detect_eventual_period,
     limit_point_census,
     preperiod_bound,
@@ -62,8 +59,8 @@ from .rules import (
     eca,
     eca_rule,
     identity_rule,
-    iterate,
     make_rule,
+    orbit,
     patch,
     shift_inverse_rule,
     shift_rule,

@@ -31,7 +31,7 @@ from .properties import (
     is_left_spreading_eca,
 )
 from .render import RenderSpec, render_to
-from .rules import Automaton, apply, eca, make_rule
+from .rules import Automaton, eca, make_rule, orbit
 from .configuration import Alphabet
 from .words import parse_word
 
@@ -113,10 +113,8 @@ def _out_stream(args):
 def _cmd_simulate(args) -> int:
     automaton = load_rule(args.rule)
     x = _load_config(args.config, automaton)
-    for t in range(args.steps + 1):
-        print(format_configuration(x))
-        if t < args.steps:
-            x = apply(automaton, x)
+    for _, y in zip(range(args.steps + 1), orbit(automaton, x)):
+        print(format_configuration(y))
     return EXIT_PASS
 
 

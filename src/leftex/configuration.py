@@ -69,6 +69,36 @@ def _rotl(w: bytes, k: int) -> bytes:
     return w[k:] + w[:k]
 
 
+def _continuation_length(head: bytes, period: bytes, limit: int, backward: bool) -> int:
+    """How many of the first ``limit`` symbols of ``head`` continue the
+    periodic word period period ... (head[k] == period[k mod p]); with
+    ``backward``, how many of its last ``limit`` symbols continue it leftwards
+    from period's last symbol (head[-1-k] == period[-1-k mod p]).
+
+    Compares chunks of doubling size, starting at one period, so the cost is
+    O(result + period); only one symbol is compared when the first one
+    already breaks the cycle.
+    """
+    if not limit or head[-1 if backward else 0] != period[-1 if backward else 0]:
+        return 0
+    end = len(head)
+    done, size = 0, len(period)
+    while done < limit:
+        size = min(size, limit - done)
+        if backward:
+            part = head[end - done - size:end - done][::-1]
+            expect = cyclic_slice(period, -done - size, size)[::-1]
+        else:
+            part = head[done:done + size]
+            expect = cyclic_slice(period, done, size)
+        miss = first_mismatch(part, expect)
+        if miss is not None:
+            return done + miss
+        done += size
+        size *= 2
+    return limit
+
+
 def _canonical_parts(anchor: int, lp: bytes, head: bytes, rp: bytes):
     """Canonicalize (anchor, left period, head, right period).
 
@@ -78,18 +108,15 @@ def _canonical_parts(anchor: int, lp: bytes, head: bytes, rp: bytes):
     """
     lp = primitive_root(lp)
     rp = primitive_root(rp)
-    while head:
-        if head[0] == lp[0]:
-            # the left tail's cyclic continuation at `anchor` is lp[0]
-            head = head[1:]
-            lp = _rotl(lp, 1)
-            anchor += 1
-        elif head[-1] == rp[-1]:
-            # the right tail's backward continuation is its last symbol
-            head = head[:-1]
-            rp = rp[-1:] + rp[:-1]
-        else:
-            break
+    # the left tail's cyclic continuation at `anchor` is lp[0], lp[1], ...;
+    # the right tail's backward continuation is rp[-1], rp[-2], ...
+    front = _continuation_length(head, lp, len(head), backward=False)
+    back = _continuation_length(head, rp, len(head) - front, backward=True)
+    if front or back:
+        head = head[front:len(head) - back]
+        lp = _rotl(lp, front)
+        rp = _rotl(rp, -back)
+        anchor += front
     if not head:
         if lp == rp:
             # fully periodic configuration: re-anchor at 0
@@ -175,9 +202,6 @@ class Configuration:
             return self.head[j]
         return self.right_period[(j - len(self.head)) % len(self.right_period)]
 
-    def __getitem__(self, i: int) -> int:
-        return self.at(i)
-
     def window(self, i: int, j: int) -> bytes:
         """The word x[i] x[i+1] ... x[j] (inclusive ends)."""
         if i > j:
@@ -230,14 +254,6 @@ def left_edge(x: Configuration) -> int:
     return x.anchor
 
 
-def window(x: Configuration, i: int, j: int) -> bytes:
-    return x.window(i, j)
-
-
-def shift_by(x: Configuration, k: int) -> Configuration:
-    return x.shift(k)
-
-
 @dataclass(frozen=True)
 class OneSidedSeq:
     """An eventually periodic one-sided sequence (index set 0, 1, 2, ...).
@@ -256,9 +272,10 @@ class OneSidedSeq:
         if not p:
             raise SymbolOutOfRange("period word must be nonempty")
         p = primitive_root(p)
-        while h and h[-1] == p[-1]:
-            h = h[:-1]
-            p = p[-1:] + p[:-1]
+        back = _continuation_length(h, p, len(h), backward=True)
+        if back:
+            h = h[:len(h) - back]
+            p = _rotl(p, -back)
         object.__setattr__(self, "head", h)
         object.__setattr__(self, "period", p)
 

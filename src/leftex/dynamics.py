@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .configuration import Configuration, fractional_part, seq_equal
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
-from .rules import Automaton, apply, trace
+from .rules import Automaton, orbit, trace
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,10 @@ def recurrence_scan(
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
     target = fractional_part(x, c)
-    out = []
-    y = x
-    for t in range(1, horizon + 1):
-        y = apply(automaton, y)
-        if seq_equal(fractional_part(y, c), target):
-            out.append(t)
-    return out
+    images = orbit(automaton, x)
+    next(images)  # x itself
+    return [t for t, y in zip(range(1, horizon + 1), images)
+            if seq_equal(fractional_part(y, c), target)]
 
 
 def limit_point_census(
@@ -165,14 +162,11 @@ def limit_point_census(
         raise OutOfRange("prefix lengths must be at least 1")
     n_max = lengths[-1]
     seen: dict[int, set[bytes]] = {n: set() for n in lengths}
-    y = x
-    for t in range(horizon + 1):
+    for t, y in zip(range(horizon + 1), orbit(automaton, x)):
         if 2 * t >= horizon:
             w = y.window(c, c + n_max - 1)
             for n in lengths:
                 seen[n].add(w[:n])
-        if t < horizon:
-            y = apply(automaton, y)
     return {n: len(s) for n, s in seen.items()}
 
 
@@ -222,12 +216,3 @@ def preperiod_bound(m: int, e: int) -> int:
     if m < 0 or e < 1:
         raise OutOfRange("need memory >= 0 and e >= 1")
     return m * (e - 1)
-
-
-def bound_calculators(kind: str, args: dict) -> int:
-    """Dispatcher used by callers that carry the bound kind as data."""
-    if kind == "repetition_N":
-        return repetition_count_bound(**args)
-    if kind == "preperiod_c":
-        return preperiod_bound(**args)
-    raise OutOfRange(f"unknown bound kind {kind!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .configuration import Alphabet, Configuration
 from .errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive, OutOfRange
-from .rules import Automaton, LocalRule, apply, compose, shift_inverse_rule
+from .rules import Automaton, LocalRule, compose, orbit, shift_inverse_rule
 from .words import cyclic_slice
 
 RationalLike = Union[int, Fraction]
@@ -360,11 +360,11 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
         (multiplication_rule(spec), Fraction(spec.p)),
         (fractional_multiplication_rule(spec), Fraction(spec.p, spec.q)),
     ):
-        x = rational_to_config(xi, base)
+        images = orbit(automaton, rational_to_config(xi, base))
+        next(images)  # the start configuration itself
         expected = xi
-        for _ in range(steps):
-            x = apply(automaton, x)
+        for _, y in zip(range(steps), images):
             expected *= factor
-            if not _value_matches(x, base, expected):
+            if not _value_matches(y, base, expected):
                 return False
     return True

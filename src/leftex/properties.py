@@ -43,7 +43,7 @@ import numpy as np
 from .configuration import Configuration, left_edge
 from .errors import BadDims, IncompatibleRule, NotECA, ZeroNotQuiescent
 from .numeric import MulSpec, fractional_multiplication_rule
-from .rules import Automaton, LocalRule, apply, lookup_windows, map_windows, trim_vacuous
+from .rules import Automaton, LocalRule, lookup_windows, orbit, trim_vacuous
 from .words import format_word
 
 #: default number of table evaluations a decider call may spend
@@ -262,14 +262,11 @@ def is_left_expansive(
         if clash.any():
             j = int(clash.argmax())
             seed_a = _seed_digits(int(ref_seeds[inverse[j]]), 1, size, seed_len).tobytes()
-            seed_b = rows[0][:, j].tobytes()
-            patch_rows = [seed_b]
-            for _ in range(n_rows - 1):
-                patch_rows.append(map_windows(rule, patch_rows[-1]))
             cex = Counterexample(
-                seed_a=seed_a, seed_b=seed_b,
-                rectangle=tuple(patch_rows[k][starts[k]:starts[k] + w] for k in range(n_rows)),
-                value_a=int(ref_vals[inverse[j]]), value_b=patch_rows[dims.h][det_index],
+                seed_a=seed_a, seed_b=rows[0][:, j].tobytes(),
+                rectangle=tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
+                                for k in range(n_rows)),
+                value_a=int(ref_vals[inverse[j]]), value_b=int(vals[j]),
                 rect_col=c, det_col=c - 1, ref_row=dims.h,
             )
             return PropertyVerdict(name, Verdict.FALSE, dims, size, first + j + 1, seed_space,
@@ -348,6 +345,17 @@ def _require_quiescent(rule: LocalRule):
         raise ZeroNotQuiescent("rule does not map the all-zero neighborhood to 0")
 
 
+def _edge_trajectory(automaton: Automaton, x: Configuration, horizon: int):
+    """(t, left edge of F^t(x)) for t = 1 .. horizon, stopping at the zero
+    configuration: the rule is quiescent, so the orbit stays there."""
+    images = orbit(automaton, x)
+    next(images)  # x itself
+    for t, y in zip(range(1, horizon + 1), images):
+        if y.is_zero:
+            return
+        yield t, left_edge(y)
+
+
 def left_spreading_witnesses(
     automaton: Automaton, samples: Sequence[Configuration], horizon: int
 ) -> list[Optional[int]]:
@@ -361,16 +369,8 @@ def left_spreading_witnesses(
     out: list[Optional[int]] = []
     for x in samples:
         base = left_edge(x)
-        witness = None
-        y = x
-        for t in range(1, horizon + 1):
-            y = apply(automaton, y)
-            if y.is_zero:
-                break  # quiescent rule: the orbit stays at zero from here on
-            if left_edge(y) < base:
-                witness = t
-                break
-        out.append(witness)
+        moves = (t for t, edge in _edge_trajectory(automaton, x, horizon) if edge < base)
+        out.append(next(moves, None))
     return out
 
 
@@ -397,17 +397,9 @@ def estimate_spreading_speed(
     per_sample: list[Optional[Fraction]] = []
     for x in samples:
         base = left_edge(x)
-        best: Optional[Fraction] = None
-        y = x
-        for t in range(1, horizon + 1):
-            y = apply(automaton, y)
-            if y.is_zero:
-                break
-            if 2 * t >= horizon:
-                ratio = Fraction(base - left_edge(y), t)
-                if best is None or ratio > best:
-                    best = ratio
-        per_sample.append(best)
+        ratios = (Fraction(base - edge, t)
+                  for t, edge in _edge_trajectory(automaton, x, horizon) if 2 * t >= horizon)
+        per_sample.append(max(ratios, default=None))
     rates = [r for r in per_sample if r is not None]
     estimate = max(rates) if rates else Fraction(0)
     return SpeedEstimate(len(per_sample), horizon, tuple(per_sample), estimate)

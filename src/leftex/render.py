@@ -15,7 +15,7 @@ from typing import IO, Mapping, Optional
 
 from .configuration import Configuration
 from .errors import EmptyInterval, OutOfRange, PaletteIncomplete
-from .rules import Automaton, apply
+from .rules import Automaton, orbit
 
 FORMATS = ("ascii", "pbm", "pgm")
 
@@ -80,8 +80,7 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
     elif spec.format == "pgm":
         levels = _gray_map(size, spec.palette)
         out.write(f"P2\n{width} {spec.rows}\n255\n")
-    y = x
-    for t in range(spec.rows):
+    for _, y in zip(range(spec.rows), orbit(automaton, x)):
         row = y.window(spec.col_lo, spec.col_hi)
         if spec.format == "pbm":
             out.write(" ".join("1" if s else "0" for s in row))
@@ -92,8 +91,6 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
         else:
             out.write("".join(_ascii_char(s, size) for s in row))
             out.write("\n")
-        if t + 1 < spec.rows:
-            y = apply(automaton, y)
 
 
 def render(automaton: Automaton, x: Configuration, spec: RenderSpec) -> bytes:

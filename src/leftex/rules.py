@@ -9,19 +9,19 @@ input window lies entirely inside the periodic region, so no periodicity
 detection is ever needed.
 
 Tables are stored flat, indexed by the radix value of the neighborhood
-(leftmost symbol most significant).  Bulk application of a rule along a long
-word is vectorized with numpy past a size threshold; small inputs take a
-plain rolling-index loop.  The same numpy lookup maps many equal-length
-words at once when they are stacked as the columns of a matrix, which is
-how the expansivity decider grows a chunk of seeds.
+(leftmost symbol most significant).  Every rule evaluation, from a single
+patch row to a 10^5-symbol image, is one numpy radix-index lookup
+(lookup_windows); the same lookup maps many equal-length words at once when
+they are stacked as the columns of a matrix, which is how the expansivity
+decider grows a chunk of seeds.  Every walk along an orbit goes through the
+lazy orbit() generator, which computes F^(t+1)(x) only when it is asked for.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .errors import (
     TableTooLarge,
 )
 from .words import WordLike, word
-
-_NUMPY_CUTOFF = 2048
 
 #: entries allowed in a composed rule table before compose() refuses
 DEFAULT_COMPOSE_GUARD = 10**7
@@ -100,9 +98,6 @@ class Automaton:
     @property
     def radius(self) -> int:
         return max(self.rule.memory, self.rule.anticipation)
-
-    def __call__(self, x: Configuration) -> Configuration:
-        return apply(self, x)
 
 
 def make_rule(
@@ -198,31 +193,11 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
-    apply() and patch(); long words go through lookup_windows(), which the
-    expansivity decider also uses to grow whole chunks of seeds at once.
+    ``apply`` and ``patch``, a bytes wrapper over ``lookup_windows``.
     """
-    width = rule.width
-    out_len = len(samples) - width + 1
-    if out_len <= 0:
-        raise SeedTooShort(f"need at least {width} symbols, got {len(samples)}")
-    size = rule.alphabet.size
-    if width == 1:
-        # bytes.translate wants a full 256-entry table; symbols never reach
-        # the padded region
-        return samples.translate(rule.table + bytes(256 - size))
-    if out_len >= _NUMPY_CUTOFF:
-        return lookup_windows(rule, np.frombuffer(samples, dtype=np.uint8)).tobytes()
-    table = rule.table
-    high = size ** (width - 1)
-    idx = 0
-    for s in samples[:width]:
-        idx = idx * size + s
-    out = bytearray(out_len)
-    out[0] = table[idx]
-    for j in range(1, out_len):
-        idx = (idx % high) * size + samples[width - 1 + j]
-        out[j] = table[idx]
-    return bytes(out)
+    if len(samples) < rule.width:
+        raise SeedTooShort(f"need at least {rule.width} symbols, got {len(samples)}")
+    return lookup_windows(rule, np.frombuffer(samples, dtype=np.uint8)).tobytes()
 
 
 def apply(automaton: Automaton, x: Configuration) -> Configuration:
@@ -247,10 +222,17 @@ def apply(automaton: Automaton, x: Configuration) -> Configuration:
     return Configuration._from_trusted(x.alphabet, new_anchor, out[:cut1], out[cut1:cut2], out[cut2:])
 
 
-def iterate(automaton: Automaton, x: Configuration, steps: int) -> Configuration:
-    for _ in range(steps):
+def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
+    """The orbit x, F(x), F^2(x), ... as a lazy generator.
+
+    F^(t+1)(x) is computed only when it is asked for, so a caller that takes
+    k configurations, by zipping with range(k) (range first, so zip stops
+    before asking the orbit again) or by breaking out of a loop, spends
+    exactly k-1 applications.
+    """
+    while True:
+        yield x
         x = apply(automaton, x)
-    return x
 
 
 # -- composition --------------------------------------------------------------
@@ -303,27 +285,21 @@ def compose(outer: Automaton, inner: Automaton, *, max_table: int = DEFAULT_COMP
             f"composed table would need {total} entries (guard {max_table})"
         )
     inner_rule, outer_rule = inner.rule, outer.rule
-    if total >= _NUMPY_CUTOFF:
-        idx = np.arange(total, dtype=np.int64)
-        digits = [(idx // size ** (width - 1 - j)) % size for j in range(width)]
-        inner_np = _table_array(inner_rule)
-        mids = []
-        for t in range(outer_rule.width):
-            acc = digits[t].copy()
-            for s in range(1, inner_rule.width):
-                acc *= size
-                acc += digits[t + s]
-            mids.append(inner_np[acc].astype(np.int64))
-        acc = mids[0]
-        for col in mids[1:]:
+    idx = np.arange(total, dtype=np.int64)
+    digits = [(idx // size ** (width - 1 - j)) % size for j in range(width)]
+    inner_np = _table_array(inner_rule)
+    mids = []
+    for t in range(outer_rule.width):
+        acc = digits[t].copy()
+        for s in range(1, inner_rule.width):
             acc *= size
-            acc += col
-        table = _table_array(outer_rule)[acc].tobytes()
-    else:
-        buf = bytearray(total)
-        for pos, u in enumerate(itertools.product(range(size), repeat=width)):
-            buf[pos] = outer_rule.value(map_windows(inner_rule, bytes(u)))
-        table = bytes(buf)
+            acc += digits[t + s]
+        mids.append(inner_np[acc].astype(np.int64))
+    acc = mids[0]
+    for col in mids[1:]:
+        acc *= size
+        acc += col
+    table = _table_array(outer_rule)[acc].tobytes()
     return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
 
 
@@ -336,12 +312,7 @@ def trace(automaton: Automaton, x: Configuration, i: int, j: int, horizon: int) 
         raise EmptyInterval(f"empty interval [{i}, {j}]")
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
-    rows = []
-    for t in range(horizon):
-        rows.append(x.window(i, j))
-        if t + 1 < horizon:
-            x = apply(automaton, x)
-    return rows
+    return [y.window(i, j) for _, y in zip(range(horizon), orbit(automaton, x))]
 
 
 @dataclass(frozen=True)

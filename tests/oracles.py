@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values from first principles (pointwise
 indexing, schoolbook long division, padded finite simulation, cubic period
-search) without touching the library's fast paths, so tests compare two
-genuinely different routes to the same answer.
+search, rolling-index rule evaluation, symbol-by-symbol canonicalization)
+without touching the library's fast paths, so tests compare two genuinely
+different routes to the same answer.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from leftex import (
     PropertyVerdict,
     Verdict,
 )
+from leftex.configuration import _rotl
 from leftex.properties import DEFAULT_BUDGET
-from leftex.rules import map_windows
+from leftex.rules import LocalRule, trim_vacuous
+from leftex.words import cyclic_slice, first_mismatch, primitive_root
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
 RULE30 = {
@@ -118,11 +121,70 @@ def seq_prefix_oracle(head, period, count):
     return out
 
 
+def map_windows_oracle(rule: LocalRule, samples: bytes) -> bytes:
+    """Rule evaluation along a word with a rolling radix index: drop the
+    leftmost symbol's digit, append the next symbol's."""
+    width, size, table = rule.width, rule.alphabet.size, rule.table
+    out_len = len(samples) - width + 1
+    high = size ** (width - 1)
+    idx = 0
+    for s in samples[:width]:
+        idx = idx * size + s
+    out = bytearray(out_len)
+    out[0] = table[idx]
+    for j in range(1, out_len):
+        idx = (idx % high) * size + samples[width - 1 + j]
+        out[j] = table[idx]
+    return bytes(out)
+
+
+def compose_oracle(outer: Automaton, inner: Automaton) -> Automaton:
+    """outer(inner(x)) tabulated one neighborhood at a time: run the inner
+    rule along every word of the product width, then look up the outer rule."""
+    size = outer.alphabet.size
+    m = outer.memory + inner.memory
+    n = outer.anticipation + inner.anticipation
+    table = bytes(
+        outer.rule.value(map_windows_oracle(inner.rule, bytes(u)))
+        for u in itertools.product(range(size), repeat=m + n + 1)
+    )
+    return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
+
+
+def canonical_parts_oracle(anchor: int, lp: bytes, head: bytes, rp: bytes):
+    """Canonical (anchor, left period, head, right period), absorbing one
+    head symbol per step into whichever tail it continues."""
+    lp = primitive_root(lp)
+    rp = primitive_root(rp)
+    while head:
+        if head[0] == lp[0]:
+            head = head[1:]
+            lp = _rotl(lp, 1)
+            anchor += 1
+        elif head[-1] == rp[-1]:
+            head = head[:-1]
+            rp = rp[-1:] + rp[:-1]
+        else:
+            break
+    if not head:
+        if lp == rp:
+            n = len(lp)
+            lp = bytes(lp[(k - anchor) % n] for k in range(n))
+            return 0, lp, b"", lp
+        bound = len(lp) + len(rp)
+        j = first_mismatch(cyclic_slice(lp, 0, bound), cyclic_slice(rp, 0, bound))
+        anchor += j
+        lp = _rotl(lp, j)
+        rp = _rotl(rp, j)
+    return anchor, lp, head, rp
+
+
 def left_expansive_oracle(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
     """The expansivity decider one seed at a time: grow each seed's patch
-    with map_windows and keep the first seed seen for every rectangle."""
+    with map_windows_oracle and keep the first seed seen for every
+    rectangle."""
     rule = automaton.rule
     size = rule.alphabet.size
     m, n = rule.memory, rule.anticipation
@@ -149,7 +211,7 @@ def left_expansive_oracle(
         checked += 1
         rows = [seed]
         for _ in range(n_rows - 1):
-            rows.append(map_windows(rule, rows[-1]))
+            rows.append(map_windows_oracle(rule, rows[-1]))
         key = b"".join(rows[k][starts[k]:starts[k] + w] for k in range(n_rows))
         val = rows[dims.h][det_index]
         prev = seen.get(key)

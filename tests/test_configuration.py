@@ -1,4 +1,5 @@
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from leftex import (
     left_edge,
     parse_configuration,
     seq_equal,
-    shift_by,
 )
+from leftex.configuration import _canonical_parts
 from leftex.errors import (
     AlphabetMismatch,
     EmptyInterval,
@@ -23,7 +24,9 @@ from leftex.errors import (
     SymbolOutOfRange,
 )
 
-from oracles import expand_oracle, raw_configurations, seq_prefix_oracle
+from leftex.words import cyclic_slice
+
+from oracles import canonical_parts_oracle, expand_oracle, raw_configurations, seq_prefix_oracle
 
 A2 = Alphabet(2)
 A10 = Alphabet(10)
@@ -76,8 +79,8 @@ def test_left_edge_rejects_nonzero_left_tail():
 
 
 def test_shift_examples():
-    assert shift_by(ONE, 1) == Configuration.single(A2, 1, -1)
-    assert shift_by(ONE, 0) == ONE
+    assert ONE.shift(1) == Configuration.single(A2, 1, -1)
+    assert ONE.shift(0) == ONE
 
 
 def test_canonical_absorbs_head_into_zero_tails():
@@ -122,16 +125,16 @@ def test_window_matches_pointwise_oracle(x, i, width):
     j = i + width
     got = list(x.window(i, j))
     assert got == expand_oracle(x, i, j)
-    assert [x[k] for k in range(i, j + 1)] == got
+    assert [x.at(k) for k in range(i, j + 1)] == got
 
 
 @given(raw_configurations(), st.integers(-9, 9))
 @settings(max_examples=100)
 def test_shift_round_trip_and_pointwise(x, k):
-    y = shift_by(x, k)
-    assert shift_by(y, -k) == x
+    y = x.shift(k)
+    assert y.shift(-k) == x
     for i in range(-6, 7):
-        assert y[i] == x[i + k]
+        assert y.at(i) == x.at(i + k)
 
 
 @given(raw_configurations(), st.integers(-5, 5))
@@ -139,7 +142,7 @@ def test_shift_round_trip_and_pointwise(x, k):
 def test_shift_moves_left_edge(x, k):
     if not x.is_number_like:
         return
-    assert left_edge(shift_by(x, k)) == left_edge(x) - k
+    assert left_edge(x.shift(k)) == left_edge(x) - k
 
 
 @given(raw_configurations(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))
@@ -153,6 +156,48 @@ def test_equal_functions_have_equal_representations(x, pull, lreps, rreps):
     lp_phase = bytes(x.left_period[(k - pull) % n] for k in range(n))
     y = Configuration(x.alphabet, anchor, lp_phase * lreps, head, x.right_period * rreps)
     assert y == x
+
+
+@st.composite
+def absorbable_parts(draw):
+    """Raw parts whose head is a continuation of the left tail's cycle, a
+    free core, and a backward continuation of the right tail's cycle."""
+    sym = st.integers(0, draw(st.integers(2, 4)) - 1)
+    lp = bytes(draw(st.lists(sym, min_size=1, max_size=4)))
+    rp = bytes(draw(st.lists(sym, min_size=1, max_size=4)))
+    core = bytes(draw(st.lists(sym, max_size=4)))
+    front, back = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    head = cyclic_slice(lp, 0, front) + core + cyclic_slice(rp, -back, back)
+    return draw(st.integers(-8, 8)), lp, head, rp
+
+
+@given(absorbable_parts())
+@settings(max_examples=300)
+def test_canonical_parts_match_symbol_by_symbol_oracle(parts):
+    assert _canonical_parts(*parts) == canonical_parts_oracle(*parts)
+    _, _, head, rp = parts
+    s = OneSidedSeq(Alphabet(max(head + rp) + 1), head, rp)
+    assert list(s.prefix(len(head) + 8)) == seq_prefix_oracle(head, rp, len(head) + 8)
+    assert not s.head or s.head[-1] != s.period[-1]
+
+
+def test_canonicalization_is_linear_in_absorbed_symbols():
+    """4*10^5 absorbable head symbols; absorbing them one copy at a time took
+    about 3 s for each of these."""
+    absorbable = 400_000
+    A3 = Alphabet(3)
+    start = perf_counter()
+    x = Configuration(A3, 0, b"\x00", bytes(absorbable) + b"\x02", b"\x00")
+    assert (x.anchor, x.head) == (absorbable, b"\x02")
+    assert perf_counter() - start < 0.5
+    start = perf_counter()
+    y = Configuration(A3, 0, b"\x00", b"\x02" + b"\x01\x00" * (absorbable // 2), b"\x01\x00")
+    assert (y.anchor, y.head, y.right_period) == (0, b"\x02", b"\x01\x00")
+    assert perf_counter() - start < 0.5
+    start = perf_counter()
+    s = OneSidedSeq(A3, b"\x02" + b"\x00\x01" * (absorbable // 2), b"\x00\x01")
+    assert (s.head, s.period) == (b"\x02", b"\x00\x01")
+    assert perf_counter() - start < 0.5
 
 
 def test_distinct_functions_differ():

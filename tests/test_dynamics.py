@@ -13,7 +13,6 @@ from leftex import (
     PeriodCertificate,
     aperiodicity_scan,
     apply,
-    bound_calculators,
     detect_eventual_period,
     eca,
     fractional_multiplication_rule,
@@ -287,10 +286,8 @@ def test_preperiod_bound():
     assert preperiod_bound(3, 4) == 9
 
 
-def test_bound_dispatcher():
-    assert bound_calculators("repetition_N", dict(alphabet_size=2, t=1, w=2, h=0, d=1)) == 4
-    assert bound_calculators("preperiod_c", dict(m=1, e=2)) == 1
-    with pytest.raises(OutOfRange):
-        bound_calculators("nonsense", {})
+def test_bound_keyword_arguments():
+    assert repetition_count_bound(alphabet_size=2, t=1, w=2, h=0, d=1) == 4
+    assert preperiod_bound(m=1, e=2) == 1
     with pytest.raises(OutOfRange):
         repetition_count_bound(2, 0, 1, 0, 0)

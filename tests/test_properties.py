@@ -248,6 +248,9 @@ def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index
     assert verdict.status is Verdict.FALSE
     assert seed_index(verdict.counterexample.seed_a, size) == index_a
     assert seed_index(verdict.counterexample.seed_b, size) == index_b == verdict.seeds_checked - 1
+    cex = verdict.counterexample
+    assert type(cex.value_a) is type(cex.value_b) is int
+    assert all(type(row) is bytes for row in (cex.seed_a, cex.seed_b, *cex.rectangle))
 
 
 def test_budget_verdicts_match_the_oracle():

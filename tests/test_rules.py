@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,7 +14,6 @@ from leftex import (
     identity_rule,
     make_rule,
     patch,
-    shift_by,
     shift_inverse_rule,
     shift_rule,
     trace,
@@ -29,7 +30,15 @@ from leftex.errors import (
     TableTooLarge,
 )
 
-from oracles import RULE30, RULE90, padded_step, raw_configurations, simulate_zero_padded
+from oracles import (
+    RULE30,
+    RULE90,
+    compose_oracle,
+    map_windows_oracle,
+    padded_step,
+    raw_configurations,
+    simulate_zero_padded,
+)
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -90,7 +99,7 @@ def test_make_rule_bad_symbol():
 def test_shift_rule_is_sigma():
     sigma = shift_rule(A2)
     assert sigma.memory == 0 and sigma.anticipation == 1
-    assert apply(sigma, ONE) == shift_by(ONE, 1)
+    assert apply(sigma, ONE) == ONE.shift(1)
 
 
 def test_rule30_image_of_single_one():
@@ -117,7 +126,7 @@ def test_apply_matches_pointwise_rule_evaluation(F, x):
     y = apply(F, x)
     m, n = F.memory, F.anticipation
     for i in range(-50, 51):
-        assert y[i] == F.rule.value(x.window(i - m, i + n))
+        assert y.at(i) == F.rule.value(x.window(i - m, i + n))
 
 
 @given(rules(), raw_configurations(min_size=2, max_size=3), st.integers(-6, 6))
@@ -125,7 +134,7 @@ def test_apply_matches_pointwise_rule_evaluation(F, x):
 def test_apply_commutes_with_shift(F, x, k):
     if F.alphabet != x.alphabet:
         return
-    assert apply(F, shift_by(x, k)) == shift_by(apply(F, x), k)
+    assert apply(F, x.shift(k)) == apply(F, x).shift(k)
 
 
 @given(raw_configurations())
@@ -172,6 +181,17 @@ def test_compose_associates_on_application():
         assert apply(left, x) == apply(right, x)
 
 
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_compose_matches_per_neighborhood_oracle(data):
+    """Composed tables of every size up to 4^5 entries, built in one numpy
+    pass, equal the neighborhood-by-neighborhood product."""
+    size = data.draw(st.integers(2, 4))
+    F = data.draw(rules(min_size=size, max_size=size))
+    G = data.draw(rules(min_size=size, max_size=size))
+    assert compose(F, G) == compose_oracle(F, G)
+
+
 def test_compose_size_guard():
     with pytest.raises(TableTooLarge):
         compose(eca(30), eca(30), max_table=10)
@@ -196,7 +216,7 @@ def test_trace_rule90_column():
 def test_trace_shift_reads_the_configuration():
     x = Configuration(A2, 0, b"\x00", bytes([1, 0, 1, 1]), b"\x00")
     rows = trace(shift_rule(A2), x, 0, 0, 10)
-    assert [r[0] for r in rows] == [x[t] for t in range(10)]
+    assert [r[0] for r in rows] == [x.at(t) for t in range(10)]
 
 
 def test_trace_rule30_pair_column():
@@ -266,6 +286,26 @@ def test_patch_matches_embedded_configurations(F, data):
         y = apply(F, y)
 
 
+def test_map_windows_matches_rolling_index_oracle():
+    """Widths 1-4 over 2-6 symbols, on short words and on words around 2048
+    symbols, where a size threshold used to switch kernels."""
+    rng = random.Random(5)
+    cases = [identity_rule(Alphabet(3)).rule, compose(shift_rule(A2), shift_inverse_rule(A2)).rule]
+    assert [rule.width for rule in cases] == [1, 1]
+    for size in range(2, 7):
+        for width in range(1, 5):
+            m = rng.randrange(width)
+            table = bytes(rng.randrange(size) for _ in range(size ** width))
+            cases.append(LocalRule(Alphabet(size), m, width - 1 - m, table))
+    for rule in cases:
+        size = rule.alphabet.size
+        for length in [*range(rule.width, 65), *range(2040, 2061)]:
+            samples = bytes(b % size for b in rng.randbytes(length))
+            assert map_windows(rule, samples) == map_windows_oracle(rule, samples)
+
+
 def test_map_windows_rejects_short_input():
     with pytest.raises(SeedTooShort):
         map_windows(eca_rule(30), b"\x01")
+    with pytest.raises(SeedTooShort):
+        map_windows(identity_rule(A2).rule, b"")
