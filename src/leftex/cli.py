@@ -111,6 +111,8 @@ def _out_stream(args):
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise _UsageError("steps must be nonnegative")
     automaton = load_rule(args.rule)
     x = _load_config(args.config, automaton)
     for _, y in zip(range(args.steps + 1), orbit(automaton, x)):

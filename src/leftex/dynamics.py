@@ -155,6 +155,8 @@ def limit_point_census(
     census can suggest an abundance of limit points but a finite run can
     never certify infinitude, so only the counts are returned.
     """
+    if horizon < 0:
+        raise OutOfRange("horizon must be nonnegative")
     lengths = sorted(set(lengths))
     if not lengths:
         return {}

@@ -9,10 +9,17 @@ digit n-1; ``config_to_rational`` accepts any number-like configuration
 (including (n-1)-tails), so the pair is a retraction, not a bijection.
 
 Expansions of random rationals easily have periodic parts with 10^5+ digits,
-so digit <-> integer conversions run by divide and conquer on cached powers
-of the base rather than symbol-by-symbol, and the preperiod/period lengths
-are computed arithmetically (multiplicative order) instead of by scanning
-for a repeated remainder.
+so digits and integers are converted through int64 limbs of k digits, k the
+most that stay below 2**62, and one power-of-two tree over the limbs.  With
+B = n**k, digits -> integer merges adjacent blocks level by level, level j
+multiplying by B**(2**j); integer -> digits splits at the same powers from
+the top down, and all limbs expand to digits in one numpy pass.  Only the
+powers B**(2**j) are ever needed, about log2 of the limb count, and they are
+squared up in one bounded cache.  Long division of a fraction yields one
+limb per step.  The preperiod and period lengths are computed arithmetically
+(valuations of the denominator at the primes of the base, the
+multiplicative order of the base) instead of by scanning for a repeated
+remainder.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, log2
 from typing import Union
 
 import numpy as np
@@ -32,17 +39,6 @@ from .words import cyclic_slice
 
 RationalLike = Union[int, Fraction]
 
-_pow_cache: dict[tuple[int, int], int] = {}
-
-
-def _pow(base: int, k: int) -> int:
-    key = (base, k)
-    v = _pow_cache.get(key)
-    if v is None:
-        v = base**k
-        _pow_cache[key] = v
-    return v
-
 
 @lru_cache(maxsize=None)
 def _pack_width(base: int) -> int:
@@ -53,126 +49,115 @@ def _pack_width(base: int) -> int:
     return k
 
 
-def _limbs_to_int(limbs: list[int], big_base: int, lo: int, hi: int) -> int:
-    count = hi - lo
-    if count <= 32:
-        v = 0
-        for i in range(lo, hi):
-            v = v * big_base + limbs[i]
-        return v
-    half = count >> 1
-    return (
-        _limbs_to_int(limbs, big_base, lo, hi - half) * _pow(big_base, half)
-        + _limbs_to_int(limbs, big_base, hi - half, hi)
-    )
+@lru_cache(maxsize=None)
+def _place_values(base: int) -> np.ndarray:
+    """The digit weights inside one limb, base**(k-1) down to 1."""
+    row = base ** np.arange(_pack_width(base) - 1, -1, -1, dtype=np.int64)
+    row.flags.writeable = False
+    return row
 
 
-def _int_to_limbs(v: int, big_base: int, count: int) -> list[int]:
-    if count <= 32:
-        out = [0] * count
-        for i in range(count - 1, -1, -1):
-            v, out[i] = divmod(v, big_base)
-        return out
-    half = count >> 1
-    hi, lo = divmod(v, _pow(big_base, half))
-    return _int_to_limbs(hi, big_base, count - half) + _int_to_limbs(lo, big_base, half)
+@lru_cache(maxsize=128)
+def _square(base: int, j: int) -> int:
+    """B**(2**j) for the limb radix B = base**k, by repeated squaring.
+
+    A conversion of n limbs uses j < log2(n) only, so the cache holds the
+    whole table of a handful of bases.
+    """
+    if j == 0:
+        return base ** _pack_width(base)
+    half = _square(base, j - 1)
+    return half * half
 
 
 def _digits_to_int(w: bytes, base: int) -> int:
-    """Value of a digit word, most significant digit first.
+    """Value of a digit word, most significant digit first."""
+    k = _pack_width(base)
+    arr = np.frombuffer(bytes(-len(w) % k) + w, dtype=np.uint8).reshape(-1, k)
+    blocks = (arr.astype(np.int64) @ _place_values(base)).tolist()
+    # blocks are right-aligned: all but the leftmost hold exactly 2**j limbs
+    j = 0
+    while len(blocks) > 1:
+        scale = _square(base, j)
+        odd = len(blocks) & 1
+        blocks[odd:] = [hi * scale + lo for hi, lo in zip(blocks[odd::2], blocks[odd + 1::2])]
+        j += 1
+    return blocks[0] if blocks else 0
 
-    Long words are packed into int64 limbs with numpy before the
-    divide-and-conquer combine, which keeps the Python-level work per digit
-    negligible.
-    """
-    n = len(w)
-    if n >= 1024:
-        k = _pack_width(base)
-        pad = (-n) % k
-        arr = np.frombuffer(bytes(pad) + w, dtype=np.uint8).astype(np.int64)
-        powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        limbs = (arr.reshape(-1, k) @ powers).tolist()
-        return _limbs_to_int(limbs, _pow(base, k), 0, len(limbs))
-    if n <= 64:
-        v = 0
-        for s in w:
-            v = v * base + s
-        return v
-    half = n >> 1
-    return _digits_to_int(w[:n - half], base) * _pow(base, half) + _digits_to_int(w[n - half:], base)
+
+def _limbs_to_digits(limbs: list[int], base: int) -> bytes:
+    """The k digits of each limb, concatenated."""
+    high = np.array(limbs, dtype=np.int64).reshape(-1, 1) // _place_values(base)
+    # digit i of a limb is v // base**i minus base times v // base**(i+1)
+    high[:, 1:] -= base * high[:, :-1]
+    return high.astype(np.uint8).tobytes()
 
 
 def _int_to_digits(v: int, base: int, count: int) -> bytes:
-    """Exactly ``count`` digits of v (v < base**count), zero-padded at the left."""
-    if count >= 1024:
-        k = _pack_width(base)
-        n_limbs = -(-count // k)
-        limbs = np.array(_int_to_limbs(v, _pow(base, k), n_limbs), dtype=np.int64)
-        out = np.empty((n_limbs, k), dtype=np.uint8)
-        for col in range(k - 1, -1, -1):
-            limbs, rem = np.divmod(limbs, base)
-            out[:, col] = rem
-        return out.reshape(-1).tobytes()[n_limbs * k - count:]
-    if count <= 64:
-        buf = bytearray(count)
-        for i in range(count - 1, -1, -1):
-            v, buf[i] = divmod(v, base)
-        return bytes(buf)
-    half = count >> 1
-    hi, lo = divmod(v, _pow(base, half))
-    return _int_to_digits(hi, base, count - half) + _int_to_digits(lo, base, half)
+    """Exactly ``count`` digits of v (0 <= v < base**count), zero-padded at the left."""
+    n = -(-count // _pack_width(base))
+    blocks = [v]
+    # _digits_to_int's levels in reverse, padded at the left to 2**levels
+    # limbs; the padding is zero limbs, which the final slice drops
+    for j in reversed(range((n - 1).bit_length())):
+        scale = _square(base, j)
+        blocks = [part for b in blocks for part in divmod(b, scale)]
+    digits = _limbs_to_digits(blocks, base)
+    return digits[len(digits) - count:]
 
 
 def _int_digits(v: int, base: int) -> bytes:
     """Minimal digit word for a nonnegative integer (empty for 0)."""
-    if v == 0:
-        return b""
-    count = 1
-    while _pow(base, count) <= v:
-        count += 1
-    return _int_to_digits(v, base, count)
-
-
-_LIMBS_PER_CHUNK = 32
+    # floor(bits / log2(base)) + 1 digits suffice; one spare covers float rounding
+    count = int(v.bit_length() / log2(base)) + 2
+    return _int_to_digits(v, base, count).lstrip(b"\x00")
 
 
 def _expansion_digits(remainder: int, den: int, base: int, count: int) -> bytes:
     """First ``count`` digits of remainder/den (0 <= remainder < den) in ``base``.
 
-    Works chunkwise so that every big-integer division has a small divisor
-    (the denominator, or one cached power of the base), then expands whole
-    int64 limbs to digits in a single vectorized pass.
+    Long division in the limb radix yields one limb per step, so every
+    big-integer division has the denominator as divisor and a one-limb
+    quotient.
     """
-    k = _pack_width(base)
-    chunk = k * _LIMBS_PER_CHUNK
-    if count <= chunk:
-        q, _ = divmod(remainder * _pow(base, count), den)
-        return _int_to_digits(q, base, count)
-    big = _pow(base, k)
-    step = _pow(base, chunk)
-    limbs: list[int] = []
+    radix = _square(base, 0)
+    limbs = []
     r = remainder
-    for _ in range(count // chunk):
-        q, r = divmod(r * step, den)
-        limbs += _int_to_limbs(q, big, _LIMBS_PER_CHUNK)
-    tail = b""
-    rest = count % chunk
-    if rest:
-        q, r = divmod(r * _pow(base, rest), den)
-        tail = _int_to_digits(q, base, rest)
-    arr = np.array(limbs, dtype=np.int64)
-    out = np.empty((len(limbs), k), dtype=np.uint8)
-    for col in range(k - 1, -1, -1):
-        arr, rem = np.divmod(arr, base)
-        out[:, col] = rem
-    return out.reshape(-1).tobytes() + tail
+    for _ in range(-(-count // _pack_width(base))):
+        q, r = divmod(r * radix, den)
+        limbs.append(q)
+    return _limbs_to_digits(limbs, base)[:count]
 
 
-def _coprime_part(den: int, base: int) -> int:
-    d = den
-    while (g := gcd(d, base)) > 1:
-        d //= g
-    return d
+def _valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p**v) for the largest v with p**v dividing n > 0.
+
+    The powers p, p**2, p**4, ... are tried upwards until one does not
+    divide, then divided out greedily downwards: O(log v) divisions.
+    """
+    powers = []
+    while n % p == 0:
+        powers.append(p)
+        p *= p
+    v = 0
+    for i in reversed(range(len(powers))):
+        q, r = divmod(n, powers[i])
+        if r == 0:
+            n, v = q, v + (1 << i)
+    return v, n
+
+
+def _period_split(den: int, base: int) -> tuple[int, int]:
+    """(preperiod, coprime part) of a denominator in ``base``.
+
+    den = m * coprime with gcd(coprime, base) == 1, and the preperiod is the
+    least t with m dividing base**t.
+    """
+    pre = 0
+    for p, e in _factorize(base).items():
+        v, den = _valuation(den, p)
+        pre = max(pre, -(-v // e))
+    return pre, den
 
 
 def _factorize(v: int) -> dict[int, int]:
@@ -233,24 +218,11 @@ def rational_to_config(value: RationalLike, base: int) -> Configuration:
     num, den = xi.numerator, xi.denominator
     ipart, rem = divmod(num, den)
     int_digits = _int_digits(ipart, base)
-    if rem == 0:
-        head, period = int_digits, b"\x00"
-    else:
-        coprime = _coprime_part(den, base)
-        pre = 0
-        pw = 1
-        while pw % (den // coprime):
-            pw *= base
-            pre += 1
-        if coprime == 1:
-            head = int_digits + _expansion_digits(rem, den, base, pre)
-            period = b"\x00"
-        else:
-            ell = multiplicative_order(base, coprime)
-            digits = _expansion_digits(rem, den, base, pre + ell)
-            head = int_digits + digits[:pre]
-            period = digits[pre:]
-    return Configuration._from_trusted(Alphabet(base), -len(int_digits), b"\x00", head, period)
+    # a terminating expansion has coprime part 1, order 1 and period b"\x00"
+    pre, coprime = _period_split(den, base)
+    digits = _expansion_digits(rem, den, base, pre + multiplicative_order(base, coprime))
+    head = int_digits + digits[:pre]
+    return Configuration._from_trusted(Alphabet(base), -len(int_digits), b"\x00", head, digits[pre:])
 
 
 def config_to_rational(x: Configuration, base: int) -> Fraction:
@@ -272,8 +244,8 @@ def config_to_rational(x: Configuration, base: int) -> Fraction:
     plen = len(x.right_period)
     phase = (split - tail_start) % plen
     period_value = _digits_to_int(cyclic_slice(x.right_period, phase, plen), base)
-    frac = Fraction(_digits_to_int(frac_head, base), 1) + Fraction(period_value, _pow(base, plen) - 1)
-    return ipart + frac / _pow(base, len(frac_head))
+    frac = Fraction(_digits_to_int(frac_head, base), 1) + Fraction(period_value, base**plen - 1)
+    return ipart + frac / base ** len(frac_head)
 
 
 # -- multiplication automata ----------------------------------------------------

@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .configuration import Configuration, left_edge
-from .errors import BadDims, IncompatibleRule, NotECA, ZeroNotQuiescent
+from .errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
 from .numeric import MulSpec, fractional_multiplication_rule
 from .rules import Automaton, LocalRule, lookup_windows, orbit, trim_vacuous
 from .words import format_word
@@ -340,7 +340,9 @@ def is_left_spreading_eca(rule: Union[LocalRule, Automaton]) -> bool:
     return rule.table[1] == 1
 
 
-def _require_quiescent(rule: LocalRule):
+def _check_spreading_args(rule: LocalRule, horizon: int):
+    if horizon < 0:
+        raise OutOfRange("horizon must be nonnegative")
     if rule.table[0] != 0:
         raise ZeroNotQuiescent("rule does not map the all-zero neighborhood to 0")
 
@@ -365,7 +367,7 @@ def left_spreading_witnesses(
     None is evidence against left spreading at this horizon, never a proof:
     the property is semi-decidable.
     """
-    _require_quiescent(automaton.rule)
+    _check_spreading_args(automaton.rule, horizon)
     out: list[Optional[int]] = []
     for x in samples:
         base = left_edge(x)
@@ -393,7 +395,7 @@ class SpeedEstimate:
 def estimate_spreading_speed(
     automaton: Automaton, samples: Sequence[Configuration], horizon: int
 ) -> SpeedEstimate:
-    _require_quiescent(automaton.rule)
+    _check_spreading_args(automaton.rule, horizon)
     per_sample: list[Optional[Fraction]] = []
     for x in samples:
         base = left_edge(x)

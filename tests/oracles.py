@@ -1,7 +1,8 @@
 """Independent oracles and shared hypothesis strategies for the test suite.
 
 Everything here recomputes expected values from first principles (pointwise
-indexing, schoolbook long division, padded finite simulation, cubic period
+indexing, schoolbook long division, Horner and divmod digit conversion,
+one-factor-at-a-time preperiods, padded finite simulation, cubic period
 search, rolling-index rule evaluation, symbol-by-symbol canonicalization)
 without touching the library's fast paths, so tests compare two genuinely
 different routes to the same answer.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 
@@ -96,6 +98,40 @@ def long_division_digits(num: int, den: int, base: int, count: int) -> list[int]
         d, r = divmod(r * base, den)
         out.append(d)
     return out
+
+
+def digits_to_int_oracle(w: bytes, base: int) -> int:
+    """Horner's rule, one digit at a time, most significant first."""
+    v = 0
+    for s in w:
+        v = v * base + s
+    return v
+
+
+def int_to_digits_oracle(v: int, base: int, count: int) -> bytes:
+    """The last ``count`` digits of v, peeled off by repeated divmod."""
+    buf = bytearray(count)
+    for i in range(count - 1, -1, -1):
+        v, buf[i] = divmod(v, base)
+    return bytes(buf)
+
+
+def coprime_part_oracle(den: int, base: int) -> int:
+    """den with every factor it shares with base divided out, one gcd at a time."""
+    while (g := gcd(den, base)) > 1:
+        den //= g
+    return den
+
+
+def preperiod_oracle(den: int, base: int) -> int:
+    """Least t such that den over its coprime part divides base**t, trying
+    t = 0, 1, 2, ... in turn."""
+    shared = den // coprime_part_oracle(den, base)
+    pre, pw = 0, 1
+    while pw % shared:
+        pw *= base
+        pre += 1
+    return pre
 
 
 def naive_period_search(prefix, max_c, max_p):

@@ -37,6 +37,13 @@ def test_simulate_mul(capsys):
     assert config_to_rational(final, 6) == Fraction(3, 2)
 
 
+def test_negative_step_counts_are_usage_errors(capsys):
+    code, out, err = run(capsys, "simulate", "eca:30", "[L:0] 1 [R:0] @0", "-3")
+    assert code == 3 and out == "" and "steps" in err
+    code, out, err = run(capsys, "limits", "eca:30", "[L:0] 1 [R:0] @0", "--T", "-5", "--json")
+    assert code == 3 and out == "" and "horizon" in err
+
+
 def test_verify_mul_exit_codes(capsys):
     code, out, _ = run(capsys, "verify-mul", "3", "2", "1", "10")
     assert code == 0 and "ok" in out

@@ -213,6 +213,12 @@ def test_census_monotone_in_length():
         assert values == sorted(values)
 
 
+def test_census_rejects_negative_horizon():
+    with pytest.raises(OutOfRange):
+        limit_point_census(eca(30), ONE, 0, -5, range(1, 5))
+    assert limit_point_census(eca(30), ONE, 0, 0, [1]) == {1: 1}
+
+
 # -- propagation --------------------------------------------------------------------
 
 

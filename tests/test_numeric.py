@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,26 @@ from leftex import (
     verify_mul,
 )
 from leftex.errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive
-from leftex.numeric import _digits_to_int, _expansion_digits, _int_to_digits
+from leftex import numeric
+from leftex.numeric import (
+    _digits_to_int,
+    _expansion_digits,
+    _int_digits,
+    _int_to_digits,
+    _pack_width,
+    _period_split,
+    _square,
+)
 from leftex.rules import Automaton, LocalRule
 
-from oracles import long_division_digits, small_rationals
+from oracles import (
+    coprime_part_oracle,
+    digits_to_int_oracle,
+    int_to_digits_oracle,
+    long_division_digits,
+    preperiod_oracle,
+    small_rationals,
+)
 
 
 def test_config_of_integer_one():
@@ -143,6 +160,87 @@ def test_expansion_digits_against_long_division():
         assert list(_expansion_digits(r, den, base, count)) == long_division_digits(
             r, den, base, count
         )
+
+
+# the power-of-two tree changes shape at k*2**j limbs, k = _pack_width(base)
+limb_boundaries = st.tuples(st.integers(2, 256), st.integers(0, 6), st.sampled_from([-1, 0, 1]))
+
+
+@given(limb_boundaries, st.sampled_from(["random", "zeros", "top"]), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_digit_tree_matches_horner_and_divmod(boundary, fill, rng):
+    base, j, offset = boundary
+    count = _pack_width(base) * 2**j + offset
+    if fill == "random":
+        digits = bytes(rng.randrange(base) for _ in range(count))
+    else:
+        digits = bytes([0 if fill == "zeros" else base - 1]) * count
+    v = digits_to_int_oracle(digits, base)
+    assert _digits_to_int(digits, base) == v
+    assert _int_to_digits(v, base, count) == int_to_digits_oracle(v, base, count) == digits
+    assert _int_digits(v, base) == digits.lstrip(b"\x00")
+
+
+@given(limb_boundaries, st.integers(2, 10**30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_expansion_digits_match_long_division_at_limb_boundaries(boundary, den, data):
+    base, j, offset = boundary
+    count = _pack_width(base) * 2**j + offset
+    r = data.draw(st.integers(0, den - 1))
+    assert list(_expansion_digits(r, den, base, count)) == long_division_digits(r, den, base, count)
+
+
+@given(st.integers(2, 256), st.integers(1, 10**6), st.lists(st.integers(0, 300), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_period_split_matches_one_factor_oracles(base, cofactor, exponents):
+    primes = [p for p in range(2, base + 1) if base % p == 0 and all(p % d for d in range(2, p))]
+    den = cofactor
+    for p, e in zip(primes, exponents):
+        den *= p**e
+    assert _period_split(den, base) == (preperiod_oracle(den, base), coprime_part_oracle(den, base))
+
+
+def test_deep_preperiods_and_long_integers_convert_fast():
+    for xi, base in ((Fraction(1, 2**20000), 6), (Fraction(1, 5**20000), 10)):
+        start = time.perf_counter()
+        x = rational_to_config(xi, base)
+        assert time.perf_counter() - start < 1.0
+        assert x.anchor + len(x.head) == 20000 and x.right_period == b"\x00"
+    start = time.perf_counter()
+    digits = _int_digits(7**20000, 10)
+    assert time.perf_counter() - start < 0.1
+    assert digits[0] != 0 and digits_to_int_oracle(digits, 10) == 7**20000
+
+
+def test_power_table_stays_bounded():
+    """300 round trips with distinct period lengths up to 2*10^4 keep at
+    most ceil(log2(limbs)) + 1 powers, and no module-level container grows."""
+    base = 10
+    dens, periods = [], set()
+    for q in range(19999, 2, -1):
+        if math.gcd(q, base) == 1 and len(dens) < 300:
+            period = multiplicative_order(base, q)
+            if period not in periods:
+                periods.add(period)
+                dens.append(q)
+    assert len(dens) == 300
+    unbounded = [f for f in vars(numeric).values()
+                 if hasattr(f, "cache_info") and f.cache_info().maxsize is None]
+    for f in unbounded + [_square]:
+        f.cache_clear()
+    containers = {name: len(v) for name, v in vars(numeric).items() if isinstance(v, (dict, list, set))}
+    rng = random.Random(300)
+    longest = 0
+    for i, q in enumerate(dens):
+        xi = i + Fraction(rng.randrange(1, q), q * 2 ** (i % 40))
+        x = rational_to_config(xi, base)
+        assert config_to_rational(x, base) == xi
+        longest = max(longest, len(x.head) + len(x.right_period))
+    limbs = -(-longest // _pack_width(base))
+    assert _square.cache_info().currsize <= math.ceil(math.log2(limbs)) + 1
+    assert _square.cache_info().maxsize is not None
+    assert all(f.cache_info().currsize <= 1 for f in unbounded)  # keyed by the base alone
+    assert {name: len(vars(numeric)[name]) for name in containers} == containers
 
 
 # -- multiplication automata ----------------------------------------------------

@@ -26,7 +26,7 @@ from leftex import (
     rational_to_config,
     shift_rule,
 )
-from leftex.errors import BadDims, IncompatibleRule, NotECA, ZeroNotQuiescent
+from leftex.errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
 from oracles import left_expansive_oracle
 
@@ -306,6 +306,13 @@ def test_witnesses():
     assert left_spreading_witnesses(MUL32, [rational_to_config(1, 6)], 20) == [5]
     assert left_spreading_witnesses(eca(30), [ONE], 5) == [1]
     assert left_spreading_witnesses(eca(204), [ONE], 10) == [None]
+
+
+def test_spreading_rejects_negative_horizon():
+    for spreading in (left_spreading_witnesses, estimate_spreading_speed):
+        with pytest.raises(OutOfRange):
+            spreading(eca(30), [ONE], -1)
+    assert left_spreading_witnesses(eca(30), [ONE], 0) == [None]
 
 
 def test_witnesses_require_quiescence():
