@@ -83,8 +83,11 @@ def _load_config(text: str, automaton: Automaton) -> Configuration:
 
 
 def _parse_rational(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"expected a rational NUM or NUM/DEN, got {text!r}") from None
 
 
 def _parse_cols(text: str) -> tuple[int, int]:

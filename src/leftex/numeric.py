@@ -20,6 +20,11 @@ limb per step.  The preperiod and period lengths are computed arithmetically
 (valuations of the denominator at the primes of the base, the
 multiplicative order of the base) instead of by scanning for a repeated
 remainder.
+
+A period of p digits is worth W/(base**p - 1), but forming W converts all
+p digits.  ``_period_fraction`` instead reads a small denominator off a
+prefix of O(sqrt(p)) digits and proves the value exactly, with one modular
+power and one long division; only other periods pay for W.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, log2
+from math import gcd, isqrt, log2
 from typing import Union
 
 import numpy as np
@@ -225,11 +230,38 @@ def rational_to_config(value: RationalLike, base: int) -> Configuration:
     return Configuration._from_trusted(Alphabet(base), -len(int_digits), b"\x00", head, digits[pre:])
 
 
+def _period_fraction(w: bytes, base: int) -> Fraction:
+    """Value of 0.www... in ``base`` as a reduced fraction.
+
+    For n = 16, 64, 256, ... up to 4 * sqrt(p) digits, the best
+    approximation a/c to the n-digit prefix with c <= sqrt(base**n) / 2 is
+    the value itself whenever its reduced denominator is that small.  A
+    candidate is accepted only once proved: base**p == 1 (mod c) makes a/c
+    purely periodic with a period dividing p, so its first p digits being w
+    make it equal to W/(base**p - 1), W the value of w.  Otherwise (large
+    denominators, or the all-(base-1) word, worth 1) W/(base**p - 1) is
+    formed directly.
+    """
+    p = len(w)
+    n = 16
+    while n * n <= 16 * p:
+        scale = base**n
+        guess = Fraction(_digits_to_int(w[:n], base), scale).limit_denominator(isqrt(scale) // 2)
+        a, c = guess.numerator, guess.denominator
+        if a < c and pow(base, p, c) == 1 % c \
+                and _expansion_digits(a, c, base, p) == w:
+            return guess
+        n *= 4
+    return Fraction(_digits_to_int(w, base), base**p - 1)
+
+
 def config_to_rational(x: Configuration, base: int) -> Fraction:
     """Exact value of a number-like digit configuration.
 
-    The periodic right tail is summed with the geometric-series closed form,
-    so e.g. the all-nines tail in base 10 evaluates to exactly 1.
+    The integer digits and the fractional digits before the periodic tail
+    are converted to integers; the tail, read from the first fractional
+    position, is valued by ``_period_fraction``, so e.g. the all-nines
+    tail in base 10 evaluates to exactly 1.
     """
     if x.alphabet.size != base:
         raise AlphabetMismatch(f"configuration is over {x.alphabet.size} symbols, not base {base}")
@@ -243,8 +275,8 @@ def config_to_rational(x: Configuration, base: int) -> Fraction:
     frac_head = x.window(0, split - 1) if split > 0 else b""
     plen = len(x.right_period)
     phase = (split - tail_start) % plen
-    period_value = _digits_to_int(cyclic_slice(x.right_period, phase, plen), base)
-    frac = Fraction(_digits_to_int(frac_head, base), 1) + Fraction(period_value, base**plen - 1)
+    period_value = _period_fraction(cyclic_slice(x.right_period, phase, plen), base)
+    frac = _digits_to_int(frac_head, base) + period_value
     return ipart + frac / base ** len(frac_head)
 
 

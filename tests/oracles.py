@@ -2,10 +2,11 @@
 
 Everything here recomputes expected values from first principles (pointwise
 indexing, schoolbook long division, Horner and divmod digit conversion,
-one-factor-at-a-time preperiods, padded finite simulation, cubic period
-search, rolling-index rule evaluation, symbol-by-symbol canonicalization)
-without touching the library's fast paths, so tests compare two genuinely
-different routes to the same answer.
+the geometric-series value of a periodic tail, one-factor-at-a-time
+preperiods, padded finite simulation, cubic period search, rolling-index
+rule evaluation, symbol-by-symbol canonicalization) without touching the
+library's fast paths, so tests compare two genuinely different routes to
+the same answer.
 """
 
 from __future__ import annotations
@@ -114,6 +115,30 @@ def int_to_digits_oracle(v: int, base: int, count: int) -> bytes:
     for i in range(count - 1, -1, -1):
         v, buf[i] = divmod(v, base)
     return bytes(buf)
+
+
+def halving_digits_to_int(w: bytes, base: int) -> int:
+    """Value of a digit word by splitting it in halves; Horner below 64 digits."""
+    if len(w) <= 64:
+        return digits_to_int_oracle(w, base)
+    h = len(w) // 2
+    high, low = halving_digits_to_int(w[:h], base), halving_digits_to_int(w[h:], base)
+    return high * base ** (len(w) - h) + low
+
+
+def config_to_rational_oracle(x: Configuration, base: int) -> Fraction:
+    """Value of a number-like configuration by the geometric-series closed
+    form: the tail read from the first fractional position is a period of p
+    digits worth W/(base**p - 1), W the period as one integer."""
+    ipart = halving_digits_to_int(x.window(x.anchor, -1), base) if x.anchor < 0 else 0
+    tail_start = x.anchor + len(x.head)
+    split = max(tail_start, 0)
+    frac_head = x.window(0, split - 1) if split > 0 else b""
+    plen = len(x.right_period)
+    period = cyclic_slice(x.right_period, (split - tail_start) % plen, plen)
+    tail = Fraction(halving_digits_to_int(period, base), base**plen - 1)
+    frac = halving_digits_to_int(frac_head, base) + tail
+    return ipart + frac / base ** len(frac_head)
 
 
 def coprime_part_oracle(den: int, base: int) -> int:

@@ -51,6 +51,13 @@ def test_verify_mul_exit_codes(capsys):
     assert code == 3  # p <= q is a spec error
 
 
+def test_malformed_rationals_are_usage_errors(capsys):
+    # exit 1 would read as a failed verification
+    for xi in ("1/0", "1/x", "x", "1/"):
+        code, out, err = run(capsys, "verify-mul", "3", "2", xi, "4")
+        assert code == 3 and out == "" and repr(xi) in err
+
+
 def test_classify_exit_codes(capsys):
     assert run(capsys, "classify", "eca:30")[0] == 0
     assert run(capsys, "classify", "eca:204")[0] == 1

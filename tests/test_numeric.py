@@ -34,6 +34,7 @@ from leftex.numeric import (
 from leftex.rules import Automaton, LocalRule
 
 from oracles import (
+    config_to_rational_oracle,
     coprime_part_oracle,
     digits_to_int_oracle,
     int_to_digits_oracle,
@@ -122,6 +123,91 @@ def test_reverse_round_trip_condition():
         nines_tail = x.right_period == bytes([n - 1])
         back = rational_to_config(config_to_rational(x, n), n)
         assert (back == x) == (not nines_tail)
+
+
+ORACLE_BASES = st.sampled_from([2, 3, 6, 10, 15, 255, 256])
+
+
+@st.composite
+def number_like_configurations(draw):
+    """Heads before random periods of up to 1100 digits (huge reduced
+    denominators), periods all 0 or all base-1 but for one digit, small
+    periods repeated and changed in one digit (a prefix suggests the small
+    denominator, which only the full digit check rejects), and the images
+    of rationals with denominators up to 10^5, all shifted so that anchors
+    go negative and tails start mid-period."""
+    base = draw(ORACLE_BASES)
+    shift = draw(st.integers(-40, 40))
+    kind = draw(st.sampled_from(["random", "one_nonzero", "one_not_top", "corrupted", "rational"]))
+    if kind == "rational":
+        xi = Fraction(draw(st.integers(1, 10**9)), draw(st.integers(1, 10**5)))
+        return rational_to_config(xi, base).shift(shift)
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "corrupted":
+        small = rational_to_config(Fraction(1, draw(st.integers(2, 1000))), base).right_period
+        period = bytearray(small * max(1, 1100 // len(small)))
+        i = rng.randrange(len(period))
+        period[i] = (period[i] + rng.randrange(1, base)) % base
+    else:
+        length = draw(st.integers(1, 1100))
+        if kind == "random":
+            period = bytearray(rng.randrange(base) for _ in range(length))
+        else:
+            period = bytearray([0 if kind == "one_nonzero" else base - 1]) * length
+            period[rng.randrange(length)] = rng.randrange(base)
+    head = [rng.randrange(base) for _ in range(draw(st.integers(0, 40)))]
+    head.append(1)  # the configuration is never zero
+    return Configuration(Alphabet(base), shift, b"\x00", head, bytes(period))
+
+
+@given(number_like_configurations())
+@settings(max_examples=400, deadline=None)
+def test_config_to_rational_matches_closed_form_oracle(x):
+    base = x.alphabet.size
+    got, want = config_to_rational(x, base), config_to_rational_oracle(x, base)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_long_period_round_trip_is_fast():
+    """10 is a primitive root modulo the prime 600011, so this value has a
+    base-10 period of 600010 digits behind a three-digit preperiod."""
+    q = 600011
+    assert multiplicative_order(10, q) == q - 1
+    xi = 7 + Fraction(12345, 8 * q)
+    x = rational_to_config(xi, 10)
+    assert len(x.right_period) == q - 1
+    start = time.perf_counter()
+    value = config_to_rational(x, 10)
+    assert time.perf_counter() - start < 0.15
+    assert value == xi
+
+
+def test_rejected_candidates_cost_a_short_prefix(monkeypatch):
+    """A random period has a reduced denominator near 10^p, so every
+    candidate read from a prefix is rejected by the modular check: the
+    digits converted come to p for the closed form plus at most
+    8*sqrt(p) + 64 for the prefixes, and nothing is re-expanded."""
+    rng = random.Random(20000)
+    p = 20000
+    x = Configuration(Alphabet(10), 0, b"\x00", b"", bytes(rng.randrange(10) for _ in range(p)))
+    assert len(x.right_period) == p  # primitive
+    want = config_to_rational_oracle(x, 10)
+    converted, expanded = [], []
+
+    def counting_digits_to_int(w, base):
+        converted.append(len(w))
+        return _digits_to_int(w, base)
+
+    def counting_expansion_digits(remainder, den, base, count):
+        expanded.append(count)
+        return _expansion_digits(remainder, den, base, count)
+
+    monkeypatch.setattr(numeric, "_digits_to_int", counting_digits_to_int)
+    monkeypatch.setattr(numeric, "_expansion_digits", counting_expansion_digits)
+    assert config_to_rational(x, 10) == want
+    assert max(converted) == p and converted.count(p) == 1
+    assert sum(converted) - p <= 8 * math.sqrt(p) + 64
+    assert expanded == []
 
 
 def test_multiplicative_order_against_naive():
