@@ -17,9 +17,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .configuration import Configuration, format_configuration, parse_configuration
+from .configuration import format_configuration, parse_configuration
 from .dynamics import aperiodicity_scan, limit_point_census, recurrence_scan
 from .errors import LeftexError
 from .numeric import MulSpec, fractional_multiplication_rule, multiplication_rule, verify_mul
@@ -78,10 +79,6 @@ def load_rule(text: str) -> Automaton:
     return Automaton(rule, name=text)
 
 
-def _load_config(text: str, automaton: Automaton) -> Configuration:
-    return parse_configuration(text, automaton.alphabet)
-
-
 def _parse_rational(text: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
@@ -104,10 +101,14 @@ def _budget(args) -> int:
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
+@contextmanager
+def _output(args):
+    """The --out file, closed on exit, or stdout when --out is not given."""
+    if args.out:
+        with open(args.out, "w") as stream:
+            yield stream
+    else:
+        yield sys.stdout
 
 
 # -- commands -----------------------------------------------------------------
@@ -117,7 +118,7 @@ def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise _UsageError("steps must be nonnegative")
     automaton = load_rule(args.rule)
-    x = _load_config(args.config, automaton)
+    x = parse_configuration(args.config, automaton.alphabet)
     for _, y in zip(range(args.steps + 1), orbit(automaton, x)):
         print(format_configuration(y))
     return EXIT_PASS
@@ -125,7 +126,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_render(args) -> int:
     automaton = load_rule(args.rule)
-    x = _load_config(args.config, automaton)
+    x = parse_configuration(args.config, automaton.alphabet)
     lo, hi = _parse_cols(args.cols)
     palette = None
     if args.palette:
@@ -136,12 +137,8 @@ def _cmd_render(args) -> int:
                 raise _UsageError(f"palette entries look like symbol:gray, got {item!r}")
             palette[int(sym)] = int(gray)
     spec = RenderSpec(args.rows, lo, hi, args.format, palette)
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         render_to(stream, automaton, x, spec)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_PASS
 
 
@@ -161,8 +158,7 @@ def _cmd_atlas(args) -> int:
             "dims": [found.dims.h, found.dims.d, found.dims.w] if found.dims else None,
             "rapid": classification.verdict,
         })
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         if args.json:
             json.dump(rows, stream, indent=None, separators=(",", ":"))
             stream.write("\n")
@@ -172,9 +168,6 @@ def _cmd_atlas(args) -> int:
                 dims = ";".join(map(str, row["dims"])) if row["dims"] else ""
                 stream.write(f"{row['rule']},{int(row['permutive'])},{int(row['spreading'])},"
                              f"{dims},{row['rapid']}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_PASS
 
 
@@ -188,8 +181,8 @@ def _cmd_verify_mul(args) -> int:
 
 def _cmd_scan_period(args) -> int:
     automaton = load_rule(args.rule)
-    x = _load_config(args.config, automaton)
-    if args.cols:
+    x = parse_configuration(args.config, automaton.alphabet)
+    if args.col is None:
         lo, hi = _parse_cols(args.cols)
     else:
         lo = hi = args.col
@@ -207,7 +200,7 @@ def _cmd_scan_period(args) -> int:
 
 def _cmd_recur(args) -> int:
     automaton = load_rule(args.rule)
-    x = _load_config(args.config, automaton)
+    x = parse_configuration(args.config, automaton.alphabet)
     ts = recurrence_scan(automaton, x, args.c, args.horizon)
     if args.json:
         print(json.dumps({"c": args.c, "horizon": args.horizon, "recurrences": ts}))
@@ -218,11 +211,10 @@ def _cmd_recur(args) -> int:
 
 def _cmd_limits(args) -> int:
     automaton = load_rule(args.rule)
-    x = _load_config(args.config, automaton)
+    x = parse_configuration(args.config, automaton.alphabet)
     lengths = range(1, args.n_max + 1)
     census = limit_point_census(automaton, x, args.c, args.horizon, lengths)
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         if args.json:
             stream.write(json.dumps({"horizon": args.horizon, "census": census}))
             stream.write("\n")
@@ -230,9 +222,6 @@ def _cmd_limits(args) -> int:
             stream.write("n,census\n")
             for n in lengths:
                 stream.write(f"{n},{census[n]}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_PASS
 
 
@@ -289,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-period", help="search a trace for an eventual period")
     p.add_argument("rule")
     p.add_argument("config")
-    p.add_argument("--col", type=int)
-    p.add_argument("--cols", metavar="A:B")
+    cols = p.add_mutually_exclusive_group(required=True)
+    cols.add_argument("--col", type=int)
+    cols.add_argument("--cols", metavar="A:B")
     p.add_argument("--T", dest="horizon", type=int, required=True)
     p.add_argument("--max-c", type=int, default=500)
     p.add_argument("--max-p", type=int, default=500)
@@ -329,17 +319,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "cols", None) is None and getattr(args, "col", None) is None \
-                and args.command == "scan-period":
-            raise _UsageError("scan-period needs --col or --cols")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LeftexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (LeftexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -284,9 +284,6 @@ class OneSidedSeq:
             return self.head[i]
         return self.period[(i - len(self.head)) % len(self.period)]
 
-    def __getitem__(self, i: int) -> int:
-        return self.at(i)
-
     def prefix(self, count: int) -> bytes:
         """The word made of the first ``count`` entries."""
         if count <= len(self.head):

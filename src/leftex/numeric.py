@@ -24,7 +24,9 @@ remainder.
 A period of p digits is worth W/(base**p - 1), but forming W converts all
 p digits.  ``_period_fraction`` instead reads a small denominator off a
 prefix of O(sqrt(p)) digits and proves the value exactly, with one modular
-power and one long division; only other periods pay for W.
+power and one long division; only other periods pay for W.  This makes
+valuing a configuration cheap enough that ``verify_mul`` checks every image
+by its value alone, with no second route through ``rational_to_config``.
 """
 
 from __future__ import annotations
@@ -194,7 +196,6 @@ def _carmichael(factors: dict[int, int]) -> int:
     return lam
 
 
-@lru_cache(maxsize=65536)
 def multiplicative_order(base: int, modulus: int) -> int:
     """Least k >= 1 with base**k == 1 (mod modulus); requires gcd == 1."""
     if modulus == 1:
@@ -240,17 +241,19 @@ def _period_fraction(w: bytes, base: int) -> Fraction:
     purely periodic with a period dividing p, so its first p digits being w
     make it equal to W/(base**p - 1), W the value of w.  Otherwise (large
     denominators, or the all-(base-1) word, worth 1) W/(base**p - 1) is
-    formed directly.
+    formed directly.  A longer prefix often yields the candidate just
+    rejected again, and that one is not re-expanded.
     """
     p = len(w)
-    n = 16
+    n, rejected = 16, None
     while n * n <= 16 * p:
         scale = base**n
         guess = Fraction(_digits_to_int(w[:n], base), scale).limit_denominator(isqrt(scale) // 2)
         a, c = guess.numerator, guess.denominator
-        if a < c and pow(base, p, c) == 1 % c \
+        if guess != rejected and a < c and pow(base, p, c) == 1 % c \
                 and _expansion_digits(a, c, base, p) == w:
             return guess
+        rejected = guess
         n *= 4
     return Fraction(_digits_to_int(w, base), base**p - 1)
 
@@ -334,27 +337,14 @@ def fractional_multiplication_rule(spec: MulSpec) -> Automaton:
     return replace(composed, name=f"mul:{spec.p}/{spec.q}")
 
 
-def _value_matches(x: Configuration, base: int, expected: Fraction) -> bool:
-    """Exactly decide whether the value of x equals ``expected``.
-
-    A number-like configuration whose right tail is not all (base-1) is the
-    unique canonical expansion of its value, so comparing it against the
-    canonical expansion of ``expected`` decides the equation; the all-(base-1)
-    corner is decided by evaluating the value directly.
-    """
-    if not x.is_number_like:
-        raise NotNumberLike("value comparison requires a number-like configuration")
-    if x.right_period == bytes([base - 1]):
-        return config_to_rational(x, base) == expected
-    return x == rational_to_config(expected, base)
-
-
 def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
     """Check both multiplication automata against exact rational arithmetic.
 
     True iff for all 1 <= t <= steps the integer automaton maps the digit
     configuration of xi to a configuration whose value is exactly p^t * xi,
-    and the fractional automaton to one worth exactly (p/q)^t * xi.
+    and the fractional automaton to one worth exactly (p/q)^t * xi.  Each
+    image is valued by ``config_to_rational``, which also accepts an image
+    ending in an infinite tail of base-1 digits.
     """
     if steps < 1:
         raise OutOfRange("steps must be at least 1")
@@ -369,6 +359,6 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
         expected = xi
         for _, y in zip(range(steps), images):
             expected *= factor
-            if not _value_matches(y, base, expected):
+            if config_to_rational(y, base) != expected:
                 return False
     return True

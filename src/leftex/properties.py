@@ -20,12 +20,13 @@ rows.  The verdict is therefore exact, not a heuristic.
 
 Seeds are enumerated in lexicographic chunks: 256 at first, doubling up to
 1024, so an early False stays cheap and memory stays bounded.  A chunk is a
-uint8 digit matrix with one seed per column; its patch rows grow by table
-lookup on the whole matrix at once (rules.lookup_windows), and each seed is
-keyed by its rectangle as fixed-width bytes.  np.unique finds the first
-occurrence of every key inside the chunk, and a sorted table carried from
-chunk to chunk holds, for each key met before, its determined value and the
-first seed that produced it.  The first seed whose value differs from its
+uint8 digit matrix with one seed per column (rules._lex_words); its patch
+rows grow by table lookup on the whole matrix at once
+(rules.lookup_windows), and each seed is keyed by its rectangle as
+fixed-width bytes.  np.unique finds the first occurrence of every key
+inside the chunk, and a sorted table carried from chunk to chunk holds, for
+each key met before, its determined value and the first seed that produced
+it.  The first seed whose value differs from its
 key's reference is the first conflict of the one-seed-at-a-time search, so
 seeds_checked and the counterexample pair do not depend on the chunking.
 """
@@ -43,7 +44,17 @@ import numpy as np
 from .configuration import Configuration, left_edge
 from .errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
 from .numeric import MulSpec, fractional_multiplication_rule
-from .rules import Automaton, LocalRule, lookup_windows, orbit, trim_vacuous
+from .rules import (
+    Automaton,
+    LocalRule,
+    _lex_words,
+    identity_rule,
+    lookup_windows,
+    orbit,
+    shift_inverse_rule,
+    shift_rule,
+    trim_vacuous,
+)
 from .words import format_word
 
 #: default number of table evaluations a decider call may spend
@@ -193,16 +204,6 @@ def is_left_permutive(
     return True
 
 
-def _seed_digits(first: int, count: int, size: int, seed_len: int) -> np.ndarray:
-    """Seeds first .. first+count-1 of the lexicographic order, one per
-    column, most significant symbol in row 0."""
-    index = np.arange(first, first + count, dtype=np.int64)
-    digits = np.empty((seed_len, count), dtype=np.uint8)
-    for k in range(seed_len - 1, -1, -1):
-        index, digits[k] = np.divmod(index, size)
-    return digits
-
-
 def is_left_expansive(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
@@ -242,7 +243,7 @@ def is_left_expansive(
     first, count = 0, _FIRST_CHUNK
     while first < seed_space:
         count = min(count, seed_space - first)
-        rows = [_seed_digits(first, count, size, seed_len)]
+        rows = [_lex_words(first, count, size, seed_len)]
         for _ in range(n_rows - 1):
             rows.append(lookup_windows(rule, rows[-1]))
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
@@ -261,7 +262,7 @@ def is_left_expansive(
         clash = vals != ref_vals[inverse]
         if clash.any():
             j = int(clash.argmax())
-            seed_a = _seed_digits(int(ref_seeds[inverse[j]]), 1, size, seed_len).tobytes()
+            seed_a = _lex_words(int(ref_seeds[inverse[j]]), 1, size, seed_len).tobytes()
             cex = Counterexample(
                 seed_a=seed_a, seed_b=rows[0][:, j].tobytes(),
                 rectangle=tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
@@ -289,18 +290,6 @@ class DimsSearch:
     cells_checked: int
 
 
-def _dims_cells(max_h: int, max_d: int, max_w: int, *, only_h: Optional[int] = None):
-    cells = [
-        ExpansivityDims(h, d, w)
-        for h in range(max_h + 1)
-        for d in range(max_d + 1)
-        for w in range(1, max_w + 1)
-        if only_h is None or h == only_h
-    ]
-    cells.sort(key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d))
-    return cells
-
-
 def find_left_expansive_dims(
     automaton: Automaton,
     max_h: int,
@@ -308,17 +297,22 @@ def find_left_expansive_dims(
     max_w: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    only_h: Optional[int] = None,
 ) -> DimsSearch:
-    """Smallest proved dimensions within the bounds (ordered by h+d+w, then
-    h, then d), or none.  Budget exhaustion never raises; it is reported in
-    the result.
+    """Smallest proved dimensions with h <= max_h, d <= max_d and
+    1 <= w <= max_w (ordered by h+d+w, then h, then d), or none; max_h=0
+    searches height-0 rectangles only.  Budget exhaustion never raises; it
+    is reported in the result.
     """
     if max_h < 0 or max_d < 0 or max_w < 0:
         raise BadDims("search bounds must be nonnegative")
+    cells = sorted(
+        (ExpansivityDims(h, d, w)
+         for h in range(max_h + 1) for d in range(max_d + 1) for w in range(1, max_w + 1)),
+        key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d),
+    )
     budget_hit = False
     checked = 0
-    for dims in _dims_cells(max_h, max_d, max_w, only_h=only_h):
+    for dims in cells:
         verdict = is_left_expansive(automaton, dims, budget=budget)
         checked += 1
         if verdict.status is Verdict.TRUE:
@@ -426,20 +420,6 @@ class RapidClassification:
         }
 
 
-def _is_shift_table(rule: LocalRule) -> bool:
-    size = rule.alphabet.size
-    return (rule.memory, rule.anticipation) == (0, 1) and rule.table == bytes(
-        b for _ in range(size) for b in range(size)
-    )
-
-
-def _is_shift_inverse_table(rule: LocalRule) -> bool:
-    size = rule.alphabet.size
-    return (rule.memory, rule.anticipation) == (1, 0) and rule.table == bytes(
-        a for a in range(size) for _ in range(size)
-    )
-
-
 def _is_fractional_multiplication(trimmed: LocalRule) -> bool:
     """True iff the trimmed rule is the multiply-by-p/q automaton for some
     coprime p > q > 1 with p*q equal to the alphabet size."""
@@ -478,18 +458,17 @@ def classify_rapid(
         return RapidClassification("No", None, None,
                                    "zero is not quiescent, so the automaton is not left spreading")
     trimmed = trim_vacuous(rule)
-    if (trimmed.memory, trimmed.anticipation) == (0, 0):
-        if trimmed.table == bytes(range(size)):
-            return RapidClassification("No", None, None,
-                                       "identity automaton never moves the left edge")
-        if trimmed.table == bytes(size):
-            return RapidClassification("No", None, None,
-                                       "constant-to-zero automaton erases every configuration")
-    if _is_shift_table(trimmed):
+    if trimmed == identity_rule(rule.alphabet).rule:
+        return RapidClassification("No", None, None,
+                                   "identity automaton never moves the left edge")
+    if trimmed == LocalRule(rule.alphabet, 0, 0, bytes(size)):
+        return RapidClassification("No", None, None,
+                                   "constant-to-zero automaton erases every configuration")
+    if trimmed == shift_rule(rule.alphabet).rule:
         return RapidClassification(
             "No", ExpansivityDims(1, 0, 1), "exact-family",
             "the shift spreads with speed 1 and its least expansive height is 1, so s = 1/h")
-    if _is_shift_inverse_table(trimmed):
+    if trimmed == shift_inverse_rule(rule.alphabet).rule:
         return RapidClassification("No", None, None,
                                    "inverse shift moves the left edge right, never left")
     if _is_fractional_multiplication(trimmed):
@@ -502,7 +481,7 @@ def classify_rapid(
         if rule.table[1] != 1:
             return RapidClassification("No", None, None,
                                        "binary radius-1 rule maps 001 to 0: not left spreading")
-        found = find_left_expansive_dims(automaton, 0, max_d, max_w, budget=budget, only_h=0)
+        found = find_left_expansive_dims(automaton, 0, max_d, max_w, budget=budget)
         if found.dims is not None:
             return RapidClassification(
                 "Yes", found.dims, "exact-family",
@@ -510,7 +489,7 @@ def classify_rapid(
         why = "budget exhausted searching height-0 rectangles" if found.budget_exceeded else \
             "no height-0 rectangle within bounds; speed is exactly 1, so height >= 1 cannot qualify"
         return RapidClassification("Unknown", None, None, why)
-    found = find_left_expansive_dims(automaton, 0, max_d, max_w, budget=budget, only_h=0)
+    found = find_left_expansive_dims(automaton, 0, max_d, max_w, budget=budget)
     if found.dims is not None:
         sample = Configuration.single(rule.alphabet, 1)
         witness = left_spreading_witnesses(automaton, [sample], spreading_horizon)[0]

@@ -13,14 +13,17 @@ Tables are stored flat, indexed by the radix value of the neighborhood
 patch row to a 10^5-symbol image, is one numpy radix-index lookup
 (lookup_windows); the same lookup maps many equal-length words at once when
 they are stacked as the columns of a matrix, which is how the expansivity
-decider grows a chunk of seeds.  Every walk along an orbit goes through the
-lazy orbit() generator, which computes F^(t+1)(x) only when it is asked for.
+decider grows a chunk of seeds.  compose() tabulates a product rule the
+same way: it maps every word of the product width, enumerated in
+lexicographic order by _lex_words (the decider's seed enumerator too),
+through the inner rule and then the outer one.  Every walk along an orbit
+goes through the lazy orbit() generator, which computes F^(t+1)(x) only
+when it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 import numpy as np
@@ -166,9 +169,14 @@ def identity_rule(alphabet: Alphabet) -> Automaton:
 # -- bulk rule application ----------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _table_array(rule: LocalRule):
-    return np.frombuffer(rule.table, dtype=np.uint8)
+def _lex_words(first: int, count: int, size: int, length: int) -> np.ndarray:
+    """Words first .. first+count-1 of the lexicographic order, one per
+    column, most significant symbol in row 0."""
+    index = np.arange(first, first + count, dtype=np.int64)
+    digits = np.empty((length, count), dtype=np.uint8)
+    for k in range(length - 1, -1, -1):
+        index, digits[k] = np.divmod(index, size)
+    return digits
 
 
 def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
@@ -186,7 +194,7 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     for k in range(1, width):
         idx *= size
         idx += arr[k:k + out_len]
-    return _table_array(rule)[idx]
+    return np.frombuffer(rule.table, dtype=np.uint8)[idx]
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
@@ -247,19 +255,10 @@ def trim_vacuous(rule: LocalRule) -> LocalRule:
     """
     table, m, n = rule.table, rule.memory, rule.anticipation
     size = rule.alphabet.size
-    while m > 0:
-        block = len(table) // size
-        first = table[:block]
-        if all(table[k * block:(k + 1) * block] == first for k in range(1, size)):
-            table, m = first, m - 1
-        else:
-            break
-    while n > 0:
-        decimated = table[::size]
-        if table == b"".join(bytes([s]) * size for s in decimated):
-            table, n = decimated, n - 1
-        else:
-            break
+    while m > 0 and table == table[:len(table) // size] * size:
+        table, m = table[:len(table) // size], m - 1
+    while n > 0 and table == np.repeat(np.frombuffer(table[::size], np.uint8), size).tobytes():
+        table, n = table[::size], n - 1
     if m == rule.memory and n == rule.anticipation:
         return rule
     return LocalRule(rule.alphabet, m, n, table)
@@ -284,22 +283,8 @@ def compose(outer: Automaton, inner: Automaton, *, max_table: int = DEFAULT_COMP
         raise TableTooLarge(
             f"composed table would need {total} entries (guard {max_table})"
         )
-    inner_rule, outer_rule = inner.rule, outer.rule
-    idx = np.arange(total, dtype=np.int64)
-    digits = [(idx // size ** (width - 1 - j)) % size for j in range(width)]
-    inner_np = _table_array(inner_rule)
-    mids = []
-    for t in range(outer_rule.width):
-        acc = digits[t].copy()
-        for s in range(1, inner_rule.width):
-            acc *= size
-            acc += digits[t + s]
-        mids.append(inner_np[acc].astype(np.int64))
-    acc = mids[0]
-    for col in mids[1:]:
-        acc *= size
-        acc += col
-    table = _table_array(outer_rule)[acc].tobytes()
+    words = _lex_words(0, total, size, width)
+    table = lookup_windows(outer.rule, lookup_windows(inner.rule, words))[0].tobytes()
     return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
 
 

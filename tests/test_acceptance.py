@@ -8,6 +8,7 @@ unless the criterion itself states a numeric band.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +48,7 @@ A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
 MUL32 = fractional_multiplication_rule(MulSpec(3, 2))
 MUL_SPECS = (MulSpec(3, 2), MulSpec(5, 2), MulSpec(5, 3), MulSpec(7, 4))
-GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/goldens"
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def report(number, ok, text):
@@ -235,7 +236,7 @@ def test_criterion_10_limit_point_census():
 def test_criterion_11_golden_rasters():
     spec = RenderSpec(32, -32, 32, "pbm")
     r30 = render(eca(30), ONE, spec)
-    golden30 = open(f"{GOLDEN_DIR}/rule30_single1_rows32_cols-32_32.pbm", "rb").read()
+    golden30 = (GOLDEN_DIR / "rule30_single1_rows32_cols-32_32.pbm").read_bytes()
     assert r30 == golden30
     # independent oracle: zero-padded finite simulation of the hand table
     rows = simulate_zero_padded(RULE30, 1, 1, ONE, -32, 32, 31)
@@ -247,7 +248,7 @@ def test_criterion_11_golden_rasters():
 
     c1 = rational_to_config(1, 6)
     mul = render(MUL32, c1, spec)
-    golden_mul = open(f"{GOLDEN_DIR}/mul_3_2_config1_rows32_cols-32_32.pbm", "rb").read()
+    golden_mul = (GOLDEN_DIR / "mul_3_2_config1_rows32_cols-32_32.pbm").read_bytes()
     assert mul == golden_mul
     # the raster's leftmost ink tracks the exact left-edge drift
     rate = math.log(3 / 2, 6)

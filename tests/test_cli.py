@@ -1,10 +1,12 @@
 import json
-import os
+from pathlib import Path
 
 import pytest
 
 from leftex import Alphabet, config_to_rational, parse_configuration
 from leftex.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def run(capsys, *argv):
@@ -71,6 +73,15 @@ def test_classify_json(capsys):
     assert doc["verdict"] == "Yes" and doc["dims"] == [1, 1, 1]
 
 
+def test_classify_json_matches_golden(capsys):
+    """Every branch of the classification: exact families, the identity,
+    the zero rule, the shifts, and binary radius-1 rules with and without a
+    height-0 rectangle."""
+    for line in (GOLDEN_DIR / "classify.txt").read_text().splitlines():
+        rule, code, doc = line.split("\t")
+        assert run(capsys, "classify", rule, "--json")[:2] == (int(code), doc + "\n"), rule
+
+
 def test_scan_period_exit_codes(capsys):
     code, out, _ = run(
         capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0", "--col", "0", "--T", "256"
@@ -86,6 +97,12 @@ def test_scan_period_exit_codes(capsys):
 def test_scan_period_requires_columns(capsys):
     code, _, err = run(capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0", "--T", "16")
     assert code == 3
+
+
+def test_scan_period_rejects_col_with_cols(capsys):
+    code, out, err = run(capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0",
+                         "--col", "0", "--cols", "0:1", "--T", "16")
+    assert code == 3 and out == "" and "--col" in err
 
 
 def test_scan_period_json(capsys):
@@ -121,9 +138,8 @@ def test_render_pbm_to_file(tmp_path, capsys):
         "--rows", "32", "--cols=-32:32", "--format", "pbm", "--out", str(out_file),
     )
     assert code == 0
-    golden = os.path.join(os.path.dirname(__file__), "goldens",
-                          "rule30_single1_rows32_cols-32_32.pbm")
-    assert out_file.read_bytes() == open(golden, "rb").read()
+    golden = GOLDEN_DIR / "rule30_single1_rows32_cols-32_32.pbm"
+    assert out_file.read_bytes() == golden.read_bytes()
 
 
 def test_parse_error_exit_code(capsys):
@@ -172,6 +188,7 @@ def test_atlas_counts_and_determinism(capsys):
     assert code == 0
     code, second, _ = run(capsys, "atlas")
     assert first == second
+    assert first == (GOLDEN_DIR / "atlas.csv").read_text()
     lines = first.splitlines()
     assert lines[0] == "rule,permutive,spreading,dims,rapid"
     rows = [line.split(",") for line in lines[1:]]

@@ -227,7 +227,7 @@ def test_fractional_part_inside_right_tail():
 def test_fractional_part_matches_window(x, c):
     s = fractional_part(x, c)
     assert s.prefix(12) == x.window(c, c + 11)
-    assert s[0] == x.window(c, c)[0]
+    assert s.at(0) == x.window(c, c)[0]
 
 
 def test_seq_equal_examples():

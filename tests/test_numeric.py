@@ -210,6 +210,24 @@ def test_rejected_candidates_cost_a_short_prefix(monkeypatch):
     assert expanded == []
 
 
+def test_a_rejected_candidate_is_expanded_once(monkeypatch):
+    """The 1/7 period repeated to 6*10^5 digits with its last digit changed
+    yields 1/7 from every prefix; that candidate is expanded and rejected
+    once, not once per prefix length."""
+    w = bytes([1, 4, 2, 8, 5, 7]) * 100000
+    x = Configuration(Alphabet(10), 0, b"\x00", b"", w[:-1] + b"\x08")
+    want = config_to_rational_oracle(x, 10)
+    expanded = []
+
+    def counting_expansion_digits(remainder, den, base, count):
+        expanded.append((remainder, den, base, count))
+        return _expansion_digits(remainder, den, base, count)
+
+    monkeypatch.setattr(numeric, "_expansion_digits", counting_expansion_digits)
+    assert config_to_rational(x, 10) == want
+    assert expanded == [(1, 7, 10, 600000)]
+
+
 def test_multiplicative_order_against_naive():
     rng = random.Random(5)
     for _ in range(200):
@@ -379,6 +397,22 @@ def test_verify_mul_spot_checks_match_direct_real_comparison():
             expected *= Fraction(3, 2)
             assert config_to_rational(x, 6) == expected
         assert verify_mul(spec, xi, 5)
+
+
+def test_verify_mul_rejects_a_wrong_automaton(monkeypatch):
+    """Each automaton is checked: swapping in the other one's rule, whose
+    images are number-like but worth the wrong value, fails."""
+    spec = MulSpec(3, 2)
+    times_p, times_p_over_q = multiplication_rule(spec), fractional_multiplication_rule(spec)
+
+    def use(integer, fractional):
+        monkeypatch.setattr(numeric, "multiplication_rule", lambda s: integer)
+        monkeypatch.setattr(numeric, "fractional_multiplication_rule", lambda s: fractional)
+        return verify_mul(spec, Fraction(7, 4), 3)
+
+    assert use(times_p, times_p_over_q)
+    assert not use(times_p_over_q, times_p_over_q)
+    assert not use(times_p, times_p)
 
 
 def test_corrupted_table_detected():

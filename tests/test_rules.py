@@ -38,6 +38,7 @@ from oracles import (
     padded_step,
     raw_configurations,
     simulate_zero_padded,
+    trim_vacuous_oracle,
 )
 
 A2 = Alphabet(2)
@@ -203,6 +204,30 @@ def test_trim_vacuous():
     assert (trimmed.memory, trimmed.anticipation) == (0, 0)
     assert trimmed.table == bytes([0, 1])
     assert trim_vacuous(eca_rule(30)) == eca_rule(30)
+
+
+@st.composite
+def rules_with_vacuous_edges(draw):
+    """A random (m, n) rule over 1-4 symbols, m, n <= 2, whose table ignores
+    its pad_l leftmost and pad_r rightmost positions."""
+    size = draw(st.integers(1, 4))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    pad_l, pad_r = draw(st.integers(0, m)), draw(st.integers(0, n))
+    core_count = size ** (m + n + 1 - pad_l - pad_r)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    core = [rng.randrange(size) for _ in range(core_count)]
+    table = bytes(core[(i // size**pad_r) % core_count] for i in range(size ** (m + n + 1)))
+    return LocalRule(Alphabet(size), m, n, table), pad_l, pad_r
+
+
+@given(rules_with_vacuous_edges())
+@settings(max_examples=300, deadline=None)
+def test_trim_vacuous_matches_block_oracle(case):
+    rule, pad_l, pad_r = case
+    trimmed = trim_vacuous(rule)
+    assert trimmed == trim_vacuous_oracle(rule)
+    assert trimmed.memory <= rule.memory - pad_l
+    assert trimmed.anticipation <= rule.anticipation - pad_r
 
 
 # -- traces ---------------------------------------------------------------------
