@@ -344,7 +344,8 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
     configuration of xi to a configuration whose value is exactly p^t * xi,
     and the fractional automaton to one worth exactly (p/q)^t * xi.  Each
     image is valued by ``config_to_rational``, which also accepts an image
-    ending in an infinite tail of base-1 digits.
+    ending in an infinite tail of base-1 digits; an image that is not
+    number-like has no value, so it fails the check.
     """
     if steps < 1:
         raise OutOfRange("steps must be at least 1")
@@ -359,6 +360,6 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
         expected = xi
         for _, y in zip(range(steps), images):
             expected *= factor
-            if config_to_rational(y, base) != expected:
+            if not y.is_number_like or config_to_rational(y, base) != expected:
                 return False
     return True

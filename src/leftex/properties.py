@@ -10,25 +10,32 @@ those dimensions when the contents of any such rectangle in any space-time
 diagram determine the symbol in the cell immediately to the rectangle's
 left at the reference row, i.e. at (column c-1, row t).
 
-The decider enumerates every word of length L = (w+1) + 2r(h+d) as the top
-row of a patch (r being the automaton radius).  The top row of a rectangle
-placement may be row 0 of a diagram, which is an arbitrary configuration, so
-the enumeration covers every instance: any conflicting pair of seeds
-zero-extends to two genuine diagrams violating the implication, and
-conversely deeper placements only ever see a subset of the enumerated top
-rows.  The verdict is therefore exact, not a heuristic.
+The decider's seeds are the words of length L = (w+1) + 2r(h+d) (r being
+the automaton radius), each the top row of a patch.  The top row of a
+rectangle placement may be row 0 of a diagram, which is an arbitrary
+configuration, so the seeds cover every instance: any conflicting pair of
+seeds zero-extends to two genuine diagrams violating the implication, and
+conversely deeper placements only ever see a subset of the seeds.  The
+verdict is therefore exact, not a heuristic.
 
-Seeds are enumerated in lexicographic chunks: 256 at first, doubling up to
-1024, so an early False stays cheap and memory stays bounded.  A chunk is a
-uint8 digit matrix with one seed per column (rules._lex_words); its patch
-rows grow by table lookup on the whole matrix at once
-(rules.lookup_windows), and each seed is keyed by its rectangle as
-fixed-width bytes.  np.unique finds the first occurrence of every key
-inside the chunk, and a sorted table carried from chunk to chunk holds, for
-each key met before, its determined value and the first seed that produced
-it.  The first seed whose value differs from its
-key's reference is the first conflict of the one-seed-at-a-time search, so
-seeds_checked and the counterexample pair do not depend on the chunking.
+Only the first L' = min(L, c+w+(h+d)*n) columns of a seed are enumerated:
+rectangle row k reads columns up to c+w-1+k*n and the determined cell up to
+c-1+h*n.  The unread columns are the least significant ones, so the first
+conflict of the full lexicographic search is the first conflict among these
+prefixes, padded with zeros: seeds_checked is (prefix index)*size**(L-L')+1,
+True still reports all size**L seeds, and the budget is charged for length
+L, so verdicts and certificates are those of the untrimmed search.
+
+Prefixes are enumerated in lexicographic chunks: 256 at first, doubling up
+to 1024, so an early False stays cheap and memory stays bounded.  A chunk is
+a uint8 digit matrix with one prefix per column (rules._lex_words); its
+patch rows grow by table lookup on the whole matrix at once
+(rules.lookup_windows), and each prefix is keyed by its rectangle as
+fixed-width bytes.  np.unique finds the first occurrence of every key in
+the chunk, and a sorted table carried between chunks holds, for each key
+met before, its determined value and first prefix.  The first prefix whose
+value differs from its key's reference is the first conflict of the
+one-at-a-time search, so certificates do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -214,9 +221,8 @@ def is_left_expansive(
     rule = automaton.rule
     size = rule.alphabet.size
     m, n = rule.memory, rule.anticipation
-    radius = max(m, n)
     n_rows = dims.h + dims.d + 1
-    seed_len = (dims.w + 1) + 2 * radius * (n_rows - 1)
+    seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
     per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
     seed_space = size**seed_len
     needed = seed_space * per_seed
@@ -234,16 +240,17 @@ def is_left_expansive(
     starts = [c - k * m for k in range(n_rows)]
     det_index = (c - 1) - dims.h * m
     w = dims.w
+    read_len = min(seed_len, c + w + (n_rows - 1) * n)  # the read prefix
+    pad, prefixes = seed_len - read_len, size**read_len
     key_type = np.dtype((np.void, n_rows * w))
-    # every rectangle met in earlier chunks, sorted by key, with its
-    # determined value and the first seed that produced it
+    # every rectangle met in earlier chunks, sorted, with its value and first prefix
     known_keys = np.empty(0, dtype=key_type)
     known_vals = np.empty(0, dtype=np.uint8)
-    known_seeds = np.empty(0, dtype=np.int64)
+    known_prefixes = np.empty(0, dtype=np.int64)
     first, count = 0, _FIRST_CHUNK
-    while first < seed_space:
-        count = min(count, seed_space - first)
-        rows = [_lex_words(first, count, size, seed_len)]
+    while first < prefixes:
+        count = min(count, prefixes - first)
+        rows = [_lex_words(first, count, size, read_len)]
         for _ in range(n_rows - 1):
             rows.append(lookup_windows(rule, rows[-1]))
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
@@ -254,28 +261,29 @@ def is_left_expansive(
         known = pos < len(known_keys)
         known[known] = known_keys[pos[known]] == uniq[known]
         # each key's reference: its entry from an earlier chunk, else its
-        # first seed in this one
-        ref_vals = vals[where]
-        ref_seeds = where + first
+        # first prefix in this one
+        ref_vals, ref_prefixes = vals[where], where + first
         ref_vals[known] = known_vals[pos[known]]
-        ref_seeds[known] = known_seeds[pos[known]]
+        ref_prefixes[known] = known_prefixes[pos[known]]
         clash = vals != ref_vals[inverse]
         if clash.any():
             j = int(clash.argmax())
-            seed_a = _lex_words(int(ref_seeds[inverse[j]]), 1, size, seed_len).tobytes()
+            ref = int(ref_prefixes[inverse[j]])
+            top_a = rows[0][:, ref - first] if ref >= first else _lex_words(ref, 1, size, read_len)
             cex = Counterexample(
-                seed_a=seed_a, seed_b=rows[0][:, j].tobytes(),
+                seed_a=top_a.tobytes() + bytes(pad),
+                seed_b=rows[0][:, j].tobytes() + bytes(pad),
                 rectangle=tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
                                 for k in range(n_rows)),
                 value_a=int(ref_vals[inverse[j]]), value_b=int(vals[j]),
                 rect_col=c, det_col=c - 1, ref_row=dims.h,
             )
-            return PropertyVerdict(name, Verdict.FALSE, dims, size, first + j + 1, seed_space,
-                                   counterexample=cex)
+            return PropertyVerdict(name, Verdict.FALSE, dims, size,
+                                   (first + j) * size**pad + 1, seed_space, counterexample=cex)
         new = ~known
         known_keys = np.insert(known_keys, pos[new], uniq[new])
         known_vals = np.insert(known_vals, pos[new], ref_vals[new])
-        known_seeds = np.insert(known_seeds, pos[new], ref_seeds[new])
+        known_prefixes = np.insert(known_prefixes, pos[new], ref_prefixes[new])
         first += count
         count = min(2 * count, _CHUNK_CAP)
     return PropertyVerdict(name, Verdict.TRUE, dims, size, seed_space, seed_space)

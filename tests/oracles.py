@@ -5,9 +5,9 @@ indexing, schoolbook long division, Horner and divmod digit conversion,
 the geometric-series value of a periodic tail, one-factor-at-a-time
 preperiods, padded finite simulation, cubic period search, rolling-index
 rule evaluation, block-by-block vacuity tests, symbol-by-symbol
-canonicalization) without touching the
-library's fast paths, so tests compare two genuinely different routes to
-the same answer.
+canonicalization, expansivity searches over every full-length seed) without
+touching the library's fast paths, so tests compare two genuinely different
+routes to the same answer.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 import hypothesis.strategies as st
+import numpy as np
 
 from leftex import (
     Alphabet,
@@ -263,54 +264,104 @@ def canonical_parts_oracle(anchor: int, lp: bytes, head: bytes, rp: bytes):
     return anchor, lp, head, rp
 
 
+def _decider_frame(automaton: Automaton, dims: ExpansivityDims, budget: int):
+    """The decider's seed length, seed space and rectangle placement, or
+    its Unknown verdict when size**L seeds cost more than the budget."""
+    rule = automaton.rule
+    size = rule.alphabet.size
+    m, n = rule.memory, rule.anticipation
+    n_rows = dims.h + dims.d + 1
+    seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
+    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
+    seed_space = size**seed_len
+    name = f"left-expansive({dims.h},{dims.d},{dims.w})"
+    if seed_space * per_seed > budget:
+        return PropertyVerdict(name, Verdict.UNKNOWN, dims, size, 0, seed_space,
+                               evals_needed=seed_space * per_seed, budget=budget)
+    c = max((n_rows - 1) * m, dims.h * m + 1)
+    starts = [c - k * m for k in range(n_rows)]
+    return name, seed_len, seed_space, c, starts, (c - 1) - dims.h * m
+
+
+def _verdict(automaton, dims, name, seed_space, checked, c, conflict=None):
+    """TRUE after all seed_space seeds, else FALSE with the conflict
+    (seed_a, seed_b, rectangle rows, value_a, value_b)."""
+    size = automaton.rule.alphabet.size
+    if conflict is None:
+        return PropertyVerdict(name, Verdict.TRUE, dims, size, checked, seed_space)
+    seed_a, seed_b, rect, value_a, value_b = conflict
+    cex = Counterexample(seed_a=seed_a, seed_b=seed_b, rectangle=rect,
+                         value_a=value_a, value_b=value_b,
+                         rect_col=c, det_col=c - 1, ref_row=dims.h)
+    return PropertyVerdict(name, Verdict.FALSE, dims, size, checked, seed_space,
+                           counterexample=cex)
+
+
 def left_expansive_oracle(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
     """The expansivity decider one seed at a time: grow each seed's patch
     with map_windows_oracle and keep the first seed seen for every
     rectangle."""
-    rule = automaton.rule
-    size = rule.alphabet.size
-    m, n = rule.memory, rule.anticipation
-    radius = max(m, n)
-    n_rows = dims.h + dims.d + 1
-    seed_len = (dims.w + 1) + 2 * radius * (n_rows - 1)
-    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
-    seed_space = size**seed_len
-    needed = seed_space * per_seed
-    name = f"left-expansive({dims.h},{dims.d},{dims.w})"
-    if needed > budget:
-        return PropertyVerdict(
-            name, Verdict.UNKNOWN, dims, size, 0, seed_space,
-            evals_needed=needed, budget=budget,
-        )
-    c = max((n_rows - 1) * m, dims.h * m + 1)
-    starts = [c - k * m for k in range(n_rows)]
-    det_index = (c - 1) - dims.h * m
-    w = dims.w
+    frame = _decider_frame(automaton, dims, budget)
+    if isinstance(frame, PropertyVerdict):
+        return frame
+    name, seed_len, seed_space, c, starts, det_index = frame
+    rule, w, n_rows = automaton.rule, dims.w, dims.h + dims.d + 1
     seen: dict[bytes, tuple[int, bytes]] = {}
     checked = 0
-    for tup in itertools.product(range(size), repeat=seed_len):
+    for tup in itertools.product(range(rule.alphabet.size), repeat=seed_len):
         seed = bytes(tup)
         checked += 1
         rows = [seed]
         for _ in range(n_rows - 1):
             rows.append(map_windows_oracle(rule, rows[-1]))
-        key = b"".join(rows[k][starts[k]:starts[k] + w] for k in range(n_rows))
+        rect = tuple(rows[k][starts[k]:starts[k] + w] for k in range(n_rows))
         val = rows[dims.h][det_index]
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = (val, seed)
-        elif prev[0] != val:
-            cex = Counterexample(
-                seed_a=prev[1], seed_b=seed,
-                rectangle=tuple(rows[k][starts[k]:starts[k] + w] for k in range(n_rows)),
-                value_a=prev[0], value_b=val,
-                rect_col=c, det_col=c - 1, ref_row=dims.h,
-            )
-            return PropertyVerdict(name, Verdict.FALSE, dims, size, checked, seed_space,
-                                   counterexample=cex)
-    return PropertyVerdict(name, Verdict.TRUE, dims, size, checked, seed_space)
+        prev = seen.setdefault(b"".join(rect), (val, seed))
+        if prev[0] != val:
+            return _verdict(automaton, dims, name, seed_space, checked, c,
+                            (prev[1], seed, rect, prev[0], val))
+    return _verdict(automaton, dims, name, seed_space, checked, c)
+
+
+def chunked_left_expansive_oracle(
+    automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
+) -> PropertyVerdict:
+    """The expansivity decider over every full-length seed, never a read
+    prefix: seeds are base-size digit columns of np.arange in chunks of
+    1024, patch rows grow by a radix-index table lookup on a whole chunk,
+    and a dict keeps the first seed and value seen for every rectangle."""
+    frame = _decider_frame(automaton, dims, budget)
+    if isinstance(frame, PropertyVerdict):
+        return frame
+    name, seed_len, seed_space, c, starts, det_index = frame
+    rule, w, n_rows = automaton.rule, dims.w, dims.h + dims.d + 1
+    size, width = rule.alphabet.size, rule.width
+    table = np.frombuffer(rule.table, dtype=np.uint8)
+    places = size ** np.arange(seed_len - 1, -1, -1, dtype=np.int64)
+    seen: dict[bytes, tuple[int, bytes]] = {}
+    for first in range(0, seed_space, 1024):
+        index = np.arange(first, min(first + 1024, seed_space), dtype=np.int64)
+        rows = [(index // places[:, None] % size).astype(np.uint8)]
+        for _ in range(n_rows - 1):
+            top = rows[-1].astype(np.int64)
+            out_len = len(top) - width + 1
+            idx = sum(top[k:k + out_len] * size ** (width - 1 - k) for k in range(width))
+            rows.append(table[idx])
+        rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
+        keys = rect.T.tobytes()
+        vals = rows[dims.h][det_index]
+        for j in range(len(index)):
+            key = keys[j * n_rows * w:(j + 1) * n_rows * w]
+            val = int(vals[j])
+            prev = seen.setdefault(key, (val, rows[0][:, j].tobytes()))
+            if prev[0] != val:
+                conflict = (prev[1], rows[0][:, j].tobytes(),
+                            tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
+                                  for k in range(n_rows)), prev[0], val)
+                return _verdict(automaton, dims, name, seed_space, first + j + 1, c, conflict)
+    return _verdict(automaton, dims, name, seed_space, seed_space, c)
 
 
 # -- hypothesis strategies -------------------------------------------------

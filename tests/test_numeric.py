@@ -415,6 +415,14 @@ def test_verify_mul_rejects_a_wrong_automaton(monkeypatch):
     assert not use(times_p, times_p)
 
 
+def test_verify_mul_fails_on_an_image_that_is_not_number_like(monkeypatch):
+    """The all-zero rule maps 7/4 to the zero configuration, which has no
+    value: the check returns False instead of raising NotNumberLike."""
+    zero = Automaton(LocalRule(Alphabet(6), 0, 0, bytes(6)))
+    monkeypatch.setattr(numeric, "multiplication_rule", lambda s: zero)
+    assert verify_mul(MulSpec(3, 2), Fraction(7, 4), 3) is False
+
+
 def test_corrupted_table_detected():
     spec = MulSpec(3, 2)
     good = multiplication_rule(spec)

@@ -28,7 +28,7 @@ from leftex import (
 )
 from leftex.errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
-from oracles import left_expansive_oracle
+from oracles import chunked_left_expansive_oracle, left_expansive_oracle
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -198,19 +198,39 @@ def test_monotonicity_of_dimensions():
 
 #: seed spaces the differential test lets the per-seed oracle enumerate
 ORACLE_SEED_SPACE = 20_000
+#: seed spaces the differential test lets the full-length chunked oracle enumerate
+CHUNKED_ORACLE_SEED_SPACE = 200_000
+#: (memory, anticipation) pairs the chunked differential test draws from:
+#: the asymmetric ones, m = 0 and n = 0 among them, and (1, 1)
+MN_PAIRS = [(0, 1), (0, 2), (1, 0), (2, 0), (1, 2), (2, 1), (1, 1)]
 
 
 @st.composite
-def small_decider_queries(draw):
+def small_decider_queries(draw, mn=None, seed_space=ORACLE_SEED_SPACE):
     """A random rule over 2 or 3 symbols with memory and anticipation at
-    most 2, and dimensions whose seed space the oracle can enumerate."""
+    most 2, and dimensions whose seed space is at most ``seed_space``.
+
+    With ``mn``, (m, n) is drawn from that list, and half the tables are
+    left permutive (a permutation of the leftmost symbol for every fixed
+    rest), which are often expansive and exhaust their seed space.
+    """
     size = draw(st.sampled_from([2, 3]))
-    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    table = bytes(draw(st.lists(st.integers(0, size - 1), min_size=size ** (m + n + 1),
-                                max_size=size ** (m + n + 1))))
+    if mn is None:
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        permutive = False
+    else:
+        m, n = draw(st.sampled_from(mn))
+        permutive = draw(st.booleans())
+    rest = size ** (m + n)
+    if permutive:
+        perms = draw(st.lists(st.permutations(range(size)), min_size=rest, max_size=rest))
+        table = bytes(perms[r][a] for a in range(size) for r in range(rest))
+    else:
+        table = bytes(draw(st.lists(st.integers(0, size - 1), min_size=size * rest,
+                                    max_size=size * rest)))
     radius = max(m, n)
     cells = [(h, d, w) for h in range(3) for d in range(3) for w in range(1, 4)
-             if size ** ((w + 1) + 2 * radius * (h + d)) <= ORACLE_SEED_SPACE]
+             if size ** ((w + 1) + 2 * radius * (h + d)) <= seed_space]
     dims = ExpansivityDims(*draw(st.sampled_from(cells)))
     return Automaton(LocalRule(Alphabet(size), m, n, table)), dims
 
@@ -222,6 +242,17 @@ def test_decider_matches_per_seed_oracle(query):
     assert is_left_expansive(automaton, dims) == left_expansive_oracle(automaton, dims)
 
 
+@given(small_decider_queries(MN_PAIRS, CHUNKED_ORACLE_SEED_SPACE))
+@settings(max_examples=200, deadline=None)
+def test_read_prefix_matches_full_length_oracle(query):
+    """Enumerating only the read prefix of the top row gives the verdict
+    JSON of the full-length search, counterexamples included, on seed
+    spaces ten times what the per-seed oracle reaches."""
+    automaton, dims = query
+    assert is_left_expansive(automaton, dims).to_json_dict() == \
+        chunked_left_expansive_oracle(automaton, dims).to_json_dict()
+
+
 def seed_index(seed, size):
     value = 0
     for s in seed:
@@ -229,18 +260,35 @@ def seed_index(seed, size):
     return value
 
 
+# chunks hold 256, 512, then 1024 seeds (full size) from index 768 on; the
+# comments give seed_a and the conflict as full-length seed indices, then
+# as read-prefix indices, which are what the decider chunks
 @pytest.mark.parametrize("size, m, n, table, dims, index_a, index_b", [
-    # seed_a in the first chunk (256 seeds), the conflict in a full-size one
+    # full length: chunk 0 -> a full-size chunk; prefix (0, 128): chunk 0 only
     (2, 0, 2, b"\x00\x00\x01\x01\x01\x00\x01\x00", (1, 2, 1), 0, 8192),
-    # seed_a in the second chunk, the conflict in the third
+    # full length: chunk 1 -> chunk 2; prefix (24, 88): chunk 0 only
     (2, 0, 2, b"\x01\x00\x01\x01\x01\x01\x00\x01", (2, 0, 2), 384, 1408),
-    # seed_a and the conflict in different full-size chunks
+    # full length: two full-size chunks; prefix (31, 63): chunk 0 only
     (2, 2, 0, b"\x00\x00\x01\x00\x00\x00\x00\x01", (2, 1, 1), 3968, 8064),
+    # full length: two full-size chunks; prefix (189, 432): chunk 0 -> chunk 1
     (3, 0, 1, bytes([1, 2, 1, 1, 2, 2, 1, 2, 0]), (2, 0, 3), 1701, 3888),
+    # prefix (896, 1920): two full-size chunks, 4 columns padded
+    (2, 1, 2, bytes([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0]), (2, 1, 3),
+     14336, 30720),
+    # prefix (648, 1377): chunk 1 -> a full-size chunk, m = 0, 3 columns padded
+    (3, 0, 1, bytes([0, 0, 0, 0, 0, 1, 0, 0, 2]), (2, 1, 3), 17496, 37179),
+    # prefix (324, 810): chunk 1 -> a full-size chunk, n = 0, 4 columns padded
+    (3, 2, 0, bytes([0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 2, 0, 2, 0, 1, 1, 2, 0, 0, 2, 1,
+                     0, 0, 0, 1, 1, 0]), (2, 0, 3), 26244, 65610),
+    # prefix (1280, 1536): both in one full-size chunk past the first
+    (2, 2, 1, bytes([1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0]), (1, 2, 3),
+     20480, 24576),
 ])
 def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index_a, index_b):
-    """The first conflict lies in a later chunk than the first occurrence of
-    its rectangle, so it is found through the table carried between chunks."""
+    """The first conflict lies past the first chunk: in a later chunk than
+    the first occurrence of its rectangle, so it is found through the table
+    carried between chunks, or in the same one, whose own column gives
+    seed_a."""
     automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
     dims = ExpansivityDims(*dims)
     verdict = is_left_expansive(automaton, dims)
@@ -270,6 +318,17 @@ def test_decider_memory_is_bounded():
         tracemalloc.stop()
     assert verdict.status is Verdict.TRUE and verdict.seed_space == 6**8
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (5, 2), (4, 3), (7, 2), (5, 3)])
+def test_multiplication_family_is_expansive_at_111(p, q):
+    """The certificate behind classify_rapid's exact-family reason: every
+    mul:p/q with pq <= 15 is proved left expansive at (1,1,1) by exhausting
+    its seed space under the default budget."""
+    verdict = is_left_expansive(fractional_multiplication_rule(MulSpec(p, q)),
+                                ExpansivityDims(1, 1, 1))
+    assert verdict.status is Verdict.TRUE
+    assert verdict.seeds_checked == verdict.seed_space == (p * q) ** 6
 
 
 def test_find_dims_examples():
