@@ -15,11 +15,20 @@ B = n**k, digits -> integer merges adjacent blocks level by level, level j
 multiplying by B**(2**j); integer -> digits splits at the same powers from
 the top down, and all limbs expand to digits in one numpy pass.  Only the
 powers B**(2**j) are ever needed, about log2 of the limb count, and they are
-squared up in one bounded cache.  Long division of a fraction yields one
-limb per step.  The preperiod and period lengths are computed arithmetically
-(valuations of the denominator at the primes of the base, the
-multiplicative order of the base) instead of by scanning for a repeated
-remainder.
+squared up in one bounded cache.  The preperiod and period lengths are
+computed arithmetically (valuations of the denominator at the primes of the
+base, the multiplicative order of the base) instead of by scanning for a
+repeated remainder.
+
+A denominator den = m * c, m made of the primes of the base and c coprime
+to it, splits the expansion in two.  The preperiod is one integer division,
+rem * (base**pre / m) = head * c + a, whose quotient gives the head digits
+through the tree; the period is the purely periodic a/c, expanded over c
+alone.  Digit i of a/c is (r_i * base) // c for the remainder
+r_i = a * base**i mod c.  For c < 2**31 every r_i comes from a table in
+int64: about sqrt(p) powers base**i mod c times about sqrt(p) block starts,
+taken a bounded number of rows at a time.  Only a denominator of 2**31 or
+more runs long division in the limb radix, one big-integer step per limb.
 
 A period of p digits is worth W/(base**p - 1), but forming W converts all
 p digits.  ``_period_fraction`` instead reads a small denominator off a
@@ -120,20 +129,63 @@ def _int_digits(v: int, base: int) -> bytes:
     return _int_to_digits(v, base, count).lstrip(b"\x00")
 
 
+#: denominators below this have int64 products of two residues
+_TABLE_LIMIT = 2**31
+#: remainders computed per block of the table, bounding its temporaries
+_TABLE_BLOCK = 2**16
+
+
+def _mod_powers(start: int, step: int, count: int, den: int) -> np.ndarray:
+    """start * step**i mod den for i < count (den < 2**31), as int64.
+
+    Row j of an outer product of about sqrt(count) block starts
+    start * step**(jK) and powers step**i, reduced mod den, is the run
+    beginning at jK; both factors come from the same recursion, which
+    bottoms out in a short multiply-and-reduce loop.
+    """
+    if count <= 32:
+        out = [start % den]
+        for _ in range(1, count):
+            out.append(out[-1] * step % den)
+        return np.array(out, dtype=np.int64)[:count]
+    k = isqrt(count)
+    table = np.multiply.outer(_mod_powers(start, pow(step, k, den), -(-count // k), den),
+                              _mod_powers(1, step, k, den))
+    table %= den
+    return table.ravel()[:count]
+
+
 def _expansion_digits(remainder: int, den: int, base: int, count: int) -> bytes:
     """First ``count`` digits of remainder/den (0 <= remainder < den) in ``base``.
 
-    Long division in the limb radix yields one limb per step, so every
-    big-integer division has the denominator as divisor and a one-limb
-    quotient.
+    Digit i is (r_i * base) // den, r_i = remainder * base**i mod den.  For
+    den < 2**31 the r_i come from a table: with K about sqrt(count), the K
+    powers base**i mod den times the block starts r_(jK) give row j, in
+    int64, a bounded number of rows at a time.  Larger denominators run long
+    division in the limb radix, one limb per big-integer step.
     """
-    radix = _square(base, 0)
-    limbs = []
-    r = remainder
-    for _ in range(-(-count // _pack_width(base))):
-        q, r = divmod(r * radix, den)
-        limbs.append(q)
-    return _limbs_to_digits(limbs, base)[:count]
+    if den >= _TABLE_LIMIT:
+        radix = _square(base, 0)
+        limbs = []
+        r = remainder
+        for _ in range(-(-count // _pack_width(base))):
+            q, r = divmod(r * radix, den)
+            limbs.append(q)
+        return _limbs_to_digits(limbs, base)[:count]
+    k = max(1, isqrt(count))
+    rows = -(-count // k)
+    powers = _mod_powers(1, base, k, den)
+    starts = _mod_powers(remainder, pow(base, k, den), rows, den)
+    out = np.empty(rows * k, dtype=np.uint8)
+    step = max(1, _TABLE_BLOCK // k)
+    for j in range(0, rows, step):
+        block = np.multiply.outer(starts[j:j + step], powers)
+        # block %= den, by numpy's fast int64 floor division by a scalar
+        block -= block // den * den
+        block *= base
+        block //= den
+        out[j * k:j * k + block.size] = block.ravel()
+    return out[:count].tobytes()
 
 
 def _valuation(n: int, p: int) -> tuple[int, int]:
@@ -224,11 +276,14 @@ def rational_to_config(value: RationalLike, base: int) -> Configuration:
     num, den = xi.numerator, xi.denominator
     ipart, rem = divmod(num, den)
     int_digits = _int_digits(ipart, base)
-    # a terminating expansion has coprime part 1, order 1 and period b"\x00"
+    # den = m * coprime with m dividing base**pre: the first pre digits are
+    # rem * base**pre // den, and what follows is the purely periodic a/coprime
+    # (a terminating expansion has coprime part 1, order 1 and period b"\x00")
     pre, coprime = _period_split(den, base)
-    digits = _expansion_digits(rem, den, base, pre + multiplicative_order(base, coprime))
-    head = int_digits + digits[:pre]
-    return Configuration._from_trusted(Alphabet(base), -len(int_digits), b"\x00", head, digits[pre:])
+    head_value, a = divmod(base**pre // (den // coprime) * rem, coprime)
+    head = int_digits + _int_to_digits(head_value, base, pre)
+    period = _expansion_digits(a, coprime, base, multiplicative_order(base, coprime))
+    return Configuration._from_trusted(Alphabet(base), -len(int_digits), b"\x00", head, period)
 
 
 def _period_fraction(w: bytes, base: int) -> Fraction:

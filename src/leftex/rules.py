@@ -16,9 +16,10 @@ they are stacked as the columns of a matrix, which is how the expansivity
 decider grows a chunk of seeds.  compose() tabulates a product rule the
 same way: it maps every word of the product width, enumerated in
 lexicographic order by _lex_words (the decider's seed enumerator too),
-through the inner rule and then the outer one.  Every walk along an orbit
-goes through the lazy orbit() generator, which computes F^(t+1)(x) only
-when it is asked for.
+through the inner rule and then the outer one, a fixed-size chunk of words
+at a time so that working memory does not grow with the table.  Every walk
+along an orbit goes through the lazy orbit() generator, which computes
+F^(t+1)(x) only when it is asked for.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .words import WordLike, word
 
 #: entries allowed in a composed rule table before compose() refuses
 DEFAULT_COMPOSE_GUARD = 10**7
+#: table entries compose() tabulates per pass, bounding its working memory
+_COMPOSE_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -283,8 +286,11 @@ def compose(outer: Automaton, inner: Automaton, *, max_table: int = DEFAULT_COMP
         raise TableTooLarge(
             f"composed table would need {total} entries (guard {max_table})"
         )
-    words = _lex_words(0, total, size, width)
-    table = lookup_windows(outer.rule, lookup_windows(inner.rule, words))[0].tobytes()
+    chunks = []
+    for first in range(0, total, _COMPOSE_CHUNK):
+        words = _lex_words(first, min(_COMPOSE_CHUNK, total - first), size, width)
+        chunks.append(lookup_windows(outer.rule, lookup_windows(inner.rule, words))[0].tobytes())
+    table = b"".join(chunks)
     return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
 
 

@@ -68,14 +68,24 @@ def format_word(w: bytes, alphabet_size: int) -> str:
 def primitive_root(w: bytes) -> bytes:
     """Shortest word u with w == u^k.
 
-    Uses the classical fact that w occurs inside w+w at an offset strictly
-    between 0 and len(w) exactly when w is a proper power; the smallest such
-    offset is the length of the primitive root.
+    The lengths d dividing n = len(w) with w[d:] == w[:n-d] are exactly the
+    multiples of the root's length that divide n, so starting from d = n and
+    dividing d by each prime factor r of n while d/r still qualifies reaches
+    the root.  Only the prime factors of n are needed, found by trial
+    division, and each test is one comparison of two slices.
     """
-    if len(w) <= 1:
-        return w
-    k = (w + w).find(w, 1)
-    return w[:k] if k < len(w) else w
+    n = d = rest = len(w)
+    r = 2
+    while rest > 1:
+        if r * r > rest:
+            r = rest
+        if rest % r == 0:
+            while rest % r == 0:
+                rest //= r
+            while d % r == 0 and w[d // r:] == w[:n - d // r]:
+                d //= r
+        r += 1
+    return w[:d]
 
 
 def cyclic_slice(w: bytes, offset: int, count: int) -> bytes:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values from first principles (pointwise
 indexing, schoolbook long division, Horner and divmod digit conversion,
 the geometric-series value of a periodic tail, one-factor-at-a-time
-preperiods, padded finite simulation, cubic period search, rolling-index
-rule evaluation, block-by-block vacuity tests, symbol-by-symbol
+preperiods, digit expansions by one long division, primitive roots by
+searching w+w for w, padded finite simulation, cubic period search,
+rolling-index rule evaluation, block-by-block vacuity tests, symbol-by-symbol
 canonicalization, expansivity searches over every full-length seed) without
 touching the library's fast paths, so tests compare two genuinely different
 routes to the same answer.
@@ -31,7 +32,7 @@ from leftex import (
 from leftex.configuration import _rotl
 from leftex.properties import DEFAULT_BUDGET
 from leftex.rules import LocalRule
-from leftex.words import cyclic_slice, first_mismatch, primitive_root
+from leftex.words import cyclic_slice, first_mismatch
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
 RULE30 = {
@@ -161,6 +162,24 @@ def preperiod_oracle(den: int, base: int) -> int:
     return pre
 
 
+def rational_to_config_oracle(xi: Fraction, base: int) -> Configuration:
+    """The digit configuration of a positive rational by one long division
+    of rem/den for preperiod + period digits: the preperiod from
+    ``preperiod_oracle``, the period by stepping powers of the base modulo
+    the coprime part until they return to 1."""
+    ipart, rem = divmod(xi.numerator, xi.denominator)
+    # bit_length digits are enough in any base; the extra ones are zeros
+    int_digits = int_to_digits_oracle(ipart, base, ipart.bit_length()).lstrip(b"\x00")
+    pre = preperiod_oracle(xi.denominator, base)
+    c = coprime_part_oracle(xi.denominator, base)
+    period, pw = 1, base % c
+    while pw != 1 % c:
+        pw = pw * base % c
+        period += 1
+    digits = bytes(long_division_digits(rem, xi.denominator, base, pre + period))
+    return Configuration(Alphabet(base), -len(int_digits), b"\x00", int_digits + digits[:pre], digits[pre:])
+
+
 def naive_period_search(prefix, max_c, max_p):
     """Cubic search for the least (preperiod, period) with the confidence
     floor length >= preperiod + 2*period."""
@@ -236,11 +255,21 @@ def compose_oracle(outer: Automaton, inner: Automaton) -> Automaton:
     return Automaton(trim_vacuous_oracle(LocalRule(outer.alphabet, m, n, table)))
 
 
+def primitive_root_oracle(w: bytes) -> bytes:
+    """Shortest u with w == u^k: w occurs in w+w at an offset strictly
+    between 0 and len(w) exactly when w is a proper power, and the smallest
+    such offset is the root's length."""
+    if len(w) <= 1:
+        return w
+    k = (w + w).find(w, 1)
+    return w[:k] if k < len(w) else w
+
+
 def canonical_parts_oracle(anchor: int, lp: bytes, head: bytes, rp: bytes):
     """Canonical (anchor, left period, head, right period), absorbing one
     head symbol per step into whichever tail it continues."""
-    lp = primitive_root(lp)
-    rp = primitive_root(rp)
+    lp = primitive_root_oracle(lp)
+    rp = primitive_root_oracle(rp)
     while head:
         if head[0] == lp[0]:
             head = head[1:]

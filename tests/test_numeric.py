@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     int_to_digits_oracle,
     long_division_digits,
     preperiod_oracle,
+    rational_to_config_oracle,
     small_rationals,
 )
 
@@ -292,6 +294,81 @@ def test_expansion_digits_match_long_division_at_limb_boundaries(boundary, den, 
     count = _pack_width(base) * 2**j + offset
     r = data.draw(st.integers(0, den - 1))
     assert list(_expansion_digits(r, den, base, count)) == long_division_digits(r, den, base, count)
+
+
+# the remainder table works in int64 below 2**31 and has K = isqrt(count)
+# columns; a row block holds 2**16 remainders, so counts near 260**2 span
+# two blocks
+table_dens = st.sampled_from([1, 2, 3, 7, 2**31 - 1, 2**31, 2**31 + 1]) | st.integers(1, 10**6)
+
+
+@given(st.sampled_from([2, 6, 10, 15, 28, 256]), table_dens, st.integers(1, 40) | st.integers(250, 270),
+       st.sampled_from([-1, 0, 1]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_expansion_digits_match_long_division_across_the_table(base, den, k, offset, data):
+    count = k * k + offset
+    r = data.draw(st.just(0) | st.integers(0, den - 1))
+    assert list(_expansion_digits(r, den, base, count)) == long_division_digits(r, den, base, count)
+
+
+def test_long_period_expansion_memory_is_bounded():
+    """10 is a primitive root modulo the prime 4000063, so 1/4000063 has a
+    4000062-digit period.  The output needs 2 bytes a digit (the array and
+    its bytes); the remainder table adds a bounded block, not 8+ bytes a
+    digit."""
+    c = 4_000_063
+    tracemalloc.start()
+    try:
+        digits = _expansion_digits(1, c, 10, c - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (c - 1) + 16 * 2**20
+    assert len(digits) == c - 1
+    for i in (0, 1, 65535, 65536, 2**21 + 7, c - 2):
+        assert digits[i] == pow(10, i, c) * 10 // c
+
+
+@st.composite
+def deep_preperiod_rationals(draw):
+    """Rationals whose denominators carry up to 300 factors of each prime of
+    the base, over a cofactor with a period of at most a few thousand digits."""
+    base = draw(st.sampled_from([2, 6, 10, 15, 28, 256]))
+    den = draw(st.integers(1, 3000))
+    for p in (2, 3, 5, 7):
+        if base % p == 0:
+            den *= p ** draw(st.integers(0, 300))
+    return Fraction(draw(st.integers(1, 50 * den)), den), base
+
+
+@given(deep_preperiod_rationals())
+@settings(max_examples=200, deadline=None)
+def test_rational_to_config_matches_one_long_division(case):
+    xi, base = case
+    got, want = rational_to_config(xi, base), rational_to_config_oracle(xi, base)
+    assert (got.anchor, got.left_period, got.head, got.right_period) == (
+        want.anchor, want.left_period, want.head, want.right_period)
+
+
+def test_period_is_expanded_over_the_coprime_part_alone(monkeypatch):
+    """7/(11 * 3**500) in base 15 has a 500-digit preperiod and the 5-digit
+    period of a fraction over 11 (15 = 4 mod 11 and 4**5 = 1 mod 11).  The
+    period is one expansion over 11; the full denominator, an integer of
+    about 800 bits, never serves for more than the preperiod."""
+    den = 11 * 3**500
+    calls = []
+
+    def counting_expansion_digits(remainder, d, base, count):
+        calls.append((d, count))
+        return _expansion_digits(remainder, d, base, count)
+
+    monkeypatch.setattr(numeric, "_expansion_digits", counting_expansion_digits)
+    xi = Fraction(7, den)
+    x = rational_to_config(xi, 15)
+    assert x == rational_to_config_oracle(xi, 15)
+    assert len(x.right_period) == 5 and x.anchor + len(x.head) == 500
+    assert [d for d, count in calls if count == 5] == [11]
+    assert all(count <= 500 for d, count in calls if d == den)
 
 
 @given(st.integers(2, 256), st.integers(1, 10**6), st.lists(st.integers(0, 300), min_size=3, max_size=3))

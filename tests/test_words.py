@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from leftex.errors import ParseError
 from leftex.words import cyclic_slice, first_mismatch, format_word, parse_word, primitive_root, word
+
+from oracles import primitive_root_oracle
 
 
 def test_word_coercion():
@@ -46,6 +50,25 @@ def test_primitive_root_random():
         n = len(root)
         assert all(root[: n - d] != root[d:] or n % d for d in range(1, n)) or n == 1
         assert primitive_root(root) == root
+
+
+def test_primitive_root_matches_the_oracle_on_every_binary_word():
+    for n in range(13):
+        for v in range(2**n):
+            w = bytes((v >> i) & 1 for i in range(n))
+            assert primitive_root(w) == primitive_root_oracle(w)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=30), st.integers(1, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_primitive_root_of_powers_matches_the_oracle(u, k, data):
+    """u^k, and u^k with one symbol changed, whose root is the whole word
+    unless the change happens to make another power."""
+    w = bytes(u) * k
+    assert primitive_root(w) == primitive_root_oracle(w)
+    i = data.draw(st.integers(0, len(w) - 1))
+    changed = w[:i] + bytes([(w[i] + data.draw(st.integers(1, 3))) % 4]) + w[i + 1:]
+    assert primitive_root(changed) == primitive_root_oracle(changed)
 
 
 def test_cyclic_slice():
