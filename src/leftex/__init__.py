@@ -55,6 +55,7 @@ from .rules import (
     LocalRule,
     SpaceTimePatch,
     apply,
+    columns,
     compose,
     eca,
     eca_rule,

@@ -135,6 +135,26 @@ def _canonical_parts(anchor: int, lp: bytes, head: bytes, rp: bytes):
     return anchor, lp, head, rp
 
 
+def _window(anchor: int, lp: bytes, head: bytes, rp: bytes, i: int, j: int) -> bytes:
+    """The word x[i] .. x[j] of the configuration laid out as (anchor, left
+    period, head, right period), canonical or not."""
+    if i > j:
+        raise EmptyInterval(f"empty interval [{i}, {j}]")
+    s = anchor + len(head)
+    parts = []
+    if i < anchor:
+        hi = min(j, anchor - 1)
+        parts.append(cyclic_slice(lp, i - anchor, hi - i + 1))
+    if head:
+        lo, hi = max(i, anchor), min(j, s - 1)
+        if lo <= hi:
+            parts.append(head[lo - anchor:hi - anchor + 1])
+    if j >= s:
+        lo = max(i, s)
+        parts.append(cyclic_slice(rp, lo - s, j - lo + 1))
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """An eventually periodic bi-infinite sequence, always in canonical form.
@@ -204,22 +224,7 @@ class Configuration:
 
     def window(self, i: int, j: int) -> bytes:
         """The word x[i] x[i+1] ... x[j] (inclusive ends)."""
-        if i > j:
-            raise EmptyInterval(f"empty interval [{i}, {j}]")
-        a = self.anchor
-        s = a + len(self.head)
-        parts = []
-        if i < a:
-            hi = min(j, a - 1)
-            parts.append(cyclic_slice(self.left_period, (i - a) % len(self.left_period), hi - i + 1))
-        if self.head:
-            lo, hi = max(i, a), min(j, s - 1)
-            if lo <= hi:
-                parts.append(self.head[lo - a:hi - a + 1])
-        if j >= s:
-            lo = max(i, s)
-            parts.append(cyclic_slice(self.right_period, (lo - s) % len(self.right_period), j - lo + 1))
-        return b"".join(parts)
+        return _window(self.anchor, self.left_period, self.head, self.right_period, i, j)
 
     # -- structure ---------------------------------------------------------
 

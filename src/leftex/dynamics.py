@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .configuration import Configuration, fractional_part, seq_equal
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
-from .rules import Automaton, orbit, trace
+from .rules import Automaton, columns, orbit, trace
 
 
 @dataclass(frozen=True)
@@ -41,32 +41,30 @@ def detect_eventual_period(
 ) -> Optional[PeriodCertificate]:
     """Smallest (preperiod, then period) certificate within the bounds.
 
-    For each candidate period p the latest index where p-periodicity breaks
-    is located by scanning from the end, so aperiodic prefixes reject each p
-    almost immediately.
+    For preperiod c the least period that can be certified is the smallest
+    period p of the suffix prefix[c:], if p <= max_p and 2p fits in the
+    suffix: every other period of the suffix is larger.  The smallest period
+    of a word of length k is k minus its longest proper border, the same
+    for the word read backwards, so one prefix-function pass over the
+    reversed prefix gives it for every suffix at once, and the first c that
+    qualifies is the answer.  The cost is O(length + max_c) comparisons.
     """
     length = len(prefix)
     if length < 1:
         raise OutOfRange("prefix must be nonempty")
-    best: Optional[tuple[int, int]] = None
-    for p in range(1, max_p + 1):
-        if 2 * p > length:
-            break
-        b = -1
-        for t in range(length - p - 1, -1, -1):
-            if prefix[t] != prefix[t + p]:
-                b = t
-                break
-        c = b + 1
-        if c > max_c or c + 2 * p > length:
-            continue
-        if best is None or (c, p) < best:
-            best = (c, p)
-            if c == 0:
-                break  # no later period can beat preperiod 0 with a smaller p
-    if best is None:
-        return None
-    return PeriodCertificate(best[0], best[1], length)
+    rev = prefix[::-1]
+    border = [0] * length  # border[k]: longest proper border of rev[:k+1]
+    for k in range(1, length):
+        b = border[k - 1]
+        while b and rev[k] != rev[b]:
+            b = border[b - 1]
+        border[k] = b + 1 if rev[k] == rev[b] else 0
+    for c in range(min(max_c, length - 1) + 1):
+        k = length - c
+        p = k - border[k - 1]
+        if p <= max_p and 2 * p <= k:
+            return PeriodCertificate(c, p, length)
+    return None
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,8 @@ def limit_point_census(
         raise OutOfRange("prefix lengths must be at least 1")
     n_max = lengths[-1]
     seen: dict[int, set[bytes]] = {n: set() for n in lengths}
-    for t, y in zip(range(horizon + 1), orbit(automaton, x)):
+    for t, w in zip(range(horizon + 1), columns(automaton, x, c, c + n_max - 1)):
         if 2 * t >= horizon:
-            w = y.window(c, c + n_max - 1)
             for n in lengths:
                 seen[n].add(w[:n])
     return {n: len(s) for n, s in seen.items()}

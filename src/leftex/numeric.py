@@ -249,7 +249,10 @@ def _carmichael(factors: dict[int, int]) -> int:
 
 
 def multiplicative_order(base: int, modulus: int) -> int:
-    """Least k >= 1 with base**k == 1 (mod modulus); requires gcd == 1."""
+    """Least k >= 1 with base**k == 1 (mod modulus); requires modulus >= 1
+    and gcd == 1."""
+    if modulus < 1:
+        raise OutOfRange(f"modulus must be at least 1, got {modulus}")
     if modulus == 1:
         return 1
     if gcd(base, modulus) != 1:

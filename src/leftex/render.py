@@ -3,8 +3,9 @@
 PBM is the canonical golden-file format: textual, diffable, bit-exact.
 Any alphabet renders to PBM by thresholding (symbol > 0 becomes 1), matching
 the usual black-nonzero depiction of diagrams.  PGM maps symbols through a
-gray palette, evenly spaced by default.  Rows are streamed, so memory stays
-bounded by one configuration plus one raster row.
+gray palette, evenly spaced by default.  Rows are streamed from
+rules.columns, so memory stays bounded by one stepped state (at most about
+twice the size of a canonical configuration) plus one raster row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import IO, Mapping, Optional
 
 from .configuration import Configuration
 from .errors import EmptyInterval, OutOfRange, PaletteIncomplete
-from .rules import Automaton, orbit
+from .rules import Automaton, columns
 
 FORMATS = ("ascii", "pbm", "pgm")
 
@@ -80,8 +81,7 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
     elif spec.format == "pgm":
         levels = _gray_map(size, spec.palette)
         out.write(f"P2\n{width} {spec.rows}\n255\n")
-    for _, y in zip(range(spec.rows), orbit(automaton, x)):
-        row = y.window(spec.col_lo, spec.col_hi)
+    for _, row in zip(range(spec.rows), columns(automaton, x, spec.col_lo, spec.col_hi)):
         if spec.format == "pbm":
             out.write(" ".join("1" if s else "0" for s in row))
             out.write("\n")

@@ -6,7 +6,9 @@ configuration F(x)[i] = f(x[i-m], ..., x[i+n]).  Applying an automaton to an
 eventually periodic configuration yields another one, computed exactly: one
 period's worth of each image tail is evaluated at a safe offset where the
 input window lies entirely inside the periodic region, so no periodicity
-detection is ever needed.
+detection is ever needed.  That step is _step, which maps a raw (anchor,
+left period, head, right period) state to its image laid out the same way:
+the periods keep their lengths and the head grows by m+n symbols.
 
 Tables are stored flat, indexed by the radix value of the neighborhood
 (leftmost symbol most significant).  Every rule evaluation, from a single
@@ -17,9 +19,17 @@ decider grows a chunk of seeds.  compose() tabulates a product rule the
 same way: it maps every word of the product width, enumerated in
 lexicographic order by _lex_words (the decider's seed enumerator too),
 through the inner rule and then the outer one, a fixed-size chunk of words
-at a time so that working memory does not grow with the table.  Every walk
-along an orbit goes through the lazy orbit() generator, which computes
-F^(t+1)(x) only when it is asked for.
+at a time so that working memory does not grow with the table.
+
+Two lazy generators walk along an orbit, and both compute F^(t+1)(x) only
+when it is asked for.  orbit() yields canonical configurations, each step
+being apply(), which is _step followed by canonicalization; recurrence
+scans, speeds, witnesses, simulate and verify_mul need those.  columns()
+yields only the words F^t(x)[i..j], which is all that traces, limit-point
+censuses and rasters read, so it steps the raw state and reads each row off
+it.  It canonicalizes again only once the raw head is longer than twice the
+head of the last canonical state plus 64, which keeps its work within about
+twice that of orbit() and never quadratic in the number of steps.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from .configuration import Alphabet, Configuration
+from .configuration import Alphabet, Configuration, _canonical_parts, _window
 from .errors import (
     AlphabetMismatch,
     EmptyInterval,
@@ -39,7 +49,7 @@ from .errors import (
     SymbolOutOfRange,
     TableTooLarge,
 )
-from .words import WordLike, word
+from .words import WordLike, cyclic_slice, word
 
 #: entries allowed in a composed rule table before compose() refuses
 DEFAULT_COMPOSE_GUARD = 10**7
@@ -184,53 +194,61 @@ def _lex_words(first: int, count: int, size: int, length: int) -> np.ndarray:
 
 def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     """Apply the rule to every length-(m+n+1) window along axis 0 of a
-    symbol array, by radix-index table lookup.
+    ``uint8`` symbol array, by radix-index table lookup.
 
     A 1-D array is one word; a 2-D array of shape (length, count) holds
     ``count`` words column-wise and is mapped in one pass.  The result has
-    m+n fewer rows and the table's ``uint8`` dtype.
+    m+n fewer rows and the table's ``uint8`` dtype.  The radix index is
+    accumulated in the narrowest unsigned type that holds every table
+    index; ``take`` widens it to ``intp`` once for the gather.
     """
     width, size = rule.width, rule.alphabet.size
     out_len = len(symbols) - width + 1
-    arr = symbols.astype(np.int64)
-    idx = arr[0:out_len].copy()
+    table = np.frombuffer(rule.table, dtype=np.uint8)
+    idx = symbols[0:out_len].astype(np.min_scalar_type(len(table) - 1))
     for k in range(1, width):
         idx *= size
-        idx += arr[k:k + out_len]
-    return np.frombuffer(rule.table, dtype=np.uint8)[idx]
+        idx += symbols[k:k + out_len]
+    return table.take(idx)
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
-    ``apply`` and ``patch``, a bytes wrapper over ``lookup_windows``.
+    ``apply``, ``columns`` and ``patch``, a bytes wrapper over
+    ``lookup_windows``.
     """
     if len(samples) < rule.width:
         raise SeedTooShort(f"need at least {rule.width} symbols, got {len(samples)}")
     return lookup_windows(rule, np.frombuffer(samples, dtype=np.uint8)).tobytes()
 
 
-def apply(automaton: Automaton, x: Configuration) -> Configuration:
-    """Exact image configuration F(x).
+def _step(rule: LocalRule, anchor: int, lp: bytes, head: bytes,
+          rp: bytes) -> tuple[int, bytes, bytes, bytes]:
+    """The exact image of (anchor, left period, head, right period), laid
+    out the same way but not canonicalized.
 
     The image left tail repeats with the input's left period for all
     i <= anchor-1-n (the whole input window then sits inside the left
     periodic region), and symmetrically on the right with m, so evaluating
-    one period of each tail at those safe offsets is enough.
+    one period of each tail at those safe offsets is enough.  The periods
+    keep their lengths and the head grows by m+n symbols.
     """
-    rule = automaton.rule
-    if rule.alphabet != x.alphabet:
-        raise AlphabetMismatch("automaton and configuration alphabets differ")
     m, n = rule.memory, rule.anticipation
-    lp, head, rp = x.left_period, x.head, x.right_period
-    new_anchor = x.anchor - n
-    lo = new_anchor - len(lp)                      # first image index computed
-    hi = x.anchor + len(head) + m + len(rp) - 1    # last image index computed
-    out = map_windows(rule, x.window(lo - m, hi + n))
-    cut1 = len(lp)
-    cut2 = cut1 + len(head) + m + n
-    return Configuration._from_trusted(x.alphabet, new_anchor, out[:cut1], out[cut1:cut2], out[cut2:])
+    L, R = len(lp), len(rp)
+    out = map_windows(rule, cyclic_slice(lp, -m - n, L + m + n) + head
+                      + cyclic_slice(rp, 0, R + m + n))
+    cut = L + len(head) + m + n
+    return anchor - n, out[:L], out[L:cut], out[cut:]
+
+
+def apply(automaton: Automaton, x: Configuration) -> Configuration:
+    """Exact image configuration F(x)."""
+    if automaton.alphabet != x.alphabet:
+        raise AlphabetMismatch("automaton and configuration alphabets differ")
+    return Configuration._from_trusted(
+        x.alphabet, *_step(automaton.rule, x.anchor, x.left_period, x.head, x.right_period))
 
 
 def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
@@ -244,6 +262,26 @@ def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
     while True:
         yield x
         x = apply(automaton, x)
+
+
+def columns(automaton: Automaton, x: Configuration, i: int, j: int) -> Iterator[bytes]:
+    """The column words F^t(x)[i..j] for t = 0, 1, ... as a lazy generator.
+
+    Like orbit(), it steps only when the next row is asked for, but it steps
+    the raw (anchor, left period, head, right period) state and reads each
+    row straight off it, with no Configuration per row.
+    """
+    if automaton.alphabet != x.alphabet:
+        raise AlphabetMismatch("automaton and configuration alphabets differ")
+    rule = automaton.rule
+    state = (x.anchor, x.left_period, x.head, x.right_period)
+    limit = 2 * len(x.head) + 64
+    while True:
+        yield _window(*state, i, j)
+        state = _step(rule, *state)
+        if len(state[2]) > limit:
+            state = _canonical_parts(*state)
+            limit = 2 * len(state[2]) + 64
 
 
 # -- composition --------------------------------------------------------------
@@ -303,7 +341,7 @@ def trace(automaton: Automaton, x: Configuration, i: int, j: int, horizon: int) 
         raise EmptyInterval(f"empty interval [{i}, {j}]")
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
-    return [y.window(i, j) for _, y in zip(range(horizon), orbit(automaton, x))]
+    return [row for _, row in zip(range(horizon), columns(automaton, x, i, j))]
 
 
 @dataclass(frozen=True)

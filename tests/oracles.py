@@ -6,9 +6,9 @@ the geometric-series value of a periodic tail, one-factor-at-a-time
 preperiods, digit expansions by one long division, primitive roots by
 searching w+w for w, padded finite simulation, cubic period search,
 rolling-index rule evaluation, block-by-block vacuity tests, symbol-by-symbol
-canonicalization, expansivity searches over every full-length seed) without
-touching the library's fast paths, so tests compare two genuinely different
-routes to the same answer.
+canonicalization, expansivity searches over every full-length seed, traces
+read pointwise off canonical orbits) without touching the library's fast
+paths, so tests compare two genuinely different routes to the same answer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from leftex import (
 )
 from leftex.configuration import _rotl
 from leftex.properties import DEFAULT_BUDGET
-from leftex.rules import LocalRule
+from leftex.rules import LocalRule, orbit
 from leftex.words import cyclic_slice, first_mismatch
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
@@ -61,6 +61,13 @@ def expand_oracle(x: Configuration, lo: int, hi: int) -> list[int]:
         index_oracle(x.anchor, x.left_period, x.head, x.right_period, i)
         for i in range(lo, hi + 1)
     ]
+
+
+def trace_oracle(automaton: Automaton, x: Configuration, i: int, j: int,
+                 horizon: int) -> list[bytes]:
+    """The rows F^t(x)[i..j] for t < horizon, read pointwise off one
+    canonical configuration per row of rules.orbit."""
+    return [bytes(expand_oracle(y, i, j)) for _, y in zip(range(horizon), orbit(automaton, x))]
 
 
 def padded_step(table, memory, anticipation, row, pad_left, pad_right):

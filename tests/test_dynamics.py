@@ -1,4 +1,5 @@
 import random
+import time
 from math import lcm
 
 import pytest
@@ -77,6 +78,16 @@ def test_detect_matches_cubic_search(prefix, max_c, max_p):
     else:
         assert (got.preperiod, got.period) == want
         assert got.verified_up_to == len(prefix)
+
+
+def test_detect_is_linear_in_the_prefix():
+    # every candidate period breaks at the same preperiod; a search that
+    # scans the whole prefix once per period takes about 2 s here
+    rows = [bytes([k]) for k in range(30)] + [b"\x00"] * 10**5
+    start = time.perf_counter()
+    cert = detect_eventual_period(rows, 500, 500)
+    assert time.perf_counter() - start < 0.25
+    assert (cert.preperiod, cert.period) == (30, 1)
 
 
 def test_certificates_replay_against_prefix():

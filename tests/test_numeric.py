@@ -21,7 +21,14 @@ from leftex import (
     rational_to_config,
     verify_mul,
 )
-from leftex.errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive
+from leftex.errors import (
+    AlphabetMismatch,
+    BadBase,
+    BadSpec,
+    NotNumberLike,
+    NotPositive,
+    OutOfRange,
+)
 from leftex import numeric
 from leftex.numeric import (
     _digits_to_int,
@@ -242,6 +249,12 @@ def test_multiplicative_order_against_naive():
             v = v * base % m
             k += 1
         assert multiplicative_order(base, m) == k
+
+
+@pytest.mark.parametrize("base, modulus", [(1, 0), (10, -7)])
+def test_multiplicative_order_rejects_a_modulus_below_one(base, modulus):
+    with pytest.raises(OutOfRange):
+        multiplicative_order(base, modulus)
 
 
 def test_digit_conversions_against_int_parsing():

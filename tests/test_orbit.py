@@ -1,22 +1,30 @@
-"""The orbit generator, and how many applications each orbit walk spends.
+"""The orbit and column generators, and how many steps each walk spends.
 
-Every walk along an orbit goes through rules.orbit, which calls rules.apply;
-counting those calls pins each consumer to the number of images it needs, so
-none of them computes one image too many.
+Every walk along an orbit goes through rules.orbit, which calls rules.apply,
+or through rules.columns; both step with rules._step, and counting those
+calls pins each consumer to the number of images it needs, so none of them
+computes one image too many.
 """
 
 import contextlib
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import leftex.rules
 from leftex import (
     Alphabet,
+    Automaton,
     Configuration,
+    LocalRule,
     MulSpec,
     RenderSpec,
     apply,
+    columns,
+    default_palette,
     eca,
     estimate_spreading_speed,
     left_spreading_witnesses,
@@ -29,6 +37,8 @@ from leftex import (
 )
 from leftex.cli import main
 
+from oracles import trace_oracle
+
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
 TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
@@ -36,23 +46,34 @@ TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
 
 @pytest.fixture
 def applied(monkeypatch):
-    """A list that grows by one entry per rules.apply call."""
+    """A list that grows by one entry per rules._step call, the step that
+    both rules.apply and rules.columns take."""
     calls = []
-    real = leftex.rules.apply
+    real = leftex.rules._step
 
-    def counting(automaton, x):
-        calls.append(x)
-        return real(automaton, x)
+    def counting(rule, *state):
+        calls.append(state)
+        return real(rule, *state)
 
-    monkeypatch.setattr(leftex.rules, "apply", counting)
+    monkeypatch.setattr(leftex.rules, "_step", counting)
     return calls
 
 
 def test_orbit_is_lazy(applied):
+    first = apply(eca(30), ONE)
+    second = apply(eca(30), first)
+    applied.clear()
     images = orbit(eca(30), ONE)
     assert next(images) is ONE and not applied
-    assert next(images) == apply(eca(30), ONE) and len(applied) == 1
-    assert next(images) == apply(eca(30), apply(eca(30), ONE)) and len(applied) == 2
+    assert next(images) == first and len(applied) == 1
+    assert next(images) == second and len(applied) == 2
+
+
+def test_columns_are_lazy(applied):
+    rows = columns(eca(30), ONE, -2, 2)
+    assert next(rows) == b"\x00\x00\x01\x00\x00" and not applied
+    assert next(rows) == b"\x00\x01\x01\x01\x00" and len(applied) == 1
+    assert next(rows) == b"\x01\x01\x00\x00\x01" and len(applied) == 2
 
 
 def test_trace_and_render_step_counts(applied):
@@ -109,3 +130,73 @@ def test_simulate_step_count(applied, steps):
         assert main(["simulate", "eca:30", "[L:0] 1 [R:0] @0", str(steps)]) == 0
     assert len(applied) == steps
     assert len(out.getvalue().splitlines()) == steps + 1
+
+
+# -- columns against the canonical orbit ------------------------------------
+
+
+@st.composite
+def column_cases(draw):
+    """A random rule, a raw configuration, an interval left of, inside, right
+    of or straddling its head, and a horizon long enough for several
+    re-canonicalizations of the stepped state."""
+    size = draw(st.integers(2, 4))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+    automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+    sym = st.integers(0, size - 1)
+    lp = draw(st.lists(sym, min_size=1, max_size=5))
+    head = draw(st.lists(sym, max_size=20))
+    rp = draw(st.lists(sym, min_size=1, max_size=5))
+    x = Configuration(Alphabet(size), draw(st.integers(-10, 10)), lp, head, rp)
+    start, end = x.anchor, x.anchor + len(x.head)
+    place = draw(st.sampled_from(["left", "inside", "right", "straddle"]))
+    if place == "left":
+        j = start - 1 - draw(st.integers(0, 6))
+        i = j - draw(st.integers(0, 8))
+    elif place == "inside" and x.head:
+        i = start + draw(st.integers(0, len(x.head) - 1))
+        j = draw(st.integers(i, end - 1))
+    elif place == "right":
+        i = end + draw(st.integers(0, 6))
+        j = i + draw(st.integers(0, 8))
+    else:
+        i, j = start - draw(st.integers(1, 6)), end + draw(st.integers(0, 6))
+    return automaton, x, i, j, draw(st.integers(1, 400))
+
+
+@given(column_cases(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_column_consumers_match_the_canonical_orbit(case, data):
+    automaton, x, i, j, horizon = case
+    rows = trace_oracle(automaton, x, i, j, horizon)
+    assert trace(automaton, x, i, j, horizon) == rows
+
+    lengths = data.draw(st.sets(st.integers(1, j - i + 1), min_size=1))
+    want = {n: len({row[:n] for t, row in enumerate(rows) if 2 * t >= horizon - 1})
+            for n in lengths}
+    assert limit_point_census(automaton, x, i, horizon - 1, lengths) == want
+
+    levels = default_palette(x.alphabet.size)
+    raster = "".join(" ".join(str(levels[s]) for s in row) + "\n" for row in rows)
+    out = io.StringIO()
+    render_to(out, automaton, x, RenderSpec(horizon, i, j, "pgm"))
+    assert out.getvalue() == f"P2\n{j - i + 1} {horizon}\n255\n" + raster
+
+
+def test_columns_work_is_linear_in_the_steps(monkeypatch):
+    # eca:204 keeps a one-symbol head, but the stepped state's head grows by
+    # two symbols a step until it is canonicalized again
+    mapped = []
+    real = leftex.rules.map_windows
+
+    def counting(rule, samples):
+        mapped.append(len(samples))
+        return real(rule, samples)
+
+    monkeypatch.setattr(leftex.rules, "map_windows", counting)
+    horizon = 2 * 10**4
+    trace(eca(204), ONE, -3, 3, horizon)
+    assert len(mapped) == horizon - 1
+    assert sum(mapped) <= 100 * (horizon - 1)
