@@ -95,10 +95,21 @@ def _parse_cols(text: str) -> tuple[int, int]:
 
 
 def _budget(args) -> int:
+    """--budget, else LEFTEX_BUDGET, else the default; a negative or
+    malformed value is a usage error that names where it came from."""
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("LEFTEX_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+        source, raw = "--budget", args.budget
+    elif os.environ.get("LEFTEX_BUDGET"):
+        source, raw = "LEFTEX_BUDGET", os.environ["LEFTEX_BUDGET"]
+    else:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise _UsageError(f"{source} must be a nonnegative integer, got {raw!r}")
+    return budget
 
 
 @contextmanager

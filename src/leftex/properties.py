@@ -36,6 +36,15 @@ the chunk, and a sorted table carried between chunks holds, for each key
 met before, its determined value and first prefix.  The first prefix whose
 value differs from its key's reference is the first conflict of the
 one-at-a-time search, so certificates do not depend on the chunking.
+
+Left expansivity is monotone in the rectangle.  A pair of diagrams that
+agree on an (h', d', w') rectangle and differ in the cell to its left also
+refutes every (h, d, w) <= (h', d', w'): the smaller rectangle, placed at
+the same reference row and left column, lies inside the larger one and has
+the same determined cell.  The decider is exact, so a False verdict at
+(h', d', w') is a False verdict at every smaller cell, and
+find_left_expansive_dims settles its whole search with one refuting probe
+at the top corner (max_h, max_d, max_w).
 """
 
 from __future__ import annotations
@@ -211,21 +220,36 @@ def is_left_permutive(
     return True
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise OutOfRange("budget must be nonnegative")
+
+
+def _decider_cost(rule: LocalRule, dims: ExpansivityDims) -> tuple[int, int]:
+    """(L, evals_needed): the decider's seed length, and the table
+    evaluations it charges the budget, size**L seeds times the cells each
+    seed's patch evaluates below its top row."""
+    m, n = rule.memory, rule.anticipation
+    n_rows = dims.h + dims.d + 1
+    seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
+    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
+    return seed_len, rule.alphabet.size**seed_len * per_seed
+
+
 def is_left_expansive(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
     """Decide left expansivity with the given dimensions by exhaustive
     enumeration of patch seeds (lexicographic order, so certificates are
-    reproducible).
+    reproducible).  A negative budget raises OutOfRange.
     """
+    _check_budget(budget)
     rule = automaton.rule
     size = rule.alphabet.size
     m, n = rule.memory, rule.anticipation
     n_rows = dims.h + dims.d + 1
-    seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
-    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
+    seed_len, needed = _decider_cost(rule, dims)
     seed_space = size**seed_len
-    needed = seed_space * per_seed
     name = f"left-expansive({dims.h},{dims.d},{dims.w})"
     if needed > budget:
         return PropertyVerdict(
@@ -310,7 +334,19 @@ def find_left_expansive_dims(
     1 <= w <= max_w (ordered by h+d+w, then h, then d), or none; max_h=0
     searches height-0 rectangles only.  Budget exhaustion never raises; it
     is reported in the result.
+
+    Every cell lies below the top corner (max_h, max_d, max_w), so when that
+    corner is within budget it is decided first, and a False there refutes
+    every cell (see the module docstring).  The cells are then walked in
+    order: an over-budget cell sets budget_exceeded, a refuted cell is
+    skipped, and every other cell is decided.  cells_checked is the position
+    of the answer in the order, or the number of cells when there is none,
+    counting refuted and over-budget cells alike, so the result is that of
+    deciding every cell in turn.  The probe adds a decider run only when the
+    corner is expansive, a proof that exhausts its seed space, and a smaller
+    cell is the answer; when the corner is the answer its verdict is reused.
     """
+    _check_budget(budget)
     if max_h < 0 or max_d < 0 or max_w < 0:
         raise BadDims("search bounds must be nonnegative")
     cells = sorted(
@@ -318,16 +354,25 @@ def find_left_expansive_dims(
          for h in range(max_h + 1) for d in range(max_d + 1) for w in range(1, max_w + 1)),
         key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d),
     )
+
+    def over_budget(dims: ExpansivityDims) -> bool:
+        return _decider_cost(automaton.rule, dims)[1] > budget
+
+    top = cells[-1] if cells else None  # the only cell with the largest h+d+w
+    top_verdict = None
+    if top is not None and not over_budget(top):
+        top_verdict = is_left_expansive(automaton, top, budget=budget)
+    refuted = top_verdict is not None and top_verdict.status is Verdict.FALSE
     budget_hit = False
-    checked = 0
-    for dims in cells:
-        verdict = is_left_expansive(automaton, dims, budget=budget)
-        checked += 1
-        if verdict.status is Verdict.TRUE:
-            return DimsSearch(dims, budget_hit, checked)
-        if verdict.status is Verdict.UNKNOWN:
+    for checked, dims in enumerate(cells, 1):
+        if over_budget(dims):
             budget_hit = True
-    return DimsSearch(None, budget_hit, checked)
+        elif not refuted:
+            verdict = top_verdict if dims == top else \
+                is_left_expansive(automaton, dims, budget=budget)
+            if verdict.status is Verdict.TRUE:
+                return DimsSearch(dims, budget_hit, checked)
+    return DimsSearch(None, budget_hit, len(cells))
 
 
 # -- left spreading ------------------------------------------------------------
@@ -457,6 +502,7 @@ def classify_rapid(
     a height > 0 case to Yes, because s < 1/h is a strict inequality on a
     quantity a finite run can only estimate.
     """
+    _check_budget(budget)
     rule = automaton.rule
     size = rule.alphabet.size
     if size == 1:

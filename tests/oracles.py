@@ -9,6 +9,9 @@ rolling-index rule evaluation, block-by-block vacuity tests, symbol-by-symbol
 canonicalization, expansivity searches over every full-length seed, traces
 read pointwise off canonical orbits) without touching the library's fast
 paths, so tests compare two genuinely different routes to the same answer.
+The one exception is the dimension search that decides every cell: it calls
+the library's decider, which the oracles above check, so that it tests the
+pruning of the search and not the decider again.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from leftex import (
     Automaton,
     Configuration,
     Counterexample,
+    DimsSearch,
     ExpansivityDims,
     PropertyVerdict,
     Verdict,
+    is_left_expansive,
 )
 from leftex.configuration import _rotl
 from leftex.properties import DEFAULT_BUDGET
@@ -398,6 +403,29 @@ def chunked_left_expansive_oracle(
                                   for k in range(n_rows)), prev[0], val)
                 return _verdict(automaton, dims, name, seed_space, first + j + 1, c, conflict)
     return _verdict(automaton, dims, name, seed_space, seed_space, c)
+
+
+def linear_dims_search_oracle(
+    automaton: Automaton, max_h: int, max_d: int, max_w: int, *, budget: int = DEFAULT_BUDGET
+) -> DimsSearch:
+    """The dimension search with no pruning: the library decider on every
+    cell in (h+d+w, h, d) order until the first True, an Unknown setting
+    budget_exceeded and every decided cell counting in cells_checked."""
+    cells = sorted(
+        (ExpansivityDims(h, d, w)
+         for h in range(max_h + 1) for d in range(max_d + 1) for w in range(1, max_w + 1)),
+        key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d),
+    )
+    budget_hit = False
+    checked = 0
+    for dims in cells:
+        verdict = is_left_expansive(automaton, dims, budget=budget)
+        checked += 1
+        if verdict.status is Verdict.TRUE:
+            return DimsSearch(dims, budget_hit, checked)
+        if verdict.status is Verdict.UNKNOWN:
+            budget_hit = True
+    return DimsSearch(None, budget_hit, checked)
 
 
 # -- hypothesis strategies -------------------------------------------------

@@ -182,6 +182,16 @@ def test_budget_env_override(capsys, monkeypatch):
     assert run(capsys, "classify", "eca:30")[0] == 0
 
 
+def test_negative_or_malformed_budgets_are_usage_errors(capsys, monkeypatch):
+    for argv in (("classify", "eca:30", "--budget", "-1"), ("atlas", "--budget", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "--budget" in err
+    for value in ("abc", "-5"):
+        monkeypatch.setenv("LEFTEX_BUDGET", value)
+        code, out, err = run(capsys, "classify", "eca:30")
+        assert code == 3 and out == "" and "LEFTEX_BUDGET" in err and repr(value) in err
+
+
 @pytest.mark.slow
 def test_atlas_counts_and_determinism(capsys):
     code, first, _ = run(capsys, "atlas")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from leftex import (
     Alphabet,
     Configuration,
+    DimsSearch,
     ExpansivityDims,
     MulSpec,
     Verdict,
@@ -26,9 +27,14 @@ from leftex import (
     rational_to_config,
     shift_rule,
 )
+from leftex import properties
 from leftex.errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
-from oracles import chunked_left_expansive_oracle, left_expansive_oracle
+from oracles import (
+    chunked_left_expansive_oracle,
+    left_expansive_oracle,
+    linear_dims_search_oracle,
+)
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -343,6 +349,84 @@ def test_find_dims_examples():
 def test_find_dims_respects_budget():
     search = find_left_expansive_dims(eca(110), 0, 2, 4, budget=3)
     assert search.dims is None and search.budget_exceeded
+    # the top corner alone is over budget, so no probe settles the scan
+    assert find_left_expansive_dims(eca(110), 2, 2, 4, budget=262143) == \
+        DimsSearch(None, True, 36)
+
+
+def test_find_dims_matches_linear_scan_on_every_eca():
+    for number in range(256):
+        for bounds in ((2, 2, 4), (0, 2, 4)):
+            assert find_left_expansive_dims(eca(number), *bounds) == \
+                linear_dims_search_oracle(eca(number), *bounds), (number, bounds)
+
+
+@pytest.mark.parametrize("automaton, bounds", [
+    (eca(0), (2, 2, 4)), (eca(30), (2, 2, 4)), (eca(110), (2, 2, 4)),
+    (eca(90), (0, 2, 4)), (shift_rule(A2), (2, 2, 3)), (MUL32, (1, 1, 1)),
+])
+def test_find_dims_matches_linear_scan_under_small_budgets(automaton, bounds):
+    """Budgets from 0, which leaves every cell Unknown, past the cost of the
+    top corner, which leaves none; at (2,2,4) an ECA's top corner needs
+    2**13 * 32 = 262144 evaluations."""
+    for budget in (0, 4, 10**3, 10**4, 10**5, 262143, 262144, 10**6):
+        assert find_left_expansive_dims(automaton, *bounds, budget=budget) == \
+            linear_dims_search_oracle(automaton, *bounds, budget=budget), budget
+
+
+@st.composite
+def small_dims_searches(draw):
+    """A random rule over 2 or 3 symbols with (m, n) in {0, 1}^2, search
+    bounds up to (2, 2, 3) and a budget that may cut the search short."""
+    size = draw(st.sampled_from([2, 3]))
+    m, n = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    table = bytes(draw(st.lists(st.integers(0, size - 1), min_size=size ** (m + n + 1),
+                                max_size=size ** (m + n + 1))))
+    bounds = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    budget = draw(st.sampled_from([10**2, 10**4, 10**6]))
+    return Automaton(LocalRule(Alphabet(size), m, n, table)), bounds, budget
+
+
+@given(small_dims_searches())
+@settings(max_examples=100, deadline=None)
+def test_find_dims_matches_linear_scan_on_random_rules(query):
+    automaton, bounds, budget = query
+    assert find_left_expansive_dims(automaton, *bounds, budget=budget) == \
+        linear_dims_search_oracle(automaton, *bounds, budget=budget)
+
+
+def test_find_dims_edge_bounds():
+    for automaton in (eca(30), eca(110), eca(0), MUL32):
+        for bounds in ((2, 2, 0), (0, 0, 0), (0, 0, 1), (0, 0, 4)):
+            assert find_left_expansive_dims(automaton, *bounds) == \
+                linear_dims_search_oracle(automaton, *bounds), bounds
+    assert find_left_expansive_dims(eca(30), 2, 2, 0) == DimsSearch(None, False, 0)
+
+
+def test_refuting_probe_at_the_top_corner_settles_the_search(monkeypatch):
+    calls = []
+    decide = properties.is_left_expansive
+
+    def counting(automaton, dims, **kwargs):
+        calls.append(dims)
+        return decide(automaton, dims, **kwargs)
+
+    monkeypatch.setattr(properties, "is_left_expansive", counting)
+    assert find_left_expansive_dims(eca(110), 2, 2, 4) == DimsSearch(None, False, 36)
+    assert calls == [ExpansivityDims(2, 2, 4)]
+
+
+def test_negative_budgets_are_rejected():
+    calls = [
+        lambda: is_left_expansive(eca(30), ExpansivityDims(0, 1, 2), budget=-1),
+        lambda: find_left_expansive_dims(eca(30), 2, 2, 4, budget=-1),
+        lambda: find_left_expansive_dims(eca(30), 2, 2, 0, budget=-1),
+        lambda: classify_rapid(eca(30), budget=-1),
+        lambda: classify_rapid(eca(204), budget=-1),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRange):
+            call()
 
 
 # -- spreading --------------------------------------------------------------------
