@@ -45,6 +45,17 @@ the same determined cell.  The decider is exact, so a False verdict at
 (h', d', w') is a False verdict at every smaller cell, and
 find_left_expansive_dims settles its whole search with one refuting probe
 at the top corner (max_h, max_d, max_w).
+
+Left spreading is decided by a search for a uniform witness: a t at which
+F^t has moved the left edge of every number-like x left, so that every edge
+moves left at least once every t steps.  Put the edge of x at column 0.
+Zero is quiescent and F^t(x)[j] reads x[j-tm .. j+tn], so F^t(x) is zero
+left of -tn and its cells -tn .. -1 read only zeros and the start word
+x[0 .. tn-1].  Mapping every start word with a nonzero first symbol, written
+with t(m+n) leading zeros, t times leaves exactly those cells.  When no start
+word moves the edge at t = 1, none ever does: a certified No, as is
+anticipation 0.  Each t is charged to the budget before it runs, start words
+times cells evaluated, as the decider charges seeds.
 """
 
 from __future__ import annotations
@@ -64,10 +75,8 @@ from .rules import (
     Automaton,
     LocalRule,
     _lex_words,
-    identity_rule,
     lookup_windows,
     orbit,
-    shift_inverse_rule,
     shift_rule,
     trim_vacuous,
 )
@@ -387,6 +396,36 @@ def is_left_spreading_eca(rule: Union[LocalRule, Automaton]) -> bool:
     return rule.table[1] == 1
 
 
+def _left_spreading_search(rule: LocalRule, budget: int) -> tuple[Verdict, int, int]:
+    """The uniform-witness search of the module docstring on a quiescent rule:
+    (TRUE, witness t, start words at t), (FALSE, t, start words) when no edge
+    ever moves left, or (UNKNOWN, the first t over budget, 0)."""
+    size, m, n = rule.alphabet.size, rule.memory, rule.anticipation
+    if n == 0:  # every cell left of the edge reads only zeros
+        return Verdict.FALSE, 0, 0
+    spent, t = 0, 1
+    while True:
+        first, last = size ** (t * n - 1), size ** (t * n)
+        spent += (last - first) * sum(t * (m + 2 * n) - s * (m + n) for s in range(1, t + 1))
+        if spent > budget:
+            return Verdict.UNKNOWN, t, 0
+        moved = 0
+        for start in range(first, last, _CHUNK_CAP):
+            # every index is below size**(t*n): the first t*(m+n) rows are zeros
+            rows = _lex_words(start, min(_CHUNK_CAP, last - start), size, t * (m + 2 * n))
+            for _ in range(t):
+                rows = lookup_windows(rule, rows)
+            hits = rows.any(axis=0)
+            moved += int(np.count_nonzero(hits))
+            if t > 1 and not hits.all():  # no witness; a No needs every word at t = 1
+                break
+        if moved == last - first:
+            return Verdict.TRUE, t, moved
+        if moved == 0 and t == 1:
+            return Verdict.FALSE, t, last - first
+        t += 1
+
+
 def _check_spreading_args(rule: LocalRule, horizon: int):
     if horizon < 0:
         raise OutOfRange("horizon must be nonnegative")
@@ -425,7 +464,7 @@ def left_spreading_witnesses(
 
 @dataclass(frozen=True)
 class SpeedEstimate:
-    """Tail-windowed empirical spreading speed.
+    """Tail-windowed spreading speed measured on samples.
 
     Each sample contributes max over horizon/2 <= t <= horizon of
     (edge(x) - edge(F^t x)) / t, computed as an exact rational; the
@@ -461,7 +500,7 @@ def estimate_spreading_speed(
 class RapidClassification:
     verdict: str  # "Yes" | "No" | "Unknown"
     dims: Optional[ExpansivityDims]
-    speed_basis: Optional[str]  # "exact-family" | "empirical"
+    speed_basis: Optional[str]  # "exact-family" | "uniform-witness"
     reason: str
 
     def to_json_dict(self) -> dict:
@@ -490,70 +529,48 @@ def classify_rapid(
     search_bounds: tuple[int, int, int] = (2, 2, 4),
     *,
     budget: int = DEFAULT_BUDGET,
-    spreading_horizon: int = 64,
 ) -> RapidClassification:
     """Classify an automaton as rapidly left expansive: left expansive with
     dimensions (h, d, w), left spreading with speed s, and s < 1/h.
 
-    Yes is only ever certified from exact knowledge of the speed: height-0
-    dimensions make any speed qualify (1/0 is infinite), the multiplication
-    family has speed log_pq(p/q) < 1 = 1/h, and spreading binary radius-1
-    rules have speed exactly 1.  An empirical speed estimate never upgrades
-    a height > 0 case to Yes, because s < 1/h is a strict inequality on a
-    quantity a finite run can only estimate.
+    Two families are recognized by their tables: the shift (speed 1, least
+    expansive height 1) is No, and the multiplication family (speed
+    log_pq(p/q) < 1 = 1/h at (1,1,1)) is Yes.  Any other rule is No when the
+    exact spreading search of the module docstring refutes spreading, and Yes
+    when it finds a witness and a height-0 rectangle is proved, since any
+    speed is below 1/0.  Height > 0 is never Yes: s < 1/h needs the exact speed.
     """
     _check_budget(budget)
     rule = automaton.rule
-    size = rule.alphabet.size
-    if size == 1:
+    if rule.alphabet.size == 1:
         return RapidClassification("No", None, None,
                                    "single-symbol alphabet has no number-like configurations")
     if rule.table[0] != 0:
         return RapidClassification("No", None, None,
                                    "zero is not quiescent, so the automaton is not left spreading")
     trimmed = trim_vacuous(rule)
-    if trimmed == identity_rule(rule.alphabet).rule:
-        return RapidClassification("No", None, None,
-                                   "identity automaton never moves the left edge")
-    if trimmed == LocalRule(rule.alphabet, 0, 0, bytes(size)):
-        return RapidClassification("No", None, None,
-                                   "constant-to-zero automaton erases every configuration")
     if trimmed == shift_rule(rule.alphabet).rule:
         return RapidClassification(
             "No", ExpansivityDims(1, 0, 1), "exact-family",
             "the shift spreads with speed 1 and its least expansive height is 1, so s = 1/h")
-    if trimmed == shift_inverse_rule(rule.alphabet).rule:
-        return RapidClassification("No", None, None,
-                                   "inverse shift moves the left edge right, never left")
     if _is_fractional_multiplication(trimmed):
         return RapidClassification(
             "Yes", ExpansivityDims(1, 1, 1), "exact-family",
             "fractional multiplication automaton: expansive at (1,1,1) with speed "
             "log_pq(p/q) < 1 = 1/h")
-    max_h, max_d, max_w = search_bounds
-    if size == 2 and (rule.memory, rule.anticipation) == (1, 1):
-        if rule.table[1] != 1:
-            return RapidClassification("No", None, None,
-                                       "binary radius-1 rule maps 001 to 0: not left spreading")
-        found = find_left_expansive_dims(automaton, 0, max_d, max_w, budget=budget)
-        if found.dims is not None:
-            return RapidClassification(
-                "Yes", found.dims, "exact-family",
-                "spreading binary radius-1 rule (speed exactly 1) with a height-0 rectangle")
-        why = "budget exhausted searching height-0 rectangles" if found.budget_exceeded else \
-            "no height-0 rectangle within bounds; speed is exactly 1, so height >= 1 cannot qualify"
-        return RapidClassification("Unknown", None, None, why)
+    status, t, words = _left_spreading_search(trimmed, budget)
+    if status is Verdict.UNKNOWN:
+        return RapidClassification("Unknown", None, None,
+                                   f"budget exhausted before spreading search t={t}")
+    searched = f"spreading search t={t}, start words checked: {words}"
+    if status is Verdict.FALSE:
+        why = "the trimmed rule reads nothing to its right" if t == 0 else searched
+        return RapidClassification("No", None, None, f"no left edge ever moves left ({why})")
+    _, max_d, max_w = search_bounds
     found = find_left_expansive_dims(automaton, 0, max_d, max_w, budget=budget)
     if found.dims is not None:
-        sample = Configuration.single(rule.alphabet, 1)
-        witness = left_spreading_witnesses(automaton, [sample], spreading_horizon)[0]
-        if witness is not None:
-            return RapidClassification(
-                "Yes", found.dims, "empirical",
-                f"height-0 rectangle proved and a spreading witness found at t={witness}")
-        return RapidClassification(
-            "Unknown", found.dims, None,
-            f"height-0 rectangle proved but no spreading witness within t <= {spreading_horizon}")
+        return RapidClassification("Yes", found.dims, "uniform-witness",
+                                   f"uniform witness ({searched}) and a proved height-0 rectangle")
     why = "budget exhausted searching height-0 rectangles" if found.budget_exceeded else \
-        "no height-0 rectangle within bounds and no exact speed knowledge for height > 0"
-    return RapidClassification("Unknown", None, None, why)
+        "no height-0 rectangle within bounds, and height > 0 needs the exact speed"
+    return RapidClassification("Unknown", None, None, f"uniform witness ({searched}), but {why}")

@@ -305,7 +305,7 @@ def trim_vacuous(rule: LocalRule) -> LocalRule:
     return LocalRule(rule.alphabet, m, n, table)
 
 
-def compose(outer: Automaton, inner: Automaton, *, max_table: int = DEFAULT_COMPOSE_GUARD) -> Automaton:
+def compose(outer: Automaton, inner: Automaton) -> Automaton:
     """The automaton x -> outer(inner(x)), with a materialized product table.
 
     The raw product has memory m_o+m_i and anticipation n_o+n_i; vacuous edge
@@ -320,9 +320,9 @@ def compose(outer: Automaton, inner: Automaton, *, max_table: int = DEFAULT_COMP
     n = outer.anticipation + inner.anticipation
     width = m + n + 1
     total = size**width
-    if total > max_table:
+    if total > DEFAULT_COMPOSE_GUARD:
         raise TableTooLarge(
-            f"composed table would need {total} entries (guard {max_table})"
+            f"composed table would need {total} entries (guard {DEFAULT_COMPOSE_GUARD})"
         )
     chunks = []
     for first in range(0, total, _COMPOSE_CHUNK):

@@ -7,7 +7,8 @@ preperiods, digit expansions by one long division, primitive roots by
 searching w+w for w, padded finite simulation, cubic period search,
 rolling-index rule evaluation, block-by-block vacuity tests, symbol-by-symbol
 canonicalization, expansivity searches over every full-length seed, traces
-read pointwise off canonical orbits) without touching the library's fast
+read pointwise off canonical orbits, left edges read off stepped
+configurations) without touching the library's fast
 paths, so tests compare two genuinely different routes to the same answer.
 The one exception is the dimension search that decides every cell: it calls
 the library's decider, which the oracles above check, so that it tests the
@@ -34,9 +35,9 @@ from leftex import (
     Verdict,
     is_left_expansive,
 )
-from leftex.configuration import _rotl
+from leftex.configuration import _rotl, left_edge
 from leftex.properties import DEFAULT_BUDGET
-from leftex.rules import LocalRule, orbit
+from leftex.rules import LocalRule, apply, orbit
 from leftex.words import cyclic_slice, first_mismatch
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
@@ -426,6 +427,26 @@ def linear_dims_search_oracle(
         if verdict.status is Verdict.UNKNOWN:
             budget_hit = True
     return DimsSearch(None, budget_hit, checked)
+
+
+def left_edge_moves_oracle(automaton: Automaton, t: int, rng) -> list[bool]:
+    """For every start word u of length max(t*n, 1) with u[0] != 0, in
+    lexicographic order, whether F^t moves the left edge of the number-like
+    configuration 0^inf . u v^inf (u at column 0) left of 0, where v is a
+    random right period with a nonzero symbol: the configuration is stepped
+    t times with apply and its left edge read off."""
+    size, alphabet = automaton.alphabet.size, automaton.alphabet
+    out = []
+    for u in itertools.product(range(size), repeat=max(t * automaton.anticipation, 1)):
+        if u[0] == 0:
+            continue
+        period = [rng.randrange(size) for _ in range(rng.randint(1, 3))]
+        period[rng.randrange(len(period))] = rng.randrange(1, size)
+        y = Configuration(alphabet, 0, b"\x00", bytes(u), bytes(period))
+        for _ in range(t):
+            y = apply(automaton, y)
+        out.append(not y.is_zero and left_edge(y) < 0)
+    return out
 
 
 # -- hypothesis strategies -------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from leftex import (
     Alphabet,
@@ -13,6 +13,7 @@ from leftex import (
     ExpansivityDims,
     MulSpec,
     Verdict,
+    apply,
     classify_rapid,
     eca,
     eca_rule,
@@ -23,6 +24,7 @@ from leftex import (
     is_left_permutive,
     is_left_spreading_eca,
     left_spreading_witnesses,
+    parse_configuration,
     patch,
     rational_to_config,
     shift_rule,
@@ -32,13 +34,17 @@ from leftex.errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNot
 from leftex.rules import Automaton, LocalRule
 from oracles import (
     chunked_left_expansive_oracle,
+    left_edge_moves_oracle,
     left_expansive_oracle,
     linear_dims_search_oracle,
+    symbols,
 )
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
 MUL32 = fractional_multiplication_rule(MulSpec(3, 2))
+#: a binary (1,2) rule under which [L:0] 11 [R:0] @0 moves one cell right per step
+GLIDER = Automaton(LocalRule(A2, 1, 2, bytes.fromhex("00000100000100010101000101000100")))
 
 
 def random_left_permutive_rule(rng, size=3):
@@ -444,6 +450,55 @@ def test_spreading_criterion_census():
     assert sum(is_left_spreading_eca(eca_rule(k)) for k in range(256)) == 128
 
 
+def test_spreading_search_decides_every_eca_at_t1():
+    """On a binary (1,1) table the search reads F(x)[-1] = f(0,0,1) for the
+    one start word 1, so it is the 001 criterion at a cost of one evaluation."""
+    for number in range(256):
+        expected = Verdict.TRUE if is_left_spreading_eca(eca_rule(number)) else Verdict.FALSE
+        assert properties._left_spreading_search(eca_rule(number), 1) == (expected, 1, 1)
+        assert properties._left_spreading_search(eca_rule(number), 0)[0] is Verdict.UNKNOWN
+
+
+def test_spreading_search_reads_every_start_word_before_a_no():
+    """Under f(a, b1, ..., b12) = b1 and b2 only the second chunk of the
+    2048 start words at t = 1 moves the edge, so t = 1 is mixed.  Its
+    2048 * 12 evaluations are charged before it runs, and t = 2 is over
+    budget."""
+    rule = LocalRule(A2, 0, 12, bytes(int(k >> 10 & 3 == 3) for k in range(2**13)))
+    assert properties._left_spreading_search(rule, 2048 * 12) == (Verdict.UNKNOWN, 2, 0)
+    assert properties._left_spreading_search(rule, 2048 * 12 - 1) == (Verdict.UNKNOWN, 1, 0)
+
+
+@st.composite
+def quiescent_rules(draw):
+    """A zero-quiescent rule over 2 or 3 symbols with m, n <= 2."""
+    size = draw(st.sampled_from([2, 3]))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entries = size ** (m + n + 1) - 1
+    table = [0] + draw(st.lists(symbols(size), min_size=entries, max_size=entries))
+    return Automaton(LocalRule(Alphabet(size), m, n, bytes(table)))
+
+
+@given(quiescent_rules(), st.sampled_from([10**2, 10**3, 10**4]), st.randoms())
+@example(Automaton(LocalRule(A2, 1, 2, bytes.fromhex("00000100000001010101000001000000"))),
+         10**4, random.Random(0))  # a witness at t = 3, moving cells left of -n
+@example(GLIDER, 10**4, random.Random(0))  # mixed at every t the budget covers
+@settings(max_examples=60, deadline=None)
+def test_spreading_search_matches_edge_oracle(automaton, budget, rng):
+    """By the oracle, a No is none-move at t = 1, every t the search ruled
+    out is mixed at t = 1 and not all-move after, and a witness is all-move."""
+    status, t, words = properties._left_spreading_search(automaton.rule, budget)
+    if status is Verdict.FALSE:
+        assert t <= 1 and not any(left_edge_moves_oracle(automaton, 1, rng))
+        return
+    for s in range(1, t):
+        moved = set(left_edge_moves_oracle(automaton, s, rng))
+        assert False in moved and (s > 1 or True in moved), s
+    if status is Verdict.TRUE:
+        witness = left_edge_moves_oracle(automaton, t, rng)
+        assert all(witness) and words == len(witness)
+
+
 def test_witnesses():
     # (3/2)^t first gains a base-6 integer digit at t=5 (when it passes 6)
     assert left_spreading_witnesses(MUL32, [rational_to_config(1, 6)], 20) == [5]
@@ -482,7 +537,7 @@ def test_classify_rule30():
     result = classify_rapid(eca(30))
     assert result.verdict == "Yes"
     assert result.dims == ExpansivityDims(0, 1, 2)
-    assert result.speed_basis == "exact-family"
+    assert result.speed_basis == "uniform-witness"
 
 
 def test_classify_mul():
@@ -515,6 +570,26 @@ def test_classify_negative_cases():
     assert classify_rapid(eca(0)).verdict == "No"  # constant to zero
     assert classify_rapid(eca(1)).verdict == "No"  # zero not quiescent
     assert classify_rapid(eca(184)).verdict == "No"  # 001 -> 0, never spreads
+    # the certified No costs one evaluation, which budget 0 does not cover
+    assert classify_rapid(eca(184), budget=0).verdict == "Unknown"
+    assert classify_rapid(eca(184), budget=1).verdict == "No"
+
+
+def test_classify_single_symbol_alphabet_is_no():
+    """A single-symbol alphabet has no number-like configuration and no
+    start word with a nonzero first symbol; zero words are no witness."""
+    for m, n in ((0, 0), (1, 1), (0, 2)):
+        rule = LocalRule(Alphabet(1), m, n, bytes(1))
+        assert classify_rapid(Automaton(rule)).verdict == "No"
+
+
+def test_classify_never_says_yes_when_an_edge_moves_right():
+    """The single 1 moves left under the glider rule, but 11 moves one cell
+    right at every step, so the rule is not left spreading although that one
+    sample spreads."""
+    x = parse_configuration("[L:0] 11 [R:0] @0", A2)
+    assert apply(GLIDER, x) == x.shift(-1)
+    assert classify_rapid(GLIDER).verdict != "Yes"
 
 
 def test_classify_unknown_never_uses_empirical_speed_for_positive_height():

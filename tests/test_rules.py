@@ -195,8 +195,11 @@ def test_compose_matches_per_neighborhood_oracle(data):
 
 
 def test_compose_size_guard():
+    """Two binary (6,6) rules compose to width 25, whose 2**25 entries are
+    over the guard of 10**7; it raises before anything is tabulated."""
+    wide = Automaton(LocalRule(Alphabet(2), 6, 6, bytes(2**13)))
     with pytest.raises(TableTooLarge):
-        compose(eca(30), eca(30), max_table=10)
+        compose(wide, wide)
 
 
 def test_compose_working_memory_does_not_grow_with_the_table():
