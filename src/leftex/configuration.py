@@ -75,28 +75,17 @@ def _continuation_length(head: bytes, period: bytes, limit: int, backward: bool)
     ``backward``, how many of its last ``limit`` symbols continue it leftwards
     from period's last symbol (head[-1-k] == period[-1-k mod p]).
 
-    Compares chunks of doubling size, starting at one period, so the cost is
-    O(result + period); only one symbol is compared when the first one
-    already breaks the cycle.
+    One comparison of ``limit`` symbols, at C speed; only one symbol is
+    compared when the first one already breaks the cycle.
     """
     if not limit or head[-1 if backward else 0] != period[-1 if backward else 0]:
         return 0
-    end = len(head)
-    done, size = 0, len(period)
-    while done < limit:
-        size = min(size, limit - done)
-        if backward:
-            part = head[end - done - size:end - done][::-1]
-            expect = cyclic_slice(period, -done - size, size)[::-1]
-        else:
-            part = head[done:done + size]
-            expect = cyclic_slice(period, done, size)
-        miss = first_mismatch(part, expect)
-        if miss is not None:
-            return done + miss
-        done += size
-        size *= 2
-    return limit
+    if backward:
+        miss = first_mismatch(head[len(head) - limit:][::-1],
+                              cyclic_slice(period, -limit, limit)[::-1])
+    else:
+        miss = first_mismatch(head[:limit], cyclic_slice(period, 0, limit))
+    return limit if miss is None else miss
 
 
 def _canonical_parts(anchor: int, lp: bytes, head: bytes, rp: bytes):
@@ -296,13 +285,19 @@ class OneSidedSeq:
         return self.head + cyclic_slice(self.period, 0, count - len(self.head))
 
 
+def _fractional_part(alphabet: Alphabet, anchor: int, lp: bytes, head: bytes, rp: bytes,
+                     c: int) -> OneSidedSeq:
+    """The one-sided sequence i -> x[c+i] of the configuration laid out as
+    (anchor, left period, head, right period), canonical or not."""
+    s = anchor + len(head)
+    if c >= s:
+        return OneSidedSeq(alphabet, b"", _rotl(rp, (c - s) % len(rp)))
+    return OneSidedSeq(alphabet, _window(anchor, lp, head, rp, c, s - 1), rp)
+
+
 def fractional_part(x: Configuration, c: int) -> OneSidedSeq:
     """The one-sided sequence i -> x[c+i]."""
-    s = x.anchor + len(x.head)
-    if c >= s:
-        off = (c - s) % len(x.right_period)
-        return OneSidedSeq(x.alphabet, b"", _rotl(x.right_period, off))
-    return OneSidedSeq(x.alphabet, x.window(c, s - 1), x.right_period)
+    return _fractional_part(x.alphabet, x.anchor, x.left_period, x.head, x.right_period, c)
 
 
 def seq_equal(a: OneSidedSeq, b: OneSidedSeq) -> bool:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .configuration import Configuration, fractional_part, seq_equal
+from .configuration import Configuration, _fractional_part, seq_equal
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
-from .rules import Automaton, columns, orbit, trace
+from .rules import Automaton, _states, columns, trace
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,15 @@ def recurrence_scan(
     automaton: Automaton, x: Configuration, c: int, horizon: int
 ) -> list[int]:
     """All t in [1, horizon] at which the one-sided sequence from index c
-    returns exactly (as an infinite object) to its initial value."""
+    returns exactly (as an infinite object) to its initial value.  Each
+    tail is read off a raw state of the orbit walker and canonicalized as a
+    OneSidedSeq, with no Configuration per step."""
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
-    target = fractional_part(x, c)
-    images = orbit(automaton, x)
-    next(images)  # x itself
-    return [t for t, y in zip(range(1, horizon + 1), images)
-            if seq_equal(fractional_part(y, c), target)]
+    states = _states(automaton, x)
+    target = _fractional_part(x.alphabet, *next(states), c)  # x's own tail
+    return [t for t, state in zip(range(1, horizon + 1), states)
+            if seq_equal(_fractional_part(x.alphabet, *state, c), target)]
 
 
 def limit_point_census(

@@ -58,10 +58,6 @@ class BadDims(LeftexError):
     """Invalid rectangle or permutivity dimensions."""
 
 
-class IncompatibleRule(LeftexError):
-    """A rule cannot be re-expressed with the requested memory/anticipation."""
-
-
 class NotECA(LeftexError):
     """A binary radius-1 rule was required."""
 

@@ -51,7 +51,7 @@ import numpy as np
 from .configuration import Alphabet, Configuration
 from .errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive, OutOfRange
 from .rules import Automaton, LocalRule, compose, orbit, shift_inverse_rule
-from .words import cyclic_slice
+from .words import _factorize, cyclic_slice
 
 RationalLike = Union[int, Fraction]
 
@@ -217,24 +217,6 @@ def _period_split(den: int, base: int) -> tuple[int, int]:
         v, den = _valuation(den, p)
         pre = max(pre, -(-v // e))
     return pre, den
-
-
-def _factorize(v: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while v % p == 0:
-            out[p] = out.get(p, 0) + 1
-            v //= p
-    f = 5
-    while f * f <= v:
-        for p in (f, f + 2):
-            while v % p == 0:
-                out[p] = out.get(p, 0) + 1
-                v //= p
-        f += 6
-    if v > 1:
-        out[v] = out.get(v, 0) + 1
-    return out
 
 
 def _carmichael(factors: dict[int, int]) -> int:

@@ -69,14 +69,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .configuration import Configuration, left_edge
-from .errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
+from .errors import BadDims, NotECA, OutOfRange, ZeroNotQuiescent
 from .numeric import MulSpec, fractional_multiplication_rule
 from .rules import (
     Automaton,
     LocalRule,
     _lex_words,
+    _states,
     lookup_windows,
-    orbit,
     shift_rule,
     trim_vacuous,
 )
@@ -192,41 +192,20 @@ def _as_rule(rule_or_automaton: Union[LocalRule, Automaton]) -> LocalRule:
     return rule_or_automaton
 
 
-def is_left_permutive(
-    rule: Union[LocalRule, Automaton],
-    memory: Optional[int] = None,
-    anticipation: Optional[int] = None,
-) -> bool:
+def is_left_permutive(rule: Union[LocalRule, Automaton]) -> bool:
     """True iff fixing the last memory+anticipation neighborhood symbols
     always leaves a bijection in the leftmost one.
 
-    The rule is re-expressed with the requested (memory, anticipation) by
-    padding vacuous positions when possible; a padded leftmost position makes
-    the leftmost section constant, hence not bijective on alphabets with
-    more than one symbol.
+    A vacuous leftmost position makes every section constant, hence not
+    bijective on alphabets with more than one symbol.
     """
     rule = _as_rule(rule)
-    if memory is None:
-        memory = rule.memory
-    if anticipation is None:
-        anticipation = rule.anticipation
-    if memory < 1:
+    if rule.memory < 1:
         raise BadDims("left permutivity requires memory >= 1")
-    trimmed = trim_vacuous(rule)
-    if memory < trimmed.memory or anticipation < trimmed.anticipation:
-        raise IncompatibleRule(
-            f"rule genuinely depends on ({trimmed.memory},{trimmed.anticipation}); "
-            f"cannot re-express as ({memory},{anticipation})"
-        )
-    size = rule.alphabet.size
-    if memory > trimmed.memory:
-        return size == 1
-    table = trimmed.table
+    size, table = rule.alphabet.size, rule.table
     chunk = len(table) // size
-    for rest in range(chunk):
-        if len({table[a * chunk + rest] for a in range(size)}) != size:
-            return False
-    return True
+    return all(len({table[a * chunk + rest] for a in range(size)}) == size
+               for rest in range(chunk))
 
 
 def _check_budget(budget: int) -> None:
@@ -434,14 +413,18 @@ def _check_spreading_args(rule: LocalRule, horizon: int):
 
 
 def _edge_trajectory(automaton: Automaton, x: Configuration, horizon: int):
-    """(t, left edge of F^t(x)) for t = 1 .. horizon, stopping at the zero
-    configuration: the rule is quiescent, so the orbit stays there."""
-    images = orbit(automaton, x)
-    next(images)  # x itself
-    for t, y in zip(range(1, horizon + 1), images):
-        if y.is_zero:
+    """(t, left edge of F^t(x)) for t = 1 .. horizon, read off the raw states
+    of the orbit walker, stopping at the zero configuration, where the orbit
+    stays.  The rule is quiescent and x number-like, so every state's left
+    period is 0 and its edge is the first nonzero symbol of the head, else
+    of the right period."""
+    states = _states(automaton, x)
+    next(states)  # x itself
+    for t, (anchor, _, head, rp) in zip(range(1, horizon + 1), states):
+        rest = (head + rp).lstrip(b"\x00")
+        if not rest:
             return
-        yield t, left_edge(y)
+        yield t, anchor + len(head) + len(rp) - len(rest)
 
 
 def left_spreading_witnesses(

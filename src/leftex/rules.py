@@ -21,15 +21,17 @@ lexicographic order by _lex_words (the decider's seed enumerator too),
 through the inner rule and then the outer one, a fixed-size chunk of words
 at a time so that working memory does not grow with the table.
 
-Two lazy generators walk along an orbit, and both compute F^(t+1)(x) only
-when it is asked for.  orbit() yields canonical configurations, each step
-being apply(), which is _step followed by canonicalization; recurrence
-scans, speeds, witnesses, simulate and verify_mul need those.  columns()
-yields only the words F^t(x)[i..j], which is all that traces, limit-point
-censuses and rasters read, so it steps the raw state and reads each row off
-it.  It canonicalizes again only once the raw head is longer than twice the
-head of the last canonical state plus 64, which keeps its work within about
-twice that of orbit() and never quadratic in the number of steps.
+One lazy walker, _states, steps along an orbit: it computes the raw state
+of F^(t+1)(x) only when it is asked for, and it is the only loop that calls
+_step.  It canonicalizes again only once the raw head is longer than twice
+the head of the last canonical state plus 64, which keeps the work per step
+within about twice that of a canonical orbit and never quadratic in the
+number of steps.  Every walk reads the walker: columns() yields only the
+words F^t(x)[i..j], which is all that traces, limit-point censuses and
+rasters read; left edges and recurrences of tails are read off the raw
+state too; only orbit() builds a canonical Configuration per step, for
+simulate, verify_mul and library callers.  apply() stays the public
+one-step function, _step followed by canonicalization.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ class Automaton:
     @property
     def anticipation(self) -> int:
         return self.rule.anticipation
-
-    @property
-    def radius(self) -> int:
-        return max(self.rule.memory, self.rule.anticipation)
 
 
 def make_rule(
@@ -216,8 +214,8 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
-    ``apply``, ``columns`` and ``patch``, a bytes wrapper over
-    ``lookup_windows``.
+    ``_step`` (so behind ``apply`` and every orbit walk) and ``patch``, a
+    bytes wrapper over ``lookup_windows``.
     """
     if len(samples) < rule.width:
         raise SeedTooShort(f"need at least {rule.width} symbols, got {len(samples)}")
@@ -251,37 +249,45 @@ def apply(automaton: Automaton, x: Configuration) -> Configuration:
         x.alphabet, *_step(automaton.rule, x.anchor, x.left_period, x.head, x.right_period))
 
 
-def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
-    """The orbit x, F(x), F^2(x), ... as a lazy generator.
-
-    F^(t+1)(x) is computed only when it is asked for, so a caller that takes
-    k configurations, by zipping with range(k) (range first, so zip stops
-    before asking the orbit again) or by breaking out of a loop, spends
-    exactly k-1 applications.
-    """
-    while True:
-        yield x
-        x = apply(automaton, x)
-
-
-def columns(automaton: Automaton, x: Configuration, i: int, j: int) -> Iterator[bytes]:
-    """The column words F^t(x)[i..j] for t = 0, 1, ... as a lazy generator.
-
-    Like orbit(), it steps only when the next row is asked for, but it steps
-    the raw (anchor, left period, head, right period) state and reads each
-    row straight off it, with no Configuration per row.
+def _states(automaton: Automaton,
+            x: Configuration) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    """The raw (anchor, left period, head, right period) states of the orbit
+    x, F(x), F^2(x), ..., the first being x's own parts, as a lazy generator:
+    a caller that takes k states spends exactly k-1 steps.  A state is
+    canonical only after a re-canonicalization (see the module docstring).
     """
     if automaton.alphabet != x.alphabet:
         raise AlphabetMismatch("automaton and configuration alphabets differ")
     rule = automaton.rule
     state = (x.anchor, x.left_period, x.head, x.right_period)
-    limit = 2 * len(x.head) + 64
     while True:
+        limit = 2 * len(state[2]) + 64
+        while len(state[2]) <= limit:
+            yield state
+            state = _step(rule, *state)
+        state = _canonical_parts(*state)
+
+
+def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
+    """The orbit x, F(x), F^2(x), ... as a lazy generator.
+
+    Every image is a state of the walker, canonicalized.  A caller that
+    takes k configurations, by zipping with range(k) (range first, so zip
+    stops before asking the orbit again) or by breaking out of a loop,
+    spends exactly k-1 steps.
+    """
+    states = _states(automaton, x)
+    next(states)  # x's own parts
+    yield x
+    for state in states:
+        yield Configuration._from_trusted(x.alphabet, *state)
+
+
+def columns(automaton: Automaton, x: Configuration, i: int, j: int) -> Iterator[bytes]:
+    """The column words F^t(x)[i..j] for t = 0, 1, ... as a lazy generator,
+    read straight off the walker's raw states, with no Configuration per row."""
+    for state in _states(automaton, x):
         yield _window(*state, i, j)
-        state = _step(rule, *state)
-        if len(state[2]) > limit:
-            state = _canonical_parts(*state)
-            limit = 2 * len(state[2]) + 64
 
 
 # -- composition --------------------------------------------------------------

@@ -65,26 +65,40 @@ def format_word(w: bytes, alphabet_size: int) -> str:
     return ",".join(str(s) for s in w)
 
 
+def _factorize(v: int) -> dict[int, int]:
+    """The prime factorization {p: e} of v >= 1, by trial division."""
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while v % p == 0:
+            out[p] = out.get(p, 0) + 1
+            v //= p
+    f = 5
+    while f * f <= v:
+        for p in (f, f + 2):
+            while v % p == 0:
+                out[p] = out.get(p, 0) + 1
+                v //= p
+        f += 6
+    if v > 1:
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
 def primitive_root(w: bytes) -> bytes:
     """Shortest word u with w == u^k.
 
     The lengths d dividing n = len(w) with w[d:] == w[:n-d] are exactly the
     multiples of the root's length that divide n, so starting from d = n and
     dividing d by each prime factor r of n while d/r still qualifies reaches
-    the root.  Only the prime factors of n are needed, found by trial
-    division, and each test is one comparison of two slices.
+    the root.  Only the prime factors of n are needed, and each test is one
+    comparison of two slices.
     """
-    n = d = rest = len(w)
-    r = 2
-    while rest > 1:
-        if r * r > rest:
-            r = rest
-        if rest % r == 0:
-            while rest % r == 0:
-                rest //= r
-            while d % r == 0 and w[d // r:] == w[:n - d // r]:
-                d //= r
-        r += 1
+    if not w:
+        return w
+    n = d = len(w)
+    for r in _factorize(n):
+        while d % r == 0 and w[d // r:] == w[:n - d // r]:
+            d //= r
     return w[:d]
 
 

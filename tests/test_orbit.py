@@ -1,14 +1,18 @@
-"""The orbit and column generators, and how many steps each walk spends.
+"""The orbit walker and its readers, and how many steps each walk spends.
 
-Every walk along an orbit goes through rules.orbit, which calls rules.apply,
-or through rules.columns; both step with rules._step, and counting those
-calls pins each consumer to the number of images it needs, so none of them
-computes one image too many.
+Every walk along an orbit reads the raw states of one walker,
+rules._states: rules.orbit canonicalizes them, rules.columns reads a window
+off each, and the spreading and recurrence scans read a left edge or a tail
+off each.  The walker is the only loop that calls rules._step, so counting
+those calls pins each consumer to the number of images it needs, and none
+of them computes one image too many.
 """
 
 import contextlib
 import io
 import random
+from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +41,7 @@ from leftex import (
 )
 from leftex.cli import main
 
-from oracles import trace_oracle
+from oracles import edge_trajectory_oracle, orbit_oracle, recurrence_oracle, trace_oracle
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -47,7 +51,7 @@ TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
 @pytest.fixture
 def applied(monkeypatch):
     """A list that grows by one entry per rules._step call, the step that
-    both rules.apply and rules.columns take."""
+    rules.apply and the orbit walker take."""
     calls = []
     real = leftex.rules._step
 
@@ -200,3 +204,43 @@ def test_columns_work_is_linear_in_the_steps(monkeypatch):
     trace(eca(204), ONE, -3, 3, horizon)
     assert len(mapped) == horizon - 1
     assert sum(mapped) <= 100 * (horizon - 1)
+
+
+# -- raw-state readers against the canonical orbit ---------------------------
+
+
+@st.composite
+def number_like_cases(draw):
+    """A random quiescent rule, a number-like configuration with a random
+    nonzero right period, and a horizon long enough for the walker to
+    canonicalize mid-walk."""
+    size = draw(st.integers(2, 4))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = bytes([0] + [rng.randrange(size) for _ in range(size ** (m + n + 1) - 1)])
+    automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+    sym = st.integers(0, size - 1)
+    head = draw(st.lists(sym, max_size=12))
+    rp = draw(st.lists(sym, min_size=1, max_size=6))
+    rp[draw(st.integers(0, len(rp) - 1))] = draw(st.integers(1, size - 1))
+    x = Configuration(Alphabet(size), draw(st.integers(-10, 10)), b"\x00", head, rp)
+    return automaton, x, draw(st.integers(1, 400))
+
+
+@given(number_like_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orbit_consumers_match_the_canonical_orbit(case, data):
+    automaton, x, horizon = case
+    assert list(islice(orbit(automaton, x), horizon)) == orbit_oracle(automaton, x, horizon)
+
+    base = x.anchor
+    edges = edge_trajectory_oracle(automaton, x, horizon)
+    witness = next((t for t, edge in edges if edge < base), None)
+    assert left_spreading_witnesses(automaton, [x], horizon) == [witness]
+    rate = max((Fraction(base - edge, t) for t, edge in edges if 2 * t >= horizon), default=None)
+    speed = estimate_spreading_speed(automaton, [x], horizon)
+    assert speed.per_sample == (rate,)
+    assert speed.estimate == (Fraction(0) if rate is None else rate)
+
+    c = data.draw(st.integers(x.anchor - 4, x.anchor + len(x.head) + 4))
+    assert recurrence_scan(automaton, x, c, horizon) == recurrence_oracle(automaton, x, c, horizon)

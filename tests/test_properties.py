@@ -30,7 +30,7 @@ from leftex import (
     shift_rule,
 )
 from leftex import properties
-from leftex.errors import BadDims, IncompatibleRule, NotECA, OutOfRange, ZeroNotQuiescent
+from leftex.errors import BadDims, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
 from oracles import (
     chunked_left_expansive_oracle,
@@ -74,21 +74,15 @@ def test_permutive_census_is_sixteen():
 
 def test_permutive_requires_memory():
     with pytest.raises(BadDims):
-        is_left_permutive(eca_rule(30), memory=0, anticipation=2)
+        is_left_permutive(shift_rule(A2))
 
 
 def test_permutive_reexpression():
     # rule 170 only reads its right neighbor; as a (1,1) rule its leftmost
     # section is constant, hence not bijective
     assert not is_left_permutive(eca_rule(170))
-    with pytest.raises(IncompatibleRule):
-        is_left_permutive(eca_rule(30), memory=1, anticipation=0)
-    # padding on the right is harmless
-    sigma_inv_table = {(a, b): a for a in (0, 1) for b in (0, 1)}
-    from leftex import make_rule
-
-    rule = make_rule(A2, 1, 0, {bytes(k): v for k, v in sigma_inv_table.items()})
-    assert is_left_permutive(rule, memory=1, anticipation=1)
+    # on one symbol every section is a bijection
+    assert is_left_permutive(LocalRule(Alphabet(1), 1, 1, b"\x00"))
 
 
 def test_random_permutive_rules_are_expansive():
