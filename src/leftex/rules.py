@@ -22,16 +22,18 @@ through the inner rule and then the outer one, a fixed-size chunk of words
 at a time so that working memory does not grow with the table.
 
 One lazy walker, _states, steps along an orbit: it computes the raw state
-of F^(t+1)(x) only when it is asked for, and it is the only loop that calls
-_step.  It canonicalizes again only once the raw head is longer than twice
-the head of the last canonical state plus 64, which keeps the work per step
-within about twice that of a canonical orbit and never quadratic in the
-number of steps.  Every walk reads the walker: columns() yields only the
-words F^t(x)[i..j], which is all that traces, limit-point censuses and
-rasters read; left edges and recurrences of tails are read off the raw
-state too; only orbit() builds a canonical Configuration per step, for
-simulate, verify_mul and library callers.  apply() stays the public
-one-step function, _step followed by canonicalization.
+of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
+caller of _step.  It canonicalizes again only once the raw head is longer
+than twice the head of the last canonical state plus 64, which keeps the
+work per step within about twice that of a canonical orbit and never
+quadratic in the number of steps.  Every walk that reads less than a whole
+configuration reads the walker: columns() yields only the words
+F^t(x)[i..j], which is all that traces, limit-point censuses and rasters
+read, and left edges and recurrences of tails are read off the raw state
+too.  orbit() yields canonical configurations, for simulate, verify_mul and
+library callers; it steps each canonical image with apply(), which is _step
+followed by canonicalization and never steps a head longer than the
+canonical one.
 """
 
 from __future__ import annotations
@@ -271,16 +273,14 @@ def _states(automaton: Automaton,
 def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
     """The orbit x, F(x), F^2(x), ... as a lazy generator.
 
-    Every image is a state of the walker, canonicalized.  A caller that
-    takes k configurations, by zipping with range(k) (range first, so zip
-    stops before asking the orbit again) or by breaking out of a loop,
-    spends exactly k-1 steps.
+    F^(t+1)(x) is computed only when it is asked for, so a caller that takes
+    k configurations, by zipping with range(k) (range first, so zip stops
+    before asking the orbit again) or by breaking out of a loop, spends
+    exactly k-1 applications.
     """
-    states = _states(automaton, x)
-    next(states)  # x's own parts
-    yield x
-    for state in states:
-        yield Configuration._from_trusted(x.alphabet, *state)
+    while True:
+        yield x
+        x = apply(automaton, x)
 
 
 def columns(automaton: Automaton, x: Configuration, i: int, j: int) -> Iterator[bytes]:
