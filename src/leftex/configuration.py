@@ -265,6 +265,9 @@ class OneSidedSeq:
         p = self.alphabet.check_word(word(self.period), "period")
         if not p:
             raise SymbolOutOfRange("period word must be nonempty")
+        self._canonicalize(h, p)
+
+    def _canonicalize(self, h: bytes, p: bytes) -> None:
         p = primitive_root(p)
         back = _continuation_length(h, p, len(h), backward=True)
         if back:
@@ -272,6 +275,15 @@ class OneSidedSeq:
             p = _rotl(p, -back)
         object.__setattr__(self, "head", h)
         object.__setattr__(self, "period", p)
+
+    @classmethod
+    def _from_trusted(cls, alphabet: Alphabet, head: bytes, period: bytes) -> "OneSidedSeq":
+        """Canonicalize words cut from a validated configuration without
+        re-validating their symbol ranges."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "alphabet", alphabet)
+        seq._canonicalize(head, period)
+        return seq
 
     def at(self, i: int) -> int:
         if i < len(self.head):
@@ -291,8 +303,8 @@ def _fractional_part(alphabet: Alphabet, anchor: int, lp: bytes, head: bytes, rp
     (anchor, left period, head, right period), canonical or not."""
     s = anchor + len(head)
     if c >= s:
-        return OneSidedSeq(alphabet, b"", _rotl(rp, (c - s) % len(rp)))
-    return OneSidedSeq(alphabet, _window(anchor, lp, head, rp, c, s - 1), rp)
+        return OneSidedSeq._from_trusted(alphabet, b"", _rotl(rp, (c - s) % len(rp)))
+    return OneSidedSeq._from_trusted(alphabet, _window(anchor, lp, head, rp, c, s - 1), rp)
 
 
 def fractional_part(x: Configuration, c: int) -> OneSidedSeq:

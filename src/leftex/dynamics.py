@@ -163,7 +163,7 @@ def limit_point_census(
         raise OutOfRange("prefix lengths must be at least 1")
     n_max = lengths[-1]
     seen: dict[int, set[bytes]] = {n: set() for n in lengths}
-    for t, w in zip(range(horizon + 1), columns(automaton, x, c, c + n_max - 1)):
+    for t, w in enumerate(columns(automaton, x, c, c + n_max - 1, horizon + 1)):
         if 2 * t >= horizon:
             for n in lengths:
                 seen[n].add(w[:n])

@@ -4,8 +4,11 @@ PBM is the canonical golden-file format: textual, diffable, bit-exact.
 Any alphabet renders to PBM by thresholding (symbol > 0 becomes 1), matching
 the usual black-nonzero depiction of diagrams.  PGM maps symbols through a
 gray palette, evenly spaced by default.  Rows are streamed from
-rules.columns, so memory stays bounded by one stepped state (at most about
-twice the size of a canonical configuration) plus one raster row.
+rules.columns, given the row count, so memory stays bounded by one stepped
+state (at most about twice the size of a canonical configuration) plus one
+raster row: once the light cone of the remaining rows is no wider than that
+state, columns maps the cone instead.  Each row is formatted by one
+bytes.translate (PBM, ASCII) or one join over per-symbol gray labels (PGM).
 """
 
 from __future__ import annotations
@@ -76,21 +79,22 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
     F^t(x)[col_lo .. col_hi]."""
     width = spec.col_hi - spec.col_lo + 1
     size = automaton.alphabet.size
-    if spec.format == "pbm":
-        out.write(f"P1\n{width} {spec.rows}\n")
-    elif spec.format == "pgm":
-        levels = _gray_map(size, spec.palette)
+    if spec.format == "pgm":
+        labels = [str(level) for level in _gray_map(size, spec.palette)]
         out.write(f"P2\n{width} {spec.rows}\n255\n")
-    for _, row in zip(range(spec.rows), columns(automaton, x, spec.col_lo, spec.col_hi)):
-        if spec.format == "pbm":
-            out.write(" ".join("1" if s else "0" for s in row))
-            out.write("\n")
-        elif spec.format == "pgm":
-            out.write(" ".join(str(levels[s]) for s in row))
-            out.write("\n")
+    elif spec.format == "pbm":
+        chars = b"0" + b"1" * 255
+        out.write(f"P1\n{width} {spec.rows}\n")
+    else:
+        chars = "".join(_ascii_char(s, size) for s in range(256)).encode("ascii")
+    for row in columns(automaton, x, spec.col_lo, spec.col_hi, spec.rows):
+        if spec.format == "pgm":
+            out.write(" ".join(map(labels.__getitem__, row)))
+        elif spec.format == "pbm":
+            out.write(" ".join(row.translate(chars).decode("ascii")))
         else:
-            out.write("".join(_ascii_char(s, size) for s in row))
-            out.write("\n")
+            out.write(row.translate(chars).decode("ascii"))
+        out.write("\n")
 
 
 def render(automaton: Automaton, x: Configuration, spec: RenderSpec) -> bytes:

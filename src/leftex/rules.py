@@ -30,10 +30,15 @@ quadratic in the number of steps.  Every walk that reads less than a whole
 configuration reads the walker: columns() yields only the words
 F^t(x)[i..j], which is all that traces, limit-point censuses and rasters
 read, and left edges and recurrences of tails are read off the raw state
-too.  orbit() yields canonical configurations, for simulate, verify_mul and
-library callers; it steps each canonical image with apply(), which is _step
-followed by canonicalization and never steps a head longer than the
-canonical one.
+too.  A column walk that knows its row count reads only the light cone of
+its window: row t+r over [i, j] depends only on row t over
+[i-r*m, j+r*n].  Once that cone word is no longer than the word _step would
+map next, columns() cuts it off the state once and maps it down, one lookup
+per row and m+n symbols shorter each time, so the state is neither stepped
+nor canonicalized again.  orbit() yields canonical configurations, for
+simulate, verify_mul and library callers; it steps each canonical image
+with apply(), which is _step followed by canonicalization and never steps a
+head longer than the canonical one.
 """
 
 from __future__ import annotations
@@ -79,6 +84,13 @@ class LocalRule:
                 f"table has {len(self.table)} entries, expected {expected}"
             )
         self.alphabet.check_word(self.table, "table output")
+        # the lookup kernel's view of the table and its radix-index dtype;
+        # not fields, so equality, hashing and pickles ignore them
+        object.__setattr__(self, "_table_array", np.frombuffer(self.table, dtype=np.uint8))
+        object.__setattr__(self, "_index_dtype", np.min_scalar_type(len(self.table) - 1))
+
+    def __reduce__(self):
+        return LocalRule, (self.alphabet, self.memory, self.anticipation, self.table)
 
     @property
     def width(self) -> int:
@@ -204,12 +216,11 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     """
     width, size = rule.width, rule.alphabet.size
     out_len = len(symbols) - width + 1
-    table = np.frombuffer(rule.table, dtype=np.uint8)
-    idx = symbols[0:out_len].astype(np.min_scalar_type(len(table) - 1))
+    idx = symbols[0:out_len].astype(rule._index_dtype)
     for k in range(1, width):
         idx *= size
         idx += symbols[k:k + out_len]
-    return table.take(idx)
+    return rule._table_array.take(idx)
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
@@ -283,10 +294,46 @@ def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
         x = apply(automaton, x)
 
 
-def columns(automaton: Automaton, x: Configuration, i: int, j: int) -> Iterator[bytes]:
+def columns(automaton: Automaton, x: Configuration, i: int, j: int,
+            rows: Optional[int] = None) -> Iterator[bytes]:
     """The column words F^t(x)[i..j] for t = 0, 1, ... as a lazy generator,
-    read straight off the walker's raw states, with no Configuration per row."""
-    for state in _states(automaton, x):
+    read straight off the walker's raw states, with no Configuration per row.
+
+    With ``rows`` the generator stops after that many words, and once the
+    light cone of the remaining rows is no wider than the state it walks
+    the cone instead (see the module docstring).  Either way a caller that
+    takes k words spends exactly k-1 steps.
+    """
+    if i > j:
+        raise EmptyInterval(f"empty interval [{i}, {j}]")
+    if rows is not None and rows < 0:
+        raise OutOfRange("rows must be nonnegative")
+    states = _states(automaton, x)
+    if rows is None:
+        return (_window(*state, i, j) for state in states)
+    return _cone_columns(automaton.rule, states, i, j, rows)
+
+
+def _cone_columns(rule: LocalRule, states: Iterator[tuple[int, bytes, bytes, bytes]],
+                  i: int, j: int, rows: int) -> Iterator[bytes]:
+    """The first ``rows`` words F^t(x)[i..j] off the walker's ``states``.
+
+    With r rows left after row t, those rows read only row t over
+    [i - r*m, j + r*n].  As soon as that cone word is no longer than the
+    word _step would map next, it is cut once and mapped down, one
+    map_windows call per row; row t+k is its slice at offset (r-k)*m.
+    """
+    m, n = rule.memory, rule.anticipation
+    width = j - i + 1
+    for left, state in zip(range(rows - 1, -1, -1), states):
+        _, lp, head, rp = state
+        if width + left * (m + n) <= len(lp) + len(head) + len(rp) + 2 * (m + n):
+            cone = _window(*state, i - left * m, j + left * n)
+            yield cone[left * m:left * m + width]
+            for r in range(left - 1, -1, -1):
+                cone = map_windows(rule, cone)
+                yield cone[r * m:r * m + width]
+            return
         yield _window(*state, i, j)
 
 
@@ -343,11 +390,9 @@ def compose(outer: Automaton, inner: Automaton) -> Automaton:
 
 def trace(automaton: Automaton, x: Configuration, i: int, j: int, horizon: int) -> list[bytes]:
     """The column words F^t(x)[i..j] for t = 0 .. horizon-1."""
-    if i > j:
-        raise EmptyInterval(f"empty interval [{i}, {j}]")
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
-    return [row for _, row in zip(range(horizon), columns(automaton, x, i, j))]
+    return list(columns(automaton, x, i, j, horizon))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """The orbit walker and its readers, and how many steps each walk spends.
 
 Every walk that reads less than a whole configuration reads the raw states
-of one walker, rules._states: rules.columns reads a window off each, and
-the spreading and recurrence scans read a left edge or a tail off each.
-rules.orbit steps canonical configurations with rules.apply.  Every step of
-either is one rules._step call, so counting those calls pins each consumer
-to the number of images it needs, and none of them computes one image too
-many.
+of one walker, rules._states: rules.columns reads a window off each, or
+walks the light cone of its window once that is narrower, and the spreading
+and recurrence scans read a left edge or a tail off each.  rules.orbit
+steps canonical configurations with rules.apply.  Every step of any of them
+is one rules.map_windows call (a rules._step call maps one word, and so does
+each row of a cone), so counting those calls pins each consumer to the
+number of images it needs, and none of them computes one image too many.
 """
 
 import contextlib
+import copy
 import io
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -40,6 +44,7 @@ from leftex import (
     verify_mul,
 )
 from leftex.cli import main
+from leftex.errors import OutOfRange
 
 from oracles import edge_trajectory_oracle, recurrence_oracle, trace_oracle
 
@@ -48,19 +53,29 @@ ONE = Configuration.single(A2, 1)
 TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
 
 
+@contextlib.contextmanager
+def counting_steps():
+    """Yield a list that grows by the length of each word mapped by
+    rules.map_windows, the one call behind every step: rules._step (so
+    rules.apply and the orbit walker) and each row of a column cone."""
+    mapped = []
+    real = leftex.rules.map_windows
+
+    def counting(rule, samples):
+        mapped.append(len(samples))
+        return real(rule, samples)
+
+    leftex.rules.map_windows = counting
+    try:
+        yield mapped
+    finally:
+        leftex.rules.map_windows = real
+
+
 @pytest.fixture
-def applied(monkeypatch):
-    """A list that grows by one entry per rules._step call, the step that
-    rules.apply and the orbit walker take."""
-    calls = []
-    real = leftex.rules._step
-
-    def counting(rule, *state):
-        calls.append(state)
-        return real(rule, *state)
-
-    monkeypatch.setattr(leftex.rules, "_step", counting)
-    return calls
+def applied():
+    with counting_steps() as mapped:
+        yield mapped
 
 
 def test_orbit_is_lazy(applied):
@@ -189,21 +204,96 @@ def test_column_consumers_match_the_canonical_orbit(case, data):
     assert out.getvalue() == f"P2\n{j - i + 1} {horizon}\n255\n" + raster
 
 
-def test_columns_work_is_linear_in_the_steps(monkeypatch):
+def test_columns_work_is_linear_in_the_steps(applied):
     # eca:204 keeps a one-symbol head, but the stepped state's head grows by
     # two symbols a step until it is canonicalized again
-    mapped = []
-    real = leftex.rules.map_windows
-
-    def counting(rule, samples):
-        mapped.append(len(samples))
-        return real(rule, samples)
-
-    monkeypatch.setattr(leftex.rules, "map_windows", counting)
     horizon = 2 * 10**4
     trace(eca(204), ONE, -3, 3, horizon)
-    assert len(mapped) == horizon - 1
-    assert sum(mapped) <= 100 * (horizon - 1)
+    assert len(applied) == horizon - 1
+    assert sum(applied) <= 100 * (horizon - 1)
+
+
+# -- bounded column walks against the canonical orbit ----------------------
+
+
+@st.composite
+def cone_cases(draw):
+    """A random rule, m+n = 0 included, a raw configuration, a window that
+    may be far from the head or wider than the whole state, and a row count
+    from 0 up to past the walker's re-canonicalizations."""
+    size = draw(st.integers(2, 3))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+    automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+    sym = st.integers(0, size - 1)
+    lp = draw(st.lists(sym, min_size=1, max_size=4))
+    head = draw(st.lists(sym, max_size=12))
+    rp = draw(st.lists(sym, min_size=1, max_size=4))
+    x = Configuration(Alphabet(size), draw(st.integers(-10, 10)), lp, head, rp)
+    i = x.anchor + draw(st.integers(-400, 400))
+    j = i + draw(st.sampled_from([0, 1, 5, 40, 300]))
+    rows = draw(st.sampled_from([0, 1, 2, 3, 50, 150, 400]))
+    return automaton, x, i, j, rows
+
+
+@given(cone_cases())
+@settings(max_examples=120, deadline=None)
+def test_bounded_columns_match_the_canonical_orbit(case):
+    automaton, x, i, j, rows = case
+    with counting_steps() as mapped:
+        # one more than the rows asked for: a walk that overruns fails, not hangs
+        got = list(itertools.islice(columns(automaton, x, i, j, rows), rows + 1))
+    assert len(got) == rows
+    assert len(mapped) == max(rows - 1, 0)
+    assert got == trace_oracle(automaton, x, i, j, rows)
+
+
+@pytest.mark.parametrize("rule, i, j, rows", [
+    (30, -2, 2, 40),       # the cone is narrower than the state from t = 19
+    (30, -300, 300, 40),   # a window wider than the state for every row
+    (30, 500, 520, 3),     # far right of the head
+    (204, -3, 3, 300),     # a head that re-canonicalizes before the switch
+    (0, -1, 1, 1),         # one row, no step
+])
+def test_bounded_columns_take_exactly_their_rows(applied, rule, i, j, rows):
+    want = trace_oracle(eca(rule), ONE, i, j, rows)
+    applied.clear()
+    assert list(itertools.islice(columns(eca(rule), ONE, i, j, rows), rows + 1)) == want
+    assert len(applied) == rows - 1
+
+
+def test_bounded_columns_switch_to_the_cone(applied):
+    # 400 rows over one column from a single 1: from t = 198 on, the cone of
+    # the remaining rows is no wider than the word the stepped state maps,
+    # so the bounded walk maps about half the symbols of the unbounded one
+    rows = [row for _, row in zip(range(400), columns(eca(30), ONE, 0, 0))]
+    stepped = sum(applied)
+    applied.clear()
+    assert list(columns(eca(30), ONE, 0, 0, 400)) == rows
+    assert len(applied) == 399
+    assert sum(applied) < stepped * 0.55
+
+
+def test_negative_row_count_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        columns(eca(30), ONE, 0, 0, -1)
+    assert list(columns(eca(30), ONE, 0, 0, 0)) == []
+
+
+def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():
+    rule = eca(30).rule
+    twin = LocalRule(A2, 1, 1, bytes(rule.table))
+    assert twin == rule and hash(twin) == hash(rule)
+    assert "_table_array" not in repr(rule)
+    blob = pickle.dumps(rule)
+    assert b"numpy" not in blob
+    back = pickle.loads(blob)
+    assert back == rule and hash(back) == hash(rule)
+    assert back._table_array.tobytes() == rule.table
+    assert back._index_dtype == rule._index_dtype
+    assert copy.deepcopy(rule) == rule
+    assert trace(Automaton(back), ONE, -3, 3, 5) == trace(eca(30), ONE, -3, 3, 5)
 
 
 # -- raw-state readers against the canonical orbit ---------------------------
