@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .configuration import format_configuration, parse_configuration
+from .configuration import Alphabet, format_configuration, parse_configuration
 from .dynamics import aperiodicity_scan, limit_point_census, recurrence_scan
 from .errors import LeftexError
 from .numeric import MulSpec, fractional_multiplication_rule, multiplication_rule, verify_mul
@@ -33,7 +33,6 @@ from .properties import (
 )
 from .render import RenderSpec, render_to
 from .rules import Automaton, eca, make_rule, orbit
-from .configuration import Alphabet
 from .words import parse_word
 
 EXIT_PASS = 0
@@ -70,13 +69,14 @@ def load_rule(text: str) -> Automaton:
         raise _UsageError(f"cannot read rule file {text!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _UsageError(f"rule file {text!r} is not valid JSON: {exc}") from None
-    try:
-        alphabet = Alphabet(doc["alphabet"])
-        table = {parse_word(str(k), alphabet.size): v for k, v in doc["table"].items()}
-        rule = make_rule(alphabet, doc["m"], doc["n"], table)
-    except KeyError as exc:
-        raise _UsageError(f"rule file {text!r} lacks key {exc}") from None
-    return Automaton(rule, name=text)
+    table = doc.get("table") if isinstance(doc, dict) else None
+    if not (isinstance(table, dict) and all(isinstance(v, int) for v in table.values())
+            and all(isinstance(doc.get(k), int) for k in ("alphabet", "m", "n"))):
+        raise _UsageError(f"rule file {text!r} must be an object with integer alphabet, m and n "
+                          "and a table object of integer outputs")
+    alphabet = Alphabet(doc["alphabet"])
+    table = {parse_word(k, alphabet.size): v for k, v in table.items()}
+    return Automaton(make_rule(alphabet, doc["m"], doc["n"], table), name=text)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -125,19 +125,15 @@ def _output(args):
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, automaton, x) -> int:
     if args.steps < 0:
         raise _UsageError("steps must be nonnegative")
-    automaton = load_rule(args.rule)
-    x = parse_configuration(args.config, automaton.alphabet)
     for _, y in zip(range(args.steps + 1), orbit(automaton, x)):
         print(format_configuration(y))
     return EXIT_PASS
 
 
-def _cmd_render(args) -> int:
-    automaton = load_rule(args.rule)
-    x = parse_configuration(args.config, automaton.alphabet)
+def _cmd_render(args, automaton, x) -> int:
     lo, hi = _parse_cols(args.cols)
     palette = None
     if args.palette:
@@ -153,7 +149,7 @@ def _cmd_render(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args, *_) -> int:
     budget = _budget(args)
     rows = []
     for number in range(256):
@@ -171,8 +167,7 @@ def _cmd_atlas(args) -> int:
         })
     with _output(args) as stream:
         if args.json:
-            json.dump(rows, stream, indent=None, separators=(",", ":"))
-            stream.write("\n")
+            stream.write(json.dumps(rows, separators=(",", ":")) + "\n")
         else:
             stream.write("rule,permutive,spreading,dims,rapid\n")
             for row in rows:
@@ -182,7 +177,7 @@ def _cmd_atlas(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_verify_mul(args) -> int:
+def _cmd_verify_mul(args, *_) -> int:
     spec = MulSpec(args.p, args.q)
     ok = verify_mul(spec, _parse_rational(args.xi), args.steps)
     print(f"verify-mul p={args.p} q={args.q} xi={args.xi} steps={args.steps}: "
@@ -190,13 +185,8 @@ def _cmd_verify_mul(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_scan_period(args) -> int:
-    automaton = load_rule(args.rule)
-    x = parse_configuration(args.config, automaton.alphabet)
-    if args.col is None:
-        lo, hi = _parse_cols(args.cols)
-    else:
-        lo = hi = args.col
+def _cmd_scan_period(args, automaton, x) -> int:
+    lo, hi = _parse_cols(args.cols) if args.col is None else (args.col, args.col)
     report = aperiodicity_scan(automaton, x, lo, hi, args.horizon, args.max_c, args.max_p)
     if args.json:
         print(json.dumps(report.to_json_dict()))
@@ -209,9 +199,7 @@ def _cmd_scan_period(args) -> int:
     return EXIT_PASS if report.period_found else EXIT_FAIL
 
 
-def _cmd_recur(args) -> int:
-    automaton = load_rule(args.rule)
-    x = parse_configuration(args.config, automaton.alphabet)
+def _cmd_recur(args, automaton, x) -> int:
     ts = recurrence_scan(automaton, x, args.c, args.horizon)
     if args.json:
         print(json.dumps({"c": args.c, "horizon": args.horizon, "recurrences": ts}))
@@ -220,15 +208,12 @@ def _cmd_recur(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_limits(args) -> int:
-    automaton = load_rule(args.rule)
-    x = parse_configuration(args.config, automaton.alphabet)
+def _cmd_limits(args, automaton, x) -> int:
     lengths = range(1, args.n_max + 1)
     census = limit_point_census(automaton, x, args.c, args.horizon, lengths)
     with _output(args) as stream:
         if args.json:
-            stream.write(json.dumps({"horizon": args.horizon, "census": census}))
-            stream.write("\n")
+            stream.write(json.dumps({"horizon": args.horizon, "census": census}) + "\n")
         else:
             stream.write("n,census\n")
             for n in lengths:
@@ -236,8 +221,7 @@ def _cmd_limits(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_classify(args) -> int:
-    automaton = load_rule(args.rule)
+def _cmd_classify(args, automaton, _) -> int:
     bounds = tuple(int(v) for v in args.bounds.split(","))
     if len(bounds) != 3:
         raise _UsageError("bounds must be three comma-separated integers h,d,w")
@@ -255,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="leftex", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the commands that step a configuration; main loads both arguments
+    stepped = _Parser(add_help=False)
+    stepped.add_argument("rule")
+    stepped.add_argument("config")
 
-    p = sub.add_parser("simulate", help="print iterated configuration literals")
-    p.add_argument("rule")
-    p.add_argument("config")
+    p = sub.add_parser("simulate", parents=[stepped], help="print iterated configuration literals")
     p.add_argument("steps", type=int)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("render", help="draw a space-time diagram")
-    p.add_argument("rule")
-    p.add_argument("config")
+    p = sub.add_parser("render", parents=[stepped], help="draw a space-time diagram")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", required=True, metavar="A:B",
                    help="spatial window; write --cols=-8:8 when the left bound is negative")
@@ -286,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("steps", type=int)
     p.set_defaults(func=_cmd_verify_mul)
 
-    p = sub.add_parser("scan-period", help="search a trace for an eventual period")
-    p.add_argument("rule")
-    p.add_argument("config")
+    p = sub.add_parser("scan-period", parents=[stepped],
+                       help="search a trace for an eventual period")
     cols = p.add_mutually_exclusive_group(required=True)
     cols.add_argument("--col", type=int)
     cols.add_argument("--cols", metavar="A:B")
@@ -298,17 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_scan_period)
 
-    p = sub.add_parser("recur", help="exact fractional-part recurrence scan")
-    p.add_argument("rule")
-    p.add_argument("config")
+    p = sub.add_parser("recur", parents=[stepped], help="exact fractional-part recurrence scan")
     p.add_argument("--c", type=int, default=0)
     p.add_argument("--T", dest="horizon", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_recur)
 
-    p = sub.add_parser("limits", help="limit-point census table")
-    p.add_argument("rule")
-    p.add_argument("config")
+    p = sub.add_parser("limits", parents=[stepped], help="limit-point census table")
     p.add_argument("--c", type=int, default=0)
     p.add_argument("--T", dest="horizon", type=int, required=True)
     p.add_argument("--n-max", type=int, default=8)
@@ -327,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        automaton = load_rule(args.rule) if "rule" in args else None
+        x = parse_configuration(args.config, automaton.alphabet) if "config" in args else None
+        return args.func(args, automaton, x)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

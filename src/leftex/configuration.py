@@ -339,7 +339,10 @@ def format_configuration(x: Configuration) -> str:
     return f"[L:{format_word(x.left_period, n)}]{mid}[R:{format_word(x.right_period, n)}] @{x.anchor}"
 
 
-_WORD_CHARS = re.compile(r"[0-9,]+")
+# Each piece is optional inside the one before it, so one match consumes the
+# longest well-formed prefix and stops where the literal breaks.
+_LITERAL = re.compile(r"\s*(?:\[L:([^\]]*)\]\s*([0-9,]*)\s*"
+                      r"(?:\[R:([^\]]*)\]\s*(?:@(-?\d+)\s*)?)?)?")
 
 
 def _parse_error(text: str, pos: int, message: str) -> ParseError:
@@ -349,60 +352,25 @@ def _parse_error(text: str, pos: int, message: str) -> ParseError:
 
 
 def parse_configuration(text: str, alphabet: Alphabet) -> Configuration:
-    """Parse the textual literal format.  Raises ParseError with position."""
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(token: str):
-        nonlocal pos
-        skip_ws()
-        if not text.startswith(token, pos):
-            raise _parse_error(text, pos, f"expected {token!r}")
-        pos += len(token)
-
-    def bracket_word(tag: str) -> bytes:
-        nonlocal pos
-        expect(f"[{tag}:")
-        end = text.find("]", pos)
-        if end < 0:
-            raise _parse_error(text, pos, "unterminated word (missing ']')")
-        raw, start = text[pos:end], pos
-        pos = end + 1
+    """Parse the textual literal format.  Raises ParseError at the first
+    missing or malformed piece."""
+    m = _LITERAL.match(text)
+    words = []
+    for group, piece in ((1, "[L:word]"), (2, "head"), (3, "[R:word]")):
+        if m[group] is None:
+            raise _parse_error(text, m.end(), f"expected {piece!r}")
         try:
-            w = parse_word(raw, alphabet.size)
+            w = parse_word(m[group], alphabet.size)
         except ParseError as exc:
-            raise _parse_error(text, start + exc.column - 1, exc.message) from None
-        if not w:
-            raise _parse_error(text, start, f"period word for [{tag}:] must be nonempty")
-        return w
-
-    lp = bracket_word("L")
-    skip_ws()
-    head = b""
-    if pos < len(text) and text[pos] != "[":
-        m = _WORD_CHARS.match(text, pos)
-        if not m:
-            raise _parse_error(text, pos, "expected a head word or '[R:'")
-        try:
-            head = parse_word(m.group(0), alphabet.size)
-        except ParseError:
-            raise _parse_error(text, pos, f"bad head word {m.group(0)!r}") from None
-        pos = m.end()
-    rp = bracket_word("R")
-    expect("@")
-    m = re.compile(r"-?\d+").match(text, pos)
-    if not m:
-        raise _parse_error(text, pos, "expected an integer anchor after '@'")
-    anchor = int(m.group(0))
-    pos = m.end()
-    skip_ws()
-    if pos != len(text):
-        raise _parse_error(text, pos, "trailing text after configuration literal")
+            raise _parse_error(text, m.start(group) + exc.column - 1, exc.message) from None
+        if group != 2 and not w:
+            raise _parse_error(text, m.start(group), f"period word {piece!r} must be nonempty")
+        words.append(w)
+    if m[4] is None:
+        raise _parse_error(text, m.end(), "expected '@' and an integer anchor")
+    if m.end() != len(text):
+        raise _parse_error(text, m.end(), "trailing text after configuration literal")
     try:
-        return Configuration(alphabet, anchor, lp, head, rp)
+        return Configuration(alphabet, int(m[4]), *words)
     except SymbolOutOfRange as exc:
         raise _parse_error(text, 0, str(exc)) from None

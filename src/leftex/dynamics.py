@@ -52,6 +52,8 @@ def detect_eventual_period(
     length = len(prefix)
     if length < 1:
         raise OutOfRange("prefix must be nonempty")
+    if max_c < 0 or max_p < 1:
+        raise OutOfRange(f"need max_c >= 0 and max_p >= 1, got {max_c} and {max_p}")
     rev = prefix[::-1]
     border = [0] * length  # border[k]: longest proper border of rev[:k+1]
     for k in range(1, length):

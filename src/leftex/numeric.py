@@ -56,7 +56,7 @@ from .words import _factorize, cyclic_slice
 RationalLike = Union[int, Fraction]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _pack_width(base: int) -> int:
     """Digits per int64 limb: the largest k with base**k < 2**62."""
     k = 1
@@ -65,7 +65,7 @@ def _pack_width(base: int) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _place_values(base: int) -> np.ndarray:
     """The digit weights inside one limb, base**(k-1) down to 1."""
     row = base ** np.arange(_pack_width(base) - 1, -1, -1, dtype=np.int64)

@@ -49,7 +49,7 @@ def parse_word(text: str, alphabet_size: int | None = None) -> bytes:
         parts = list(text)
     out = bytearray()
     for k, part in enumerate(parts):
-        if not part.isdigit():
+        if not part.isdecimal():
             raise ParseError(f"bad symbol {part!r} in word {text!r}", column=k + 1)
         v = int(part)
         if v > 255:

@@ -94,6 +94,12 @@ def test_scan_period_exit_codes(capsys):
     assert code == 1 and "NoPeriodFound" in out
 
 
+def test_negative_scan_bounds_are_usage_errors(capsys):
+    code, out, err = run(capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0",
+                         "--col", "0", "--T", "64", "--max-c", "-1", "--max-p", "-1")
+    assert code == 3 and out == "" and "max_c" in err
+
+
 def test_scan_period_requires_columns(capsys):
     code, _, err = run(capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0", "--T", "16")
     assert code == 3
@@ -147,6 +153,15 @@ def test_parse_error_exit_code(capsys):
     assert code == 3 and "column" in err
 
 
+def test_every_stepping_command_rejects_a_malformed_literal(capsys):
+    for argv in (("simulate", "1"), ("render", "--rows", "2", "--cols=0:1"),
+                 ("scan-period", "--col", "0", "--T", "8"), ("recur", "--T", "8"),
+                 ("limits", "--T", "8")):
+        code, out, err = run(capsys, argv[0], "eca:30", "[L:0] 1 [R:0] @0 junk", *argv[1:])
+        assert (code, out) == (3, ""), argv[0]
+        assert "trailing text" in err and "column 18" in err
+
+
 def test_unknown_rule_designator(capsys):
     code, _, err = run(capsys, "simulate", "mul:32", "[L:0] 1 [R:0] @0", "1")
     assert code == 3
@@ -173,6 +188,12 @@ def test_rule_file_errors(tmp_path, capsys):
     assert run(capsys, "simulate", str(path), "[L:0] 1 [R:0] @0", "1")[0] == 3
     path.write_text(json.dumps({"alphabet": 2, "m": 1, "n": 1, "table": {"000": 0}}))
     assert run(capsys, "simulate", str(path), "[L:0] 1 [R:0] @0", "1")[0] == 3
+    for doc in ([1, 2], {"alphabet": 2, "m": 1, "n": 1, "table": [0] * 8},
+                {"alphabet": 2, "m": "1", "n": 1, "table": {"000": 0}},
+                {"alphabet": 2, "m": 1, "n": 1, "table": {"000": "0"}}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(path), "[L:0] 1 [R:0] @0", "1")
+        assert (code, out) == (3, "") and str(path) in err, doc
 
 
 def test_budget_env_override(capsys, monkeypatch):

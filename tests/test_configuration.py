@@ -326,3 +326,57 @@ def test_parse_errors_carry_position():
         parse_configuration("[L:0] 1 [R:0] @0 junk", A2)
     with pytest.raises(ParseError):
         parse_configuration("[L:0] 5 [R:0] @0", A2)  # symbol out of range
+
+
+WIDE = Alphabet(16)
+LONG_WORD = bytes(k % 16 for k in range(21))
+
+
+@pytest.mark.parametrize("text, alphabet, expected", [
+    ("\n[L:0]\n1\n[R:0]\n@0\n", A2, ONE),
+    (" \t[L:0]  1\t[R:0]   @0  ", A2, ONE),
+    ("[L:0]1[R:0]@0", A2, ONE),
+    ("[L:0] [R:3] @0", A10, Configuration(A10, 0, b"\x00", b"", b"\x03")),
+    ("[L:0][R:3]@0", A10, Configuration(A10, 0, b"\x00", b"", b"\x03")),
+    ("[L:15,0] " + ",".join(map(str, LONG_WORD)) + " [R:0,15] @2", WIDE,
+     Configuration(WIDE, 2, bytes([15, 0]), LONG_WORD, bytes([0, 15]))),
+    ("[L:0] 1 [R:0] @-7", A2, Configuration.single(A2, 1, -7)),
+    ("[L: 0 ] 1 [R:\t0\n] @0", A2, ONE),
+])
+def test_literal_accepted_spellings(text, alphabet, expected):
+    assert parse_configuration(text, alphabet) == expected
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("1 [R:0] @0", 1, 1),          # missing [L:
+    ("  0] 1 [R:0] @0", 1, 3),
+    ("[L:0 1 [R:0] @0", 1, 5),     # the L word runs to the first ']'
+    ("[L:0] 1 @0", 1, 9),          # missing [R:
+    ("[L:0] 1 [R:0 @0", 1, 9),
+    ("[L:0] x [R:0] @0", 1, 7),
+    ("[L:0] 1 [R:0]", 1, 14),      # missing @anchor
+    ("[L:0] 1 [R:0] 0", 1, 15),
+    ("[L:0] 1 [R:0] @x", 1, 15),
+    ("[L:²] 1 [R:0] @0", 1, 4),    # a digit character that is not a decimal digit
+    ("[L:] 1 [R:0] @0", 1, 4),     # empty period
+    ("[L:0] 1 [R:  ] @0", 1, 12),
+    ("[L:0] 1 [R:0] @0 junk", 1, 18),  # trailing text
+    ("[L:0]\n1\n[R:0]\n@0\nx", 5, 1),
+])
+def test_literal_rejections_name_where_they_break(text, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_configuration(text, A2)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text", [
+    "[L:0]" + " " * 200_000 + "x",
+    "[L:0] 1 [R:" + "0" * 200_000,
+    "[L:0] " + "1" * 200_000 + " @0",
+    "[L:0] 1 [R:0] @0" + "\n" * 200_000 + "x",
+])
+def test_long_malformed_literals_fail_fast(text):
+    start = perf_counter()
+    with pytest.raises(ParseError):
+        parse_configuration(text, A2)
+    assert perf_counter() - start < 0.5

@@ -64,6 +64,14 @@ def test_detect_respects_bounds():
     assert detect_eventual_period([0, 1, 2] * 8, 10, 2) is None
 
 
+def test_negative_scan_bounds_are_out_of_range():
+    for max_c, max_p in ((-1, 10), (10, 0), (-1, -1)):
+        with pytest.raises(OutOfRange):
+            detect_eventual_period([0, 1] * 4, max_c, max_p)
+        with pytest.raises(OutOfRange):
+            aperiodicity_scan(eca(90), ONE, 0, 0, 16, max_c, max_p)
+
+
 @given(
     st.lists(st.integers(0, 2), min_size=1, max_size=40),
     st.integers(0, 12),

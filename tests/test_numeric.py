@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import random
 import time
 import tracemalloc
@@ -29,6 +31,7 @@ from leftex.errors import (
     NotPositive,
     OutOfRange,
 )
+import leftex
 from leftex import numeric
 from leftex.numeric import (
     _digits_to_int,
@@ -418,9 +421,8 @@ def test_power_table_stays_bounded():
                 periods.add(period)
                 dens.append(q)
     assert len(dens) == 300
-    unbounded = [f for f in vars(numeric).values()
-                 if hasattr(f, "cache_info") and f.cache_info().maxsize is None]
-    for f in unbounded + [_square]:
+    base_keyed = [numeric._pack_width, numeric._place_values]
+    for f in base_keyed + [_square]:
         f.cache_clear()
     containers = {name: len(v) for name, v in vars(numeric).items() if isinstance(v, (dict, list, set))}
     rng = random.Random(300)
@@ -433,8 +435,17 @@ def test_power_table_stays_bounded():
     limbs = -(-longest // _pack_width(base))
     assert _square.cache_info().currsize <= math.ceil(math.log2(limbs)) + 1
     assert _square.cache_info().maxsize is not None
-    assert all(f.cache_info().currsize <= 1 for f in unbounded)  # keyed by the base alone
+    assert all(f.cache_info().currsize <= 1 for f in base_keyed)  # keyed by the base alone
     assert {name: len(vars(numeric)[name]) for name in containers} == containers
+
+
+def test_no_module_level_cache_is_unbounded():
+    caches = {f"{info.name}.{name}": f
+              for info in pkgutil.iter_modules(leftex.__path__)
+              for name, f in vars(importlib.import_module(f"leftex.{info.name}")).items()
+              if hasattr(f, "cache_info")}
+    assert "numeric._pack_width" in caches
+    assert [name for name, f in caches.items() if f.cache_info().maxsize is None] == []
 
 
 # -- multiplication automata ----------------------------------------------------
