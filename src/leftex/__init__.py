@@ -65,7 +65,6 @@ from .rules import (
     patch,
     shift_inverse_rule,
     shift_rule,
-    trace,
     trim_vacuous,
 )
 from .words import format_word, parse_word, word

@@ -109,8 +109,7 @@ def _canonical_parts(anchor: int, lp: bytes, head: bytes, rp: bytes):
     if not head:
         if lp == rp:
             # fully periodic configuration: re-anchor at 0
-            n = len(lp)
-            lp = bytes(lp[(k - anchor) % n] for k in range(n))
+            lp = _rotl(lp, -anchor)
             return 0, lp, b"", lp
         # slide the anchor right to the first index where the left-periodic
         # continuation stops matching the right tail; distinct primitive

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .configuration import Configuration, _fractional_part, seq_equal
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
-from .rules import Automaton, _states, columns, trace
+from .rules import Automaton, _states, columns
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,11 @@ class PeriodCertificate:
         }
 
 
+def _check_period_bounds(max_c: int, max_p: int) -> None:
+    if max_c < 0 or max_p < 1:
+        raise OutOfRange(f"need max_c >= 0 and max_p >= 1, got {max_c} and {max_p}")
+
+
 def detect_eventual_period(
     prefix: Sequence, max_c: int, max_p: int
 ) -> Optional[PeriodCertificate]:
@@ -52,8 +57,7 @@ def detect_eventual_period(
     length = len(prefix)
     if length < 1:
         raise OutOfRange("prefix must be nonempty")
-    if max_c < 0 or max_p < 1:
-        raise OutOfRange(f"need max_c >= 0 and max_p >= 1, got {max_c} and {max_p}")
+    _check_period_bounds(max_c, max_p)
     rev = prefix[::-1]
     border = [0] * length  # border[k]: longest proper border of rev[:k+1]
     for k in range(1, length):
@@ -107,13 +111,17 @@ def aperiodicity_scan(
     max_c: int,
     max_p: int,
 ) -> AperiodicityReport:
-    """Materialize the trace over columns [i, j] and search for an eventual
-    period.  NoPeriodFound means every (c, p) with c <= max_c, p <= max_p and
-    c + 2p <= horizon fails on the prefix.
+    """Materialize the first ``horizon`` column words over [i, j] and search
+    for an eventual period.  NoPeriodFound means every (c, p) with
+    c <= max_c, p <= max_p and c + 2p <= horizon fails on the prefix.  The
+    horizon and the bounds are checked before any row is computed.
     """
     if not x.is_number_like:
         raise NotNumberLike("aperiodicity scans are defined for number-like configurations")
-    rows = trace(automaton, x, i, j, horizon)
+    if horizon < 1:
+        raise OutOfRange("horizon must be at least 1")
+    _check_period_bounds(max_c, max_p)
+    rows = list(columns(automaton, x, i, j, horizon))
     cert = detect_eventual_period(rows, max_c, max_p)
     return AperiodicityReport((i, j), horizon, max_c, max_p, cert)
 
@@ -192,7 +200,7 @@ def propagation_check(
         raise InsufficientHorizon(
             f"horizon {horizon} < preperiod {c} + height {dims.h} + 2*period {2 * p}"
         )
-    rows = trace(automaton, x, i - 1, i + dims.w - 1, horizon)
+    rows = list(columns(automaton, x, i - 1, i + dims.w - 1, horizon))
     base = [row[1:] for row in rows]
     if any(base[t] != base[t + p] for t in range(c, horizon - p)):
         raise OutOfRange("certificate does not hold on the base trace")

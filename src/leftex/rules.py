@@ -1,4 +1,4 @@
-"""Local rules, cellular automata, traces and space-time patches.
+"""Local rules, cellular automata, column walks and space-time patches.
 
 A local rule with memory m and anticipation n maps every neighborhood word
 of length m+n+1 to a symbol; the induced automaton sends x to the
@@ -28,17 +28,18 @@ than twice the head of the last canonical state plus 64, which keeps the
 work per step within about twice that of a canonical orbit and never
 quadratic in the number of steps.  Every walk that reads less than a whole
 configuration reads the walker: columns() yields only the words
-F^t(x)[i..j], which is all that traces, limit-point censuses and rasters
-read, and left edges and recurrences of tails are read off the raw state
-too.  A column walk that knows its row count reads only the light cone of
-its window: row t+r over [i, j] depends only on row t over
-[i-r*m, j+r*n].  Once that cone word is no longer than the word _step would
-map next, columns() cuts it off the state once and maps it down, one lookup
-per row and m+n symbols shorter each time, so the state is neither stepped
-nor canonicalized again.  orbit() yields canonical configurations, for
-simulate, verify_mul and library callers; it steps each canonical image
-with apply(), which is _step followed by canonicalization and never steps a
-head longer than the canonical one.
+F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
+limit-point censuses and rasters read, and left edges and recurrences of
+tails are read off the raw state too.  Every column walk is told its row
+count, so it reads only the light cone of its window: row t+r over [i, j]
+depends only on row t over [i-r*m, j+r*n].  Once that cone word is no
+longer than the word _step would map next, columns() cuts it off the state
+once and maps it down, one lookup per row and m+n symbols shorter each
+time, so the state is neither stepped nor canonicalized again.  orbit()
+yields canonical configurations, for simulate, verify_mul and library
+callers; it steps each canonical image with apply(), which is _step
+followed by canonicalization and never steps a head longer than the
+canonical one.
 """
 
 from __future__ import annotations
@@ -295,23 +296,19 @@ def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
 
 
 def columns(automaton: Automaton, x: Configuration, i: int, j: int,
-            rows: Optional[int] = None) -> Iterator[bytes]:
-    """The column words F^t(x)[i..j] for t = 0, 1, ... as a lazy generator,
-    read straight off the walker's raw states, with no Configuration per row.
-
-    With ``rows`` the generator stops after that many words, and once the
-    light cone of the remaining rows is no wider than the state it walks
-    the cone instead (see the module docstring).  Either way a caller that
-    takes k words spends exactly k-1 steps.
+            rows: int) -> Iterator[bytes]:
+    """The column words F^t(x)[i..j] for t = 0 .. rows-1 as a lazy
+    generator, read straight off the walker's raw states, with no
+    Configuration per row.  Once the light cone of the remaining rows is no
+    wider than the state it walks, the generator walks the cone instead
+    (see the module docstring).  A caller that takes k words spends exactly
+    k-1 steps.
     """
     if i > j:
         raise EmptyInterval(f"empty interval [{i}, {j}]")
-    if rows is not None and rows < 0:
+    if rows < 0:
         raise OutOfRange("rows must be nonnegative")
-    states = _states(automaton, x)
-    if rows is None:
-        return (_window(*state, i, j) for state in states)
-    return _cone_columns(automaton.rule, states, i, j, rows)
+    return _cone_columns(automaton.rule, _states(automaton, x), i, j, rows)
 
 
 def _cone_columns(rule: LocalRule, states: Iterator[tuple[int, bytes, bytes, bytes]],
@@ -385,14 +382,7 @@ def compose(outer: Automaton, inner: Automaton) -> Automaton:
     return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
 
 
-# -- traces and patches --------------------------------------------------------
-
-
-def trace(automaton: Automaton, x: Configuration, i: int, j: int, horizon: int) -> list[bytes]:
-    """The column words F^t(x)[i..j] for t = 0 .. horizon-1."""
-    if horizon < 1:
-        raise OutOfRange("horizon must be at least 1")
-    return list(columns(automaton, x, i, j, horizon))
+# -- patches -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

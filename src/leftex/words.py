@@ -38,23 +38,26 @@ def parse_word(text: str, alphabet_size: int | None = None) -> bytes:
     Alphabets with more than ten symbols always use the comma-separated
     spelling, so when the alphabet size is known the split mode is forced by
     it; otherwise a comma in the text selects it.  Without this, a lone
-    two-digit symbol like ``"11"`` would be ambiguous.
+    two-digit symbol like ``"11"`` would be ambiguous.  A ParseError names
+    the column, in ``text`` as given, of the bad symbol's first character.
     """
-    text = text.strip()
-    if not text:
+    body = text.strip()
+    if not body:
         return b""
-    if (alphabet_size or 0) > 10 or ("," in text and alphabet_size is None):
-        parts = text.split(",")
+    column = len(text) - len(text.lstrip()) + 1
+    if (alphabet_size or 0) > 10 or ("," in body and alphabet_size is None):
+        parts, sep = body.split(","), 1
     else:
-        parts = list(text)
+        parts, sep = list(body), 0
     out = bytearray()
-    for k, part in enumerate(parts):
+    for part in parts:
         if not part.isdecimal():
-            raise ParseError(f"bad symbol {part!r} in word {text!r}", column=k + 1)
+            raise ParseError(f"bad symbol {part!r} in word {body!r}", column=column)
         v = int(part)
         if v > 255:
-            raise ParseError(f"symbol {v} exceeds the representable range", column=k + 1)
+            raise ParseError(f"symbol {v} exceeds the representable range", column=column)
         out.append(v)
+        column += len(part) + sep
     return bytes(out)
 
 

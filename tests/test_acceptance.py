@@ -20,6 +20,7 @@ from leftex import (
     Verdict,
     aperiodicity_scan,
     apply,
+    columns,
     config_to_rational,
     detect_eventual_period,
     eca,
@@ -37,7 +38,6 @@ from leftex import (
     recurrence_scan,
     shift_rule,
     subword_complexity,
-    trace,
     verify_mul,
 )
 from leftex.render import RenderSpec, render
@@ -62,12 +62,12 @@ def report(number, ok, text):
 
 @pytest.fixture(scope="module")
 def rule30_pair_trace():
-    return trace(eca(30), ONE, 0, 1, 2000)
+    return list(columns(eca(30), ONE, 0, 1, 2000))
 
 
 @pytest.fixture(scope="module")
 def mul_center_trace():
-    return trace(MUL32, rational_to_config(1, 6), 0, 0, 2000)
+    return list(columns(MUL32, rational_to_config(1, 6), 0, 0, 2000))
 
 
 def test_criterion_1_multiplication_exactness():
@@ -186,7 +186,7 @@ def test_criterion_9_propagation_fixtures():
 
     def run_fixture(automaton, dims, x, col, horizon, max_c, max_p):
         nonlocal checked
-        rows = trace(automaton, x, col, col + dims.w - 1, horizon)
+        rows = list(columns(automaton, x, col, col + dims.w - 1, horizon))
         cert = detect_eventual_period(rows, max_c, max_p)
         assert cert is not None, (automaton.name, x, col)
         assert propagation_check(automaton, dims, x, col, cert, horizon), \

@@ -2,7 +2,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from leftex import (
@@ -172,6 +172,7 @@ def absorbable_parts(draw):
 
 
 @given(absorbable_parts())
+@example((4, b"\x00\x01\x01", b"", b"\x00\x01\x01"))  # fully periodic, re-anchored
 @settings(max_examples=300)
 def test_canonical_parts_match_symbol_by_symbol_oracle(parts):
     assert _canonical_parts(*parts) == canonical_parts_oracle(*parts)
@@ -362,10 +363,13 @@ def test_literal_accepted_spellings(text, alphabet, expected):
     ("[L:0] 1 [R:  ] @0", 1, 12),
     ("[L:0] 1 [R:0] @0 junk", 1, 18),  # trailing text
     ("[L:0]\n1\n[R:0]\n@0\nx", 5, 1),
+    ("[L:1,2,x] [R:0] @0", 1, 8),  # the column of the character, not the symbol index
+    ("[L:  0x] [R:0] @0", 1, 7),   # ... and in the text before stripping
 ])
 def test_literal_rejections_name_where_they_break(text, line, column):
+    # commas spell the symbols of alphabets with more than ten
     with pytest.raises(ParseError) as info:
-        parse_configuration(text, A2)
+        parse_configuration(text, WIDE if "," in text else A2)
     assert (info.value.line, info.value.column) == (line, column)
 
 

@@ -14,6 +14,7 @@ from leftex import (
     PeriodCertificate,
     aperiodicity_scan,
     apply,
+    columns,
     detect_eventual_period,
     eca,
     fractional_multiplication_rule,
@@ -25,8 +26,8 @@ from leftex import (
     repetition_count_bound,
     shift_rule,
     subword_complexity,
-    trace,
 )
+from leftex import dynamics, rules
 from leftex.errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from leftex.rules import Automaton, LocalRule
 
@@ -45,7 +46,7 @@ def test_detect_examples():
     assert (cert.preperiod, cert.period) == (1, 1)
     cert = detect_eventual_period([0, 1, 0, 1, 0, 1, 0, 1], 500, 500)
     assert (cert.preperiod, cert.period) == (0, 2)
-    rows = trace(eca(90), ONE, 0, 0, 64)
+    rows = list(columns(eca(90), ONE, 0, 0, 64))
     cert = detect_eventual_period(rows, 64, 64)
     assert (cert.preperiod, cert.period) == (1, 1)
 
@@ -70,6 +71,17 @@ def test_negative_scan_bounds_are_out_of_range():
             detect_eventual_period([0, 1] * 4, max_c, max_p)
         with pytest.raises(OutOfRange):
             aperiodicity_scan(eca(90), ONE, 0, 0, 16, max_c, max_p)
+
+
+def test_scan_bounds_are_checked_before_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the scan walked its columns before checking its bounds")
+
+    monkeypatch.setattr(dynamics, "columns", walk)
+    monkeypatch.setattr(rules, "_states", walk)  # the walker behind every column walk
+    for horizon, max_c, max_p in ((10**5, -1, 10), (10**5, 10, 0), (0, 10, 10)):
+        with pytest.raises(OutOfRange):
+            aperiodicity_scan(eca(30), ONE, 0, 0, horizon, max_c, max_p)
 
 
 @given(
@@ -172,7 +184,7 @@ def test_subword_complexity_examples():
 
 
 def test_rule30_column_complexity():
-    column = [r[0] for r in trace(eca(30), ONE, 0, 0, 64)]
+    column = [r[0] for r in columns(eca(30), ONE, 0, 0, 64)]
     assert subword_complexity(column, 4) >= 5
 
 
@@ -249,13 +261,13 @@ def test_propagation_trivial_zero_trace():
 
 def test_propagation_shift_three_periodic():
     x = Configuration(A2, 0, b"\x00", b"\x01", bytes([1, 1, 0]))
-    rows = trace(shift_rule(A2), x, 2, 2, 60)
+    rows = list(columns(shift_rule(A2), x, 2, 2, 60))
     cert = detect_eventual_period(rows, 20, 10)
     assert cert is not None and cert.period == 3
     dims = ExpansivityDims(1, 0, 1)
     assert propagation_check(shift_rule(A2), dims, x, 2, cert, 60)
     # direct statement: the column one step left is periodic from c+1
-    left = trace(shift_rule(A2), x, 1, 1, 60)
+    left = list(columns(shift_rule(A2), x, 1, 1, 60))
     start = cert.preperiod + 1
     assert all(left[t] == left[t + 3] for t in range(start, 60 - 3))
 
@@ -263,7 +275,7 @@ def test_propagation_shift_three_periodic():
 def test_propagation_rule90_periodic_configuration():
     w = [1, 0, 1, 1]
     x = Configuration(A2, 0, w, [], w)
-    rows = trace(eca(90), x, 1, 2, 80)
+    rows = list(columns(eca(90), x, 1, 2, 80))
     cert = detect_eventual_period(rows, 40, 16)
     assert cert is not None
     assert propagation_check(eca(90), ExpansivityDims(0, 1, 2), x, 1, cert, 80)

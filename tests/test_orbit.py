@@ -40,11 +40,12 @@ from leftex import (
     orbit,
     recurrence_scan,
     render_to,
-    trace,
     verify_mul,
 )
 from leftex.cli import main
+from leftex.configuration import _window
 from leftex.errors import OutOfRange
+from leftex.rules import _states
 
 from oracles import edge_trajectory_oracle, recurrence_oracle, trace_oracle
 
@@ -89,17 +90,17 @@ def test_orbit_is_lazy(applied):
 
 
 def test_columns_are_lazy(applied):
-    rows = columns(eca(30), ONE, -2, 2)
+    rows = columns(eca(30), ONE, -2, 2, 10)
     assert next(rows) == b"\x00\x00\x01\x00\x00" and not applied
     assert next(rows) == b"\x00\x01\x01\x01\x00" and len(applied) == 1
     assert next(rows) == b"\x01\x01\x00\x00\x01" and len(applied) == 2
 
 
 def test_trace_and_render_step_counts(applied):
-    trace(eca(30), ONE, -3, 3, 7)
+    list(columns(eca(30), ONE, -3, 3, 7))
     assert len(applied) == 6
     applied.clear()
-    trace(eca(30), ONE, 0, 0, 1)
+    list(columns(eca(30), ONE, 0, 0, 1))
     assert not applied
     render_to(io.StringIO(), eca(30), ONE, RenderSpec(5, -4, 4, "pbm"))
     assert len(applied) == 4
@@ -190,7 +191,7 @@ def column_cases(draw):
 def test_column_consumers_match_the_canonical_orbit(case, data):
     automaton, x, i, j, horizon = case
     rows = trace_oracle(automaton, x, i, j, horizon)
-    assert trace(automaton, x, i, j, horizon) == rows
+    assert list(columns(automaton, x, i, j, horizon)) == rows
 
     lengths = data.draw(st.sets(st.integers(1, j - i + 1), min_size=1))
     want = {n: len({row[:n] for t, row in enumerate(rows) if 2 * t >= horizon - 1})
@@ -208,7 +209,7 @@ def test_columns_work_is_linear_in_the_steps(applied):
     # eca:204 keeps a one-symbol head, but the stepped state's head grows by
     # two symbols a step until it is canonicalized again
     horizon = 2 * 10**4
-    trace(eca(204), ONE, -3, 3, horizon)
+    list(columns(eca(204), ONE, -3, 3, horizon))
     assert len(applied) == horizon - 1
     assert sum(applied) <= 100 * (horizon - 1)
 
@@ -266,8 +267,8 @@ def test_bounded_columns_take_exactly_their_rows(applied, rule, i, j, rows):
 def test_bounded_columns_switch_to_the_cone(applied):
     # 400 rows over one column from a single 1: from t = 198 on, the cone of
     # the remaining rows is no wider than the word the stepped state maps,
-    # so the bounded walk maps about half the symbols of the unbounded one
-    rows = [row for _, row in zip(range(400), columns(eca(30), ONE, 0, 0))]
+    # so the column walk maps about half the symbols of 400 walker states
+    rows = [_window(*state, 0, 0) for _, state in zip(range(400), _states(eca(30), ONE))]
     stepped = sum(applied)
     applied.clear()
     assert list(columns(eca(30), ONE, 0, 0, 400)) == rows
@@ -293,7 +294,8 @@ def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():
     assert back._table_array.tobytes() == rule.table
     assert back._index_dtype == rule._index_dtype
     assert copy.deepcopy(rule) == rule
-    assert trace(Automaton(back), ONE, -3, 3, 5) == trace(eca(30), ONE, -3, 3, 5)
+    assert list(columns(Automaton(back), ONE, -3, 3, 5)) == \
+        list(columns(eca(30), ONE, -3, 3, 5))
 
 
 # -- raw-state readers against the canonical orbit ---------------------------

@@ -74,7 +74,7 @@ def test_permutive_census_is_sixteen():
 
 def test_permutive_requires_memory():
     with pytest.raises(BadDims):
-        is_left_permutive(shift_rule(A2))
+        is_left_permutive(shift_rule(A2).rule)
 
 
 def test_permutive_reexpression():
@@ -266,35 +266,34 @@ def seed_index(seed, size):
     return value
 
 
-# chunks hold 256, 512, then 1024 seeds (full size) from index 768 on; the
-# comments give seed_a and the conflict as full-length seed indices, then
-# as read-prefix indices, which are what the decider chunks
+# the decider reads prefixes in chunks of 1024; the comments give seed_a and
+# the conflict as read-prefix indices, which are what the decider chunks
 @pytest.mark.parametrize("size, m, n, table, dims, index_a, index_b", [
-    # full length: chunk 0 -> a full-size chunk; prefix (0, 128): chunk 0 only
+    # prefix (0, 128): chunk 0 only
     (2, 0, 2, b"\x00\x00\x01\x01\x01\x00\x01\x00", (1, 2, 1), 0, 8192),
-    # full length: chunk 1 -> chunk 2; prefix (24, 88): chunk 0 only
+    # prefix (24, 88): chunk 0 only
     (2, 0, 2, b"\x01\x00\x01\x01\x01\x01\x00\x01", (2, 0, 2), 384, 1408),
-    # full length: two full-size chunks; prefix (31, 63): chunk 0 only
+    # prefix (31, 63): chunk 0 only
     (2, 2, 0, b"\x00\x00\x01\x00\x00\x00\x00\x01", (2, 1, 1), 3968, 8064),
-    # full length: two full-size chunks; prefix (189, 432): chunk 0 -> chunk 1
+    # prefix (189, 432): chunk 0 only
     (3, 0, 1, bytes([1, 2, 1, 1, 2, 2, 1, 2, 0]), (2, 0, 3), 1701, 3888),
-    # prefix (896, 1920): two full-size chunks, 4 columns padded
+    # prefix (896, 1920): chunk 0 -> chunk 1, 4 columns padded
     (2, 1, 2, bytes([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0]), (2, 1, 3),
      14336, 30720),
-    # prefix (648, 1377): chunk 1 -> a full-size chunk, m = 0, 3 columns padded
+    # prefix (648, 1377): chunk 0 -> chunk 1, m = 0, 3 columns padded
     (3, 0, 1, bytes([0, 0, 0, 0, 0, 1, 0, 0, 2]), (2, 1, 3), 17496, 37179),
-    # prefix (324, 810): chunk 1 -> a full-size chunk, n = 0, 4 columns padded
+    # prefix (324, 810): chunk 0 only, n = 0, 4 columns padded
     (3, 2, 0, bytes([0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 2, 0, 2, 0, 1, 1, 2, 0, 0, 2, 1,
                      0, 0, 0, 1, 1, 0]), (2, 0, 3), 26244, 65610),
-    # prefix (1280, 1536): both in one full-size chunk past the first
+    # prefix (1280, 1536): both in chunk 1
     (2, 2, 1, bytes([1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0]), (1, 2, 3),
      20480, 24576),
 ])
 def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index_a, index_b):
-    """The first conflict lies past the first chunk: in a later chunk than
-    the first occurrence of its rectangle, so it is found through the table
-    carried between chunks, or in the same one, whose own column gives
-    seed_a."""
+    """The first conflict lies in the first chunk; in a later chunk than the
+    first occurrence of its rectangle, so it is found through the table
+    carried between chunks; or in the same chunk past the first, whose own
+    column gives seed_a."""
     automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
     dims = ExpansivityDims(*dims)
     verdict = is_left_expansive(automaton, dims)
@@ -305,6 +304,31 @@ def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index
     cex = verdict.counterexample
     assert type(cex.value_a) is type(cex.value_b) is int
     assert all(type(row) is bytes for row in (cex.seed_a, cex.seed_b, *cex.rectangle))
+
+
+def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Verdict JSON, seeds_checked and counterexamples included, is the same
+    whether the decider reads 1, 7 or 1024 prefixes per chunk."""
+    rng = random.Random(15)
+    queries = [(eca(k), ExpansivityDims(1, 1, 2)) for k in range(256)]
+    queries.append((MUL32, ExpansivityDims(1, 1, 1)))  # 7 776 prefixes, True
+    for k in range(20):
+        size = rng.choice((2, 3))
+        if k % 2:
+            automaton = random_left_permutive_rule(rng, size)
+        else:
+            m, n = rng.choice(MN_PAIRS)
+            table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+            automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+        dims = rng.choice([(0, 1, 2), (1, 0, 2), (1, 1, 1)])
+        queries.append((automaton, ExpansivityDims(*dims)))
+    verdicts = {}
+    for chunk in (1, 7, 2**10):
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        verdicts[chunk] = [is_left_expansive(a, dims).to_json_dict() for a, dims in queries]
+    assert verdicts[1] == verdicts[7] == verdicts[2**10]
+    assert verdicts[1][256]["status"] == "True"
+    assert {v["status"] for v in verdicts[1][-20:]} == {"True", "False"}
 
 
 def test_budget_verdicts_match_the_oracle():

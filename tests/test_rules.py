@@ -9,6 +9,7 @@ from leftex import (
     Alphabet,
     Configuration,
     apply,
+    columns,
     compose,
     eca,
     eca_rule,
@@ -17,7 +18,6 @@ from leftex import (
     patch,
     shift_inverse_rule,
     shift_rule,
-    trace,
     trim_vacuous,
 )
 from leftex.rules import Automaton, LocalRule, map_windows
@@ -256,22 +256,22 @@ def test_trim_vacuous_matches_block_oracle(case):
     assert trimmed.anticipation <= rule.anticipation - pad_r
 
 
-# -- traces ---------------------------------------------------------------------
+# -- column walks ---------------------------------------------------------------
 
 
 def test_trace_rule90_column():
-    rows = trace(eca(90), ONE, 0, 0, 4)
+    rows = list(columns(eca(90), ONE, 0, 0, 4))
     assert [r[0] for r in rows] == [1, 0, 0, 0]
 
 
 def test_trace_shift_reads_the_configuration():
     x = Configuration(A2, 0, b"\x00", bytes([1, 0, 1, 1]), b"\x00")
-    rows = trace(shift_rule(A2), x, 0, 0, 10)
+    rows = list(columns(shift_rule(A2), x, 0, 0, 10))
     assert [r[0] for r in rows] == [x.at(t) for t in range(10)]
 
 
 def test_trace_rule30_pair_column():
-    rows = trace(eca(30), ONE, 0, 1, 3)
+    rows = list(columns(eca(30), ONE, 0, 1, 3))
     oracle = simulate_zero_padded(RULE30, 1, 1, ONE, 0, 1, 2)
     assert [list(r) for r in rows] == oracle
     assert rows == [bytes([1, 0]), bytes([1, 1]), bytes([0, 0])]
@@ -279,9 +279,9 @@ def test_trace_rule30_pair_column():
 
 def test_trace_validation():
     with pytest.raises(EmptyInterval):
-        trace(eca(30), ONE, 3, 2, 5)
+        columns(eca(30), ONE, 3, 2, 5)
     with pytest.raises(OutOfRange):
-        trace(eca(30), ONE, 0, 0, 0)
+        columns(eca(30), ONE, 0, 0, -1)
 
 
 # -- patches ---------------------------------------------------------------------
