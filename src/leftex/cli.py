@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="rapid left expansivity classification")
     p.add_argument("rule")
-    p.add_argument("--bounds", default="2,2,4", metavar="H,D,W")
+    p.add_argument("--bounds", default="2,2,4", metavar="H,D,W",
+                   help="nonnegative; H is not searched, since a Yes needs height 0")
     p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)

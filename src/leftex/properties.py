@@ -22,9 +22,14 @@ Only the first L' = min(L, c+w+(h+d)*n) columns of a seed are enumerated:
 rectangle row k reads columns up to c+w-1+k*n and the determined cell up to
 c-1+h*n.  The unread columns are the least significant ones, so the first
 conflict of the full lexicographic search is the first conflict among these
-prefixes, padded with zeros: seeds_checked is (prefix index)*size**(L-L')+1,
-True still reports all size**L seeds, and the budget is charged for length
-L, so verdicts and certificates are those of the untrimmed search.
+prefixes, padded with zeros: seeds_checked is (prefix index)*size**(L-L')+1
+and True still reports all size**L seeds.  The budget is charged for what
+is mapped: size**L' prefixes times the cells below each top row (_cells, at
+least 1).  Every search reads its budget capped at _BUDGET_CAP = 2**61, so
+no enumeration index or np.arange bound reaches 2**63: the decider's
+prefixes number at most its charge, and a t of the spreading search runs
+only once charged for its size**(t*n) - size**(t*n-1) start words, at least
+half of the bound size**(t*n) on its indices.
 
 Prefixes are enumerated in lexicographic chunks of _CHUNK = 1024 words,
 the chunk size of the spreading search too, so memory stays bounded.  The
@@ -59,7 +64,7 @@ x[0 .. tn-1].  Mapping every start word with a nonzero first symbol, written
 with t(m+n) leading zeros, t times leaves exactly those cells.  When no start
 word moves the edge at t = 1, none ever does: a certified No, as is
 anticipation 0.  Each t is charged to the budget before it runs, start words
-times cells evaluated, as the decider charges seeds.
+times cells evaluated, by the cells rule the decider charges prefixes with.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ from .words import format_word
 
 #: default number of table evaluations a decider call may spend
 DEFAULT_BUDGET = 10**8
+_BUDGET_CAP = 2**61  # the most a search reads of any budget (see the module docstring)
 
 #: words per chunk of the expansivity decider and the spreading search
 _CHUNK = 2**10
@@ -153,8 +159,8 @@ class PropertyVerdict:
     """Outcome of a decision procedure run.
 
     TRUE carries a full-exhaustion certificate (seeds_checked == seed_space);
-    FALSE carries a replayable counterexample; UNKNOWN reports the budget
-    that was not sufficient.
+    FALSE carries a replayable counterexample; UNKNOWN reports the charge
+    and the budget read, which never exceeds _BUDGET_CAP.
     """
 
     property_name: str
@@ -204,20 +210,27 @@ def is_left_permutive(rule: LocalRule) -> bool:
                for rest in range(chunk))
 
 
-def _check_budget(budget: int) -> None:
+def _check_budget(budget: int) -> int:
     if budget < 0:
         raise OutOfRange("budget must be nonnegative")
+    return min(budget, _BUDGET_CAP)
 
 
-def _decider_cost(rule: LocalRule, dims: ExpansivityDims) -> tuple[int, int]:
-    """(L, evals_needed): the decider's seed length, and the table
-    evaluations it charges the budget, size**L seeds times the cells each
-    seed's patch evaluates below its top row."""
-    m, n = rule.memory, rule.anticipation
-    n_rows = dims.h + dims.d + 1
-    seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
-    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
-    return seed_len, rule.alphabet.size**seed_len * per_seed
+def _cells(length: int, steps: int, span: int) -> int:  # sum of length - k*span, k <= steps
+    return steps * length - span * steps * (steps + 1) // 2
+
+
+def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
+    """The decider's layout and charge: (L, L', rectangle column c, rectangle
+    row starts, determined index, charge).  Patch row k covers seed columns
+    [k*m, L-1-k*n]; the rectangle clears every row's left end."""
+    m, n, below = rule.memory, rule.anticipation, dims.h + dims.d
+    seed_len = (dims.w + 1) + 2 * max(m, n) * below
+    c = max(below * m, dims.h * m + 1)
+    read_len = min(seed_len, c + dims.w + below * n)
+    charge = rule.alphabet.size**read_len * max(_cells(read_len, below, m + n), 1)
+    starts = range(c, c - (below + 1) * m, -m) if m else (c,) * (below + 1)  # c - k*m
+    return seed_len, read_len, c, starts, (c - 1) - dims.h * m, charge
 
 
 def is_left_expansive(
@@ -225,14 +238,14 @@ def is_left_expansive(
 ) -> PropertyVerdict:
     """Decide left expansivity with the given dimensions by exhaustive
     enumeration of patch seeds (lexicographic order, so certificates are
-    reproducible).  A negative budget raises OutOfRange.
+    reproducible).  A negative budget raises OutOfRange; one above
+    _BUDGET_CAP acts as the cap.
     """
-    _check_budget(budget)
+    budget = _check_budget(budget)
     rule = automaton.rule
     size = rule.alphabet.size
-    m, n = rule.memory, rule.anticipation
-    n_rows = dims.h + dims.d + 1
-    seed_len, needed = _decider_cost(rule, dims)
+    seed_len, read_len, c, starts, det_index, needed = _decider_frame(rule, dims)
+    n_rows, w = len(starts), dims.w
     seed_space = size**seed_len
     name = f"left-expansive({dims.h},{dims.d},{dims.w})"
     if needed > budget:
@@ -240,15 +253,6 @@ def is_left_expansive(
             name, Verdict.UNKNOWN, dims, size, 0, seed_space,
             evals_needed=needed, budget=budget,
         )
-    # rectangle placement within the patch: seed occupies columns
-    # [0, seed_len-1]; patch row k covers [k*m, seed_len-1-k*n]; the left
-    # rectangle column must clear every row's left end and leave room for
-    # the determined cell in the reference row
-    c = max((n_rows - 1) * m, dims.h * m + 1)
-    starts = [c - k * m for k in range(n_rows)]
-    det_index = (c - 1) - dims.h * m
-    w = dims.w
-    read_len = min(seed_len, c + w + (n_rows - 1) * n)  # the read prefix
     pad, prefixes = seed_len - read_len, size**read_len
     key_type = np.dtype((np.void, n_rows * w))
     # every rectangle met in earlier chunks, sorted, with its value and first prefix
@@ -326,7 +330,7 @@ def find_left_expansive_dims(
     corner is expansive, a proof that exhausts its seed space, and a smaller
     cell is the answer; when the corner is the answer its verdict is reused.
     """
-    _check_budget(budget)
+    budget = _check_budget(budget)
     if max_h < 0 or max_d < 0 or max_w < 0:
         raise BadDims("search bounds must be nonnegative")
     cells = sorted(
@@ -335,17 +339,14 @@ def find_left_expansive_dims(
         key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d),
     )
 
-    def over_budget(dims: ExpansivityDims) -> bool:
-        return _decider_cost(automaton.rule, dims)[1] > budget
-
     top = cells[-1] if cells else None  # the only cell with the largest h+d+w
     top_verdict = None
-    if top is not None and not over_budget(top):
+    if top is not None and _decider_frame(automaton.rule, top)[-1] <= budget:
         top_verdict = is_left_expansive(automaton, top, budget=budget)
     refuted = top_verdict is not None and top_verdict.status is Verdict.FALSE
     budget_hit = False
     for checked, dims in enumerate(cells, 1):
-        if over_budget(dims):
+        if _decider_frame(automaton.rule, dims)[-1] > budget:
             budget_hit = True
         elif not refuted:
             verdict = top_verdict if dims == top else \
@@ -370,13 +371,14 @@ def _left_spreading_search(rule: LocalRule, budget: int) -> tuple[Verdict, int, 
     """The uniform-witness search of the module docstring on a quiescent rule:
     (TRUE, witness t, start words at t), (FALSE, t, start words) when no edge
     ever moves left, or (UNKNOWN, the first t over budget, 0)."""
+    budget = _check_budget(budget)
     size, m, n = rule.alphabet.size, rule.memory, rule.anticipation
     if n == 0:  # every cell left of the edge reads only zeros
         return Verdict.FALSE, 0, 0
     spent, t = 0, 1
     while True:
         first, last = size ** (t * n - 1), size ** (t * n)
-        spent += (last - first) * sum(t * (m + 2 * n) - s * (m + n) for s in range(1, t + 1))
+        spent += (last - first) * _cells(t * (m + 2 * n), t, m + n)
         if spent > budget:
             return Verdict.UNKNOWN, t, 0
         moved = 0
@@ -513,8 +515,12 @@ def classify_rapid(
     exact spreading search of the module docstring refutes spreading, and Yes
     when it finds a witness and a height-0 rectangle is proved, since any
     speed is below 1/0.  Height > 0 is never Yes: s < 1/h needs the exact speed.
+    Of search_bounds (H, D, W) only D and W are searched, since a Yes from
+    the uniform witness needs height 0.  A negative bound raises BadDims.
     """
-    _check_budget(budget)
+    budget = _check_budget(budget)
+    if min(search_bounds) < 0:
+        raise BadDims("search bounds must be nonnegative")
     rule = automaton.rule
     if rule.alphabet.size == 1:
         return RapidClassification("No", None, None,

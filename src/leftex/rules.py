@@ -120,14 +120,6 @@ class Automaton:
     def alphabet(self) -> Alphabet:
         return self.rule.alphabet
 
-    @property
-    def memory(self) -> int:
-        return self.rule.memory
-
-    @property
-    def anticipation(self) -> int:
-        return self.rule.anticipation
-
 
 def make_rule(
     alphabet: Alphabet, memory: int, anticipation: int, table: Mapping[WordLike, int]
@@ -366,8 +358,8 @@ def compose(outer: Automaton, inner: Automaton) -> Automaton:
     if outer.alphabet != inner.alphabet:
         raise AlphabetMismatch("cannot compose automata over different alphabets")
     size = outer.alphabet.size
-    m = outer.memory + inner.memory
-    n = outer.anticipation + inner.anticipation
+    m = outer.rule.memory + inner.rule.memory
+    n = outer.rule.anticipation + inner.rule.anticipation
     width = m + n + 1
     total = size**width
     if total > DEFAULT_COMPOSE_GUARD:

@@ -280,8 +280,8 @@ def compose_oracle(outer: Automaton, inner: Automaton) -> Automaton:
     """outer(inner(x)) tabulated one neighborhood at a time: run the inner
     rule along every word of the product width, then look up the outer rule."""
     size = outer.alphabet.size
-    m = outer.memory + inner.memory
-    n = outer.anticipation + inner.anticipation
+    m = outer.rule.memory + inner.rule.memory
+    n = outer.rule.anticipation + inner.rule.anticipation
     table = bytes(
         outer.rule.value(map_windows_oracle(inner.rule, bytes(u)))
         for u in itertools.product(range(size), repeat=m + n + 1)
@@ -327,20 +327,40 @@ def canonical_parts_oracle(anchor: int, lp: bytes, head: bytes, rp: bytes):
     return anchor, lp, head, rp
 
 
+def decider_charge_oracle(automaton: Automaton, dims: ExpansivityDims) -> int:
+    """The evaluations the decider charges: the top row's read prefix is
+    the columns up to the rightmost one that a rectangle row or the
+    determined cell reads, and each of its size**L' values is charged one
+    evaluation per cell of every patch row below the top one (at least 1)."""
+    rule = automaton.rule
+    m, n = rule.memory, rule.anticipation
+    n_rows = dims.h + dims.d + 1
+    seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
+    c = max((n_rows - 1) * m, dims.h * m + 1)
+    # patch row k starts at seed column k*m; its rectangle ends at seed
+    # column c+w-1+k*n, and the determined cell sits at c-1+h*n
+    read_len = 1 + max(max(c + dims.w - 1 + k * n for k in range(n_rows)), c - 1 + dims.h * n)
+    read_len = min(read_len, seed_len)
+    row_cells = [read_len - k * (m + n) for k in range(1, n_rows)]
+    return rule.alphabet.size**read_len * max(sum(row_cells), 1)
+
+
 def _decider_frame(automaton: Automaton, dims: ExpansivityDims, budget: int):
     """The decider's seed length, seed space and rectangle placement, or
-    its Unknown verdict when size**L seeds cost more than the budget."""
+    its Unknown verdict when the charge of decider_charge_oracle is over the
+    budget, which is read capped at 2**61."""
     rule = automaton.rule
     size = rule.alphabet.size
     m, n = rule.memory, rule.anticipation
     n_rows = dims.h + dims.d + 1
     seed_len = (dims.w + 1) + 2 * max(m, n) * (n_rows - 1)
-    per_seed = sum(seed_len - k * (m + n) for k in range(1, n_rows)) or 1
     seed_space = size**seed_len
     name = f"left-expansive({dims.h},{dims.d},{dims.w})"
-    if seed_space * per_seed > budget:
+    budget = min(budget, 2**61)
+    charge = decider_charge_oracle(automaton, dims)
+    if charge > budget:
         return PropertyVerdict(name, Verdict.UNKNOWN, dims, size, 0, seed_space,
-                               evals_needed=seed_space * per_seed, budget=budget)
+                               evals_needed=charge, budget=budget)
     c = max((n_rows - 1) * m, dims.h * m + 1)
     starts = [c - k * m for k in range(n_rows)]
     return name, seed_len, seed_space, c, starts, (c - 1) - dims.h * m
@@ -458,7 +478,7 @@ def left_edge_moves_oracle(automaton: Automaton, t: int, rng) -> list[bool]:
     t times with apply and its left edge read off."""
     size, alphabet = automaton.alphabet.size, automaton.alphabet
     out = []
-    for u in itertools.product(range(size), repeat=max(t * automaton.anticipation, 1)):
+    for u in itertools.product(range(size), repeat=max(t * automaton.rule.anticipation, 1)):
         if u[0] == 0:
             continue
         period = [rng.randrange(size) for _ in range(rng.randint(1, 3))]

@@ -112,7 +112,7 @@ def test_criterion_3_expansivity_anchors():
     cex = negative.counterexample
     rows_a = patch(eca(0), cex.seed_a, 2).rows
     rows_b = patch(eca(0), cex.seed_b, 2).rows
-    m = eca(0).memory
+    m = eca(0).rule.memory
     rect = lambda rows: tuple(rows[k][cex.rect_col - k * m:cex.rect_col - k * m + 2]
                               for k in range(2))
     assert rect(rows_a) == rect(rows_b)

@@ -196,6 +196,25 @@ def test_rule_file_errors(tmp_path, capsys):
         assert (code, out) == (3, "") and str(path) in err, doc
 
 
+def test_budgets_beyond_int64_classify_as_unknown(tmp_path, capsys):
+    """A 3-symbol (1,1) rule whose spreading search climbs t until the
+    budget stops it; at 10**40 an int64 index used to overflow."""
+    table = bytes.fromhex("000002000002010000010101010201010002010002020000000101")
+    doc = {"alphabet": 3, "m": 1, "n": 1,
+           "table": {f"{k // 9}{k // 3 % 3}{k % 3}": v for k, v in enumerate(table)}}
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--budget", str(10**40), "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["reason"].startswith("budget exhausted before spreading search t=")
+
+
+def test_negative_classify_bounds_are_usage_errors(capsys):
+    for bounds in ("-1,2,4", "0,-1,4", "2,2,-1"):
+        code, out, err = run(capsys, "classify", "eca:30", f"--bounds={bounds}")
+        assert code == 3 and out == "" and "bounds" in err, bounds
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LEFTEX_BUDGET", "1")
     assert run(capsys, "classify", "eca:30")[0] == 2

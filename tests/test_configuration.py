@@ -49,6 +49,20 @@ def test_symbols_must_fit_alphabet():
         Configuration(A2, 0, b"", b"\x01", b"\x00")
 
 
+@given(st.integers(1, 256), st.binary(max_size=64))
+@example(256, bytes(range(256)))
+@example(3, b"")
+@settings(max_examples=200)
+def test_check_word_matches_max_oracle(size, w):
+    """check_word rejects a word exactly when max(w) >= size."""
+    alphabet = Alphabet(size)
+    if w and max(w) >= size:
+        with pytest.raises(SymbolOutOfRange):
+            alphabet.check_word(w)
+    else:
+        assert alphabet.check_word(w) is w
+
+
 def test_single_window():
     assert ONE.window(-1, 1) == bytes([0, 1, 0])
 

@@ -467,7 +467,7 @@ def test_mul_rule_digit_examples():
 
 def test_fractional_rule_shape():
     a = fractional_multiplication_rule(MulSpec(3, 2))
-    assert (a.memory, a.anticipation) == (1, 1)
+    assert (a.rule.memory, a.rule.anticipation) == (1, 1)
     assert a.name == "mul:3/2"
 
 

@@ -34,6 +34,7 @@ from leftex.errors import BadDims, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
 from oracles import (
     chunked_left_expansive_oracle,
+    decider_charge_oracle,
     left_edge_moves_oracle,
     left_expansive_oracle,
     linear_dims_search_oracle,
@@ -45,6 +46,11 @@ ONE = Configuration.single(A2, 1)
 MUL32 = fractional_multiplication_rule(MulSpec(3, 2))
 #: a binary (1,2) rule under which [L:0] 11 [R:0] @0 moves one cell right per step
 GLIDER = Automaton(LocalRule(A2, 1, 2, bytes.fromhex("00000100000100010101000101000100")))
+#: a 3-symbol (1,1) rule whose single 1 moves one cell right per step, while
+#: other start words move their edge left: the spreading search runs until
+#: the budget stops it
+STUCK = Automaton(LocalRule(Alphabet(3), 1, 1, bytes.fromhex(
+    "000002000002010000010101010201010002010002020000000101")))
 
 
 def random_left_permutive_rule(rng, size=3):
@@ -118,7 +124,7 @@ def test_rule0_not_expansive_at_top_row():
 
 def replay_counterexample(automaton, dims, cex):
     """Re-derive rectangle contents and determined cells through patch()."""
-    m = automaton.memory
+    m = automaton.rule.memory
     n_rows = dims.h + dims.d + 1
     out = []
     for seed in (cex.seed_a, cex.seed_b):
@@ -332,9 +338,26 @@ def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_budget_verdicts_match_the_oracle():
+    """The decider is charged for the read prefixes it maps: one evaluation
+    below that charge is Unknown and names it, and the charge itself
+    decides, over seeded random rules and dims."""
     for budget in (3, 10**3, 10**6):
         assert is_left_expansive(MUL32, ExpansivityDims(1, 1, 1), budget=budget) == \
             left_expansive_oracle(MUL32, ExpansivityDims(1, 1, 1), budget=budget)
+    rng = random.Random(16)
+    for _ in range(40):
+        size = rng.choice((2, 3))
+        m, n = rng.choice(MN_PAIRS)
+        table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+        automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+        dims = ExpansivityDims(rng.randrange(3), rng.randrange(3), rng.randrange(1, 4))
+        cost = decider_charge_oracle(automaton, dims)
+        if cost > 10**6:
+            continue
+        short = is_left_expansive(automaton, dims, budget=cost - 1)
+        assert short.status is Verdict.UNKNOWN and short.evals_needed == cost
+        assert short == left_expansive_oracle(automaton, dims, budget=cost - 1)
+        assert is_left_expansive(automaton, dims, budget=cost).status is not Verdict.UNKNOWN
 
 
 def test_decider_memory_is_bounded():
@@ -350,15 +373,22 @@ def test_decider_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("p, q", [(3, 2), (5, 2), (4, 3), (7, 2), (5, 3)])
+@pytest.mark.parametrize("p, q", [(3, 2), (5, 2), (4, 3), (7, 2), (5, 3), (9, 2), (7, 4)])
 def test_multiplication_family_is_expansive_at_111(p, q):
-    """The certificate behind classify_rapid's exact-family reason: every
-    mul:p/q with pq <= 15 is proved left expansive at (1,1,1) by exhausting
-    its seed space under the default budget."""
+    """The certificate behind classify_rapid's exact-family reason: mul:p/q
+    is proved left expansive at (1,1,1) by exhausting its (pq)**5 read
+    prefixes under the default budget, which covers every pq <= 30."""
     verdict = is_left_expansive(fractional_multiplication_rule(MulSpec(p, q)),
                                 ExpansivityDims(1, 1, 1))
     assert verdict.status is Verdict.TRUE
     assert verdict.seeds_checked == verdict.seed_space == (p * q) ** 6
+
+
+def test_multiplication_family_beyond_the_default_budget_stays_unknown():
+    verdict = is_left_expansive(fractional_multiplication_rule(MulSpec(7, 5)),
+                                ExpansivityDims(1, 1, 1))
+    assert verdict.status is Verdict.UNKNOWN and verdict.seeds_checked == 0
+    assert verdict.evals_needed == 35**5 * 4 and verdict.seed_space == 35**6
 
 
 def test_find_dims_examples():
@@ -373,8 +403,9 @@ def test_find_dims_examples():
 def test_find_dims_respects_budget():
     search = find_left_expansive_dims(eca(110), 0, 2, 4, budget=3)
     assert search.dims is None and search.budget_exceeded
-    # the top corner alone is over budget, so no probe settles the scan
-    assert find_left_expansive_dims(eca(110), 2, 2, 4, budget=262143) == \
+    # the top corner alone is over budget, so no probe settles the scan; it
+    # maps 2**12 read prefixes through 10 + 8 + 6 + 4 cells
+    assert find_left_expansive_dims(eca(110), 2, 2, 4, budget=2**12 * 28 - 1) == \
         DimsSearch(None, True, 36)
 
 
@@ -392,8 +423,8 @@ def test_find_dims_matches_linear_scan_on_every_eca():
 def test_find_dims_matches_linear_scan_under_small_budgets(automaton, bounds):
     """Budgets from 0, which leaves every cell Unknown, past the cost of the
     top corner, which leaves none; at (2,2,4) an ECA's top corner needs
-    2**13 * 32 = 262144 evaluations."""
-    for budget in (0, 4, 10**3, 10**4, 10**5, 262143, 262144, 10**6):
+    2**12 * 28 = 114688 evaluations."""
+    for budget in (0, 4, 10**3, 10**4, 10**5, 114687, 114688, 262144, 10**6):
         assert find_left_expansive_dims(automaton, *bounds, budget=budget) == \
             linear_dims_search_oracle(automaton, *bounds, budget=budget), budget
 
@@ -438,6 +469,30 @@ def test_refuting_probe_at_the_top_corner_settles_the_search(monkeypatch):
     monkeypatch.setattr(properties, "is_left_expansive", counting)
     assert find_left_expansive_dims(eca(110), 2, 2, 4) == DimsSearch(None, False, 36)
     assert calls == [ExpansivityDims(2, 2, 4)]
+
+
+def test_budgets_above_the_cap_act_as_the_cap():
+    """No budget overflows an int64 enumeration index: a budget above 2**61
+    is read as 2**61, and the verdicts show the budget read."""
+    huge = 10**40
+    verdict = is_left_expansive(eca(30), ExpansivityDims(0, 60, 2), budget=huge)
+    assert verdict.status is Verdict.UNKNOWN and verdict.budget == 2**61
+    assert verdict.to_json_dict()["budget"] == 2**61
+    assert is_left_expansive(eca(30), ExpansivityDims(0, 1, 2), budget=huge) == \
+        is_left_expansive(eca(30), ExpansivityDims(0, 1, 2))
+    assert find_left_expansive_dims(eca(30), 2, 2, 4, budget=huge) == \
+        find_left_expansive_dims(eca(30), 2, 2, 4)
+    assert find_left_expansive_dims(eca(110), 2, 2, 4, budget=huge) == DimsSearch(None, False, 36)
+    assert properties._left_spreading_search(STUCK.rule, huge)[0] is Verdict.UNKNOWN
+
+
+def test_classify_rejects_negative_search_bounds():
+    """Every bound is checked before any branch, so the shift, the constant
+    rules and the spreading No reject a negative bound too."""
+    for automaton in (eca(30), eca(0), eca(170), eca(184), MUL32):
+        for bounds in ((-1, 2, 4), (0, -1, 4), (2, 2, -1)):
+            with pytest.raises(BadDims):
+                classify_rapid(automaton, bounds)
 
 
 def test_negative_budgets_are_rejected():

@@ -100,7 +100,7 @@ def test_make_rule_bad_symbol():
 
 def test_shift_rule_is_sigma():
     sigma = shift_rule(A2)
-    assert sigma.memory == 0 and sigma.anticipation == 1
+    assert sigma.rule.memory == 0 and sigma.rule.anticipation == 1
     assert apply(sigma, ONE) == ONE.shift(1)
 
 
@@ -126,7 +126,7 @@ def test_apply_matches_pointwise_rule_evaluation(F, x):
     if F.alphabet != x.alphabet:
         return
     y = apply(F, x)
-    m, n = F.memory, F.anticipation
+    m, n = F.rule.memory, F.rule.anticipation
     for i in range(-50, 51):
         assert y.at(i) == F.rule.value(x.window(i - m, i + n))
 
@@ -151,7 +151,7 @@ def test_identity_rule_fixes_everything(x):
 def test_sigma_with_inverse_is_identity():
     sigma, inv = shift_rule(A2), shift_inverse_rule(A2)
     both = compose(sigma, inv)
-    assert (both.memory, both.anticipation) == (0, 0)
+    assert (both.rule.memory, both.rule.anticipation) == (0, 0)
     assert apply(both, ONE) == ONE
 
 
@@ -161,9 +161,9 @@ def test_compose_dims_of_fractional_multiplication():
 
     times3 = multiplication_rule(MulSpec(3, 2))
     twice = compose(times3, times3)
-    assert (twice.memory, twice.anticipation) == (0, 2)
+    assert (twice.rule.memory, twice.rule.anticipation) == (0, 2)
     full = compose(shift_inverse_rule(Alphabet(6)), twice)
-    assert (full.memory, full.anticipation) == (1, 1)
+    assert (full.rule.memory, full.rule.anticipation) == (1, 1)
 
 
 @given(rules(max_size=3), rules(max_size=3), raw_configurations(min_size=2, max_size=3))
@@ -216,7 +216,7 @@ def test_compose_working_memory_does_not_grow_with_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (power.memory, power.anticipation) == (8, 8)
+    assert (power.rule.memory, power.rule.anticipation) == (8, 8)
     assert peak <= 8 * 2**20
     rng = random.Random(17)
     for _ in range(50):
@@ -316,7 +316,7 @@ def test_patch_matches_embedded_configurations(F, data):
     """Rows of a patch agree with orbit windows of any configuration whose
     central window extends the seed, within the dependency cone."""
     size = F.alphabet.size
-    m, n = F.memory, F.anticipation
+    m, n = F.rule.memory, F.rule.anticipation
     rows = data.draw(st.integers(1, 3))
     seed_len = (rows - 1) * (m + n) + 1 + data.draw(st.integers(0, 3))
     sym = st.integers(0, size - 1)
