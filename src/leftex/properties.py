@@ -319,16 +319,22 @@ def find_left_expansive_dims(
     searches height-0 rectangles only.  Budget exhaustion never raises; it
     is reported in the result.
 
-    Every cell lies below the top corner (max_h, max_d, max_w), so when that
-    corner is within budget it is decided first, and a False there refutes
-    every cell (see the module docstring).  The cells are then walked in
-    order: an over-budget cell sets budget_exceeded, a refuted cell is
-    skipped, and every other cell is decided.  cells_checked is the position
-    of the answer in the order, or the number of cells when there is none,
-    counting refuted and over-budget cells alike, so the result is that of
-    deciding every cell in turn.  The probe adds a decider run only when the
-    corner is expansive, a proof that exhausts its seed space, and a smaller
-    cell is the answer; when the corner is the answer its verdict is reused.
+    Every cell lies below the top corner (max_h, max_d, max_w), and no cell
+    costs more than the corner.  In _decider_frame, the seed length L, the
+    column c and c+w+(h+d)*n, so L' = min(L, c+w+(h+d)*n) too, are
+    nondecreasing in each of h, d and w, so size**L' is.  _cells(L', h+d,
+    m+n) sums the lengths L' - k*(m+n) of patch rows k = 1 .. h+d, each at
+    least 1 because L' >= (h+d)*(m+n) + 1: a longer L' lengthens every row,
+    and a larger h+d adds rows.  So when the corner is within budget, so is
+    every cell; the corner is decided first, and a False there refutes every
+    cell (see the module docstring), which ends the search with every cell
+    counted.  Otherwise the cells are walked in order: an over-budget cell
+    sets budget_exceeded, and every other cell is decided.  cells_checked is
+    the position of the answer in the order, or the number of cells when
+    there is none, so the result is that of deciding every cell in turn.
+    The probe adds a decider run only when the corner is expansive, a proof
+    that exhausts its seed space, and a smaller cell is the answer; when the
+    corner is the answer its verdict is reused.
     """
     budget = _check_budget(budget)
     if max_h < 0 or max_d < 0 or max_w < 0:
@@ -340,19 +346,18 @@ def find_left_expansive_dims(
     )
 
     top = cells[-1] if cells else None  # the only cell with the largest h+d+w
-    top_verdict = None
-    if top is not None and _decider_frame(automaton.rule, top)[-1] <= budget:
-        top_verdict = is_left_expansive(automaton, top, budget=budget)
-    refuted = top_verdict is not None and top_verdict.status is Verdict.FALSE
+    top_fits = top is not None and _decider_frame(automaton.rule, top)[-1] <= budget
+    top_verdict = is_left_expansive(automaton, top, budget=budget) if top_fits else None
+    if top_fits and top_verdict.status is Verdict.FALSE:
+        return DimsSearch(None, False, len(cells))
     budget_hit = False
     for checked, dims in enumerate(cells, 1):
-        if _decider_frame(automaton.rule, dims)[-1] > budget:
+        if not top_fits and _decider_frame(automaton.rule, dims)[-1] > budget:
             budget_hit = True
-        elif not refuted:
-            verdict = top_verdict if dims == top else \
-                is_left_expansive(automaton, dims, budget=budget)
-            if verdict.status is Verdict.TRUE:
-                return DimsSearch(dims, budget_hit, checked)
+            continue
+        verdict = top_verdict if dims == top else is_left_expansive(automaton, dims, budget=budget)
+        if verdict.status is Verdict.TRUE:
+            return DimsSearch(dims, budget_hit, checked)
     return DimsSearch(None, budget_hit, len(cells))
 
 

@@ -4,10 +4,12 @@ PBM is the canonical golden-file format: textual, diffable, bit-exact.
 Any alphabet renders to PBM by thresholding (symbol > 0 becomes 1), matching
 the usual black-nonzero depiction of diagrams.  PGM maps symbols through a
 gray palette, evenly spaced by default.  Rows are streamed from
-rules.columns, given the row count, so memory stays bounded by one stepped
-state (at most about twice the size of a canonical configuration) plus one
-raster row: once the light cone of the remaining rows is no wider than that
-state, columns maps the cone instead.  Each row is formatted by one
+rules.columns, given the row count, so memory stays bounded by one raster
+row plus one stepped state (at most about twice the size of a canonical
+configuration) or, once columns maps the light cone of the remaining rows
+instead, that cone: at most 8 times the last stepped state and at most
+width + rows*(m+n) symbols.  A long walk adds the rule's block tables, at
+most 8 * rules._BLOCK_ENTRIES bytes.  Each row is formatted by one
 bytes.translate (PBM, ASCII) or one join over per-symbol gray labels (PGM).
 """
 

@@ -13,13 +13,14 @@ the periods keep their lengths and the head grows by m+n symbols.
 Tables are stored flat, indexed by the radix value of the neighborhood
 (leftmost symbol most significant).  Every rule evaluation, from a single
 patch row to a 10^5-symbol image, is one numpy radix-index lookup
-(lookup_windows); the same lookup maps many equal-length words at once when
-they are stacked as the columns of a matrix, which is how the expansivity
-decider grows a chunk of seeds.  compose() tabulates a product rule the
-same way: it maps every word of the product width, enumerated in
-lexicographic order by _lex_words (the decider's seed enumerator too),
-through the inner rule and then the outer one, a fixed-size chunk of words
-at a time so that working memory does not grow with the table.
+(lookup_windows, over the index of _radix_index); the same lookup maps many
+equal-length words at once when they are stacked as the columns of a
+matrix, which is how the expansivity decider grows a chunk of seeds.
+compose() tabulates a product rule the same way: it maps every word of the
+product width, enumerated in lexicographic order by _lex_words (the
+decider's seed enumerator too), through the inner rule and then the outer
+one, a fixed-size chunk of words at a time so that working memory does not
+grow with the table.
 
 One lazy walker, _states, steps along an orbit: it computes the raw state
 of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
@@ -32,10 +33,13 @@ F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
 limit-point censuses and rasters read, and left edges and recurrences of
 tails are read off the raw state too.  Every column walk is told its row
 count, so it reads only the light cone of its window: row t+r over [i, j]
-depends only on row t over [i-r*m, j+r*n].  Once that cone word is no
-longer than the word _step would map next, columns() cuts it off the state
-once and maps it down, one lookup per row and m+n symbols shorter each
-time, so the state is neither stepped nor canonicalized again.  orbit()
+depends only on row t over [i-r*m, j+r*n].  Once that cone word is at
+most k times the word _step would map next, columns() cuts it off the state
+once and maps it down k rows per lookup, so the state is neither stepped
+nor canonicalized again.  k is 1, one lookup per row, unless the walk is
+long enough to pay for the rule's block (_block): tables over every
+neighborhood of width 1 + k*(m+n) that give the cone k rows down and, under
+the window, the k-1 rows in between (k = 6 for the ECAs).  orbit()
 yields canonical configurations, for simulate, verify_mul and library
 callers; it steps each canonical image with apply(), which is _step
 followed by canonicalization and never steps a head longer than the
@@ -65,6 +69,8 @@ from .words import WordLike, cyclic_slice, word
 DEFAULT_COMPOSE_GUARD = 10**7
 #: table entries compose() tabulates per pass, bounding its working memory
 _COMPOSE_CHUNK = 2**14
+#: neighborhoods a rule's block of column-walk rows may tabulate (see _block)
+_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,38 @@ def _lex_words(first: int, count: int, size: int, length: int) -> np.ndarray:
     return digits
 
 
+def _radix_index(symbols: np.ndarray, size: int, width: int, dtype) -> np.ndarray:
+    """The radix index, in ``dtype``, of every length-``width`` window along
+    axis 0 of a ``uint8`` symbol array (leftmost symbol most significant).
+
+    Up to width 3 this is Horner's rule in place, one pass per symbol.
+    Wider windows double instead: the indices of windows of length 1, 2, 4,
+    ... are each built from two of the last, and the lengths in the binary
+    spelling of ``width`` are joined left to right, so width 13 takes 5
+    passes instead of 12.  Doubling allocates where Horner works in place,
+    which costs more than it saves at width 3.  Every partial index stays
+    below size**width, so ``dtype`` only has to hold the full one.
+    """
+    count = len(symbols)
+    if width <= 3:
+        idx = symbols[0:count - width + 1].astype(dtype)
+        for k in range(1, width):
+            idx *= size
+            idx += symbols[k:k + count - width + 1]
+        return idx
+    piece, span = symbols.astype(dtype), 1  # the windows of length span
+    idx, done = None, 0  # the windows of length done
+    while True:
+        if width & span:
+            idx = piece if idx is None else \
+                idx[:count - done - span + 1] * size**span + piece[done:count - span + 1]
+            done += span
+        if 2 * span > width:
+            return idx
+        piece = piece[:count - 2 * span + 1] * size**span + piece[span:count - span + 1]
+        span *= 2
+
+
 def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     """Apply the rule to every length-(m+n+1) window along axis 0 of a
     ``uint8`` symbol array, by radix-index table lookup.
@@ -207,13 +245,52 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     accumulated in the narrowest unsigned type that holds every table
     index; ``take`` widens it to ``intp`` once for the gather.
     """
-    width, size = rule.width, rule.alphabet.size
-    out_len = len(symbols) - width + 1
-    idx = symbols[0:out_len].astype(rule._index_dtype)
-    for k in range(1, width):
-        idx *= size
-        idx += symbols[k:k + out_len]
-    return rule._table_array.take(idx)
+    return rule._table_array.take(
+        _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype))
+
+
+def _block_rows(rule: LocalRule) -> int:
+    """The rows k one block lookup maps: the largest k <= 8 whose
+    neighborhood width 1 + k*(m+n) has at most _BLOCK_ENTRIES words, else 1."""
+    size, span = rule.alphabet.size, rule.memory + rule.anticipation
+    return max((k for k in range(2, 9) if size ** (1 + k * span) <= _BLOCK_ENTRIES), default=1)
+
+
+def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
+    """The rule's block of k = _block_rows(rule) > 1 rows, built on first use
+    and kept on the rule like its table view (so equality, hashing and
+    pickles ignore it): over every word of width W = 1 + k*(m+n) in radix
+    order, the center symbol of F^k, the center symbols of F^1 .. F^(k-1)
+    as the rows of a (k-1, s^W) table, and the radix-index dtype for W.
+    compose() builds its table the same way, but the block is not trimmed:
+    a cone walk relies on its width.
+    """
+    block = getattr(rule, "_block_tables", None)
+    if block is None:
+        size, m, k = rule.alphabet.size, rule.memory, _block_rows(rule)
+        width = 1 + k * (m + rule.anticipation)
+        words, centers = _lex_words(0, size**width, size, width), []
+        for q in range(1, k + 1):
+            words = lookup_windows(rule, words)
+            centers.append(words[(k - q) * m])  # the neighborhood's center after q rows
+        block = (centers[-1], np.stack(centers[:-1]), np.min_scalar_type(size**width - 1))
+        object.__setattr__(rule, "_block_tables", block)
+    return block
+
+
+def _map_rows(rule: LocalRule, symbols: np.ndarray, k: int = 1, lo: int = 0,
+              width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Map a ``uint8`` word k rows down with one lookup: the word k rows
+    down, and rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the
+    rule's own table) or _block_rows(rule) (its block).  Every row an orbit
+    or a cone walk maps comes from here.
+    """
+    if k == 1:
+        return lookup_windows(rule, symbols), ()
+    center, between, dtype = _block(rule)
+    idx = _radix_index(symbols, rule.alphabet.size,
+                       1 + k * (rule.memory + rule.anticipation), dtype)
+    return center.take(idx), between.take(idx[lo:lo + width], axis=1)
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
@@ -221,11 +298,11 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
     ``_step`` (so behind ``apply`` and every orbit walk) and ``patch``, a
-    bytes wrapper over ``lookup_windows``.
+    bytes wrapper over one row of ``_map_rows``.
     """
     if len(samples) < rule.width:
         raise SeedTooShort(f"need at least {rule.width} symbols, got {len(samples)}")
-    return lookup_windows(rule, np.frombuffer(samples, dtype=np.uint8)).tobytes()
+    return _map_rows(rule, np.frombuffer(samples, dtype=np.uint8))[0].tobytes()
 
 
 def _step(rule: LocalRule, anchor: int, lp: bytes, head: bytes,
@@ -291,10 +368,12 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
             rows: int) -> Iterator[bytes]:
     """The column words F^t(x)[i..j] for t = 0 .. rows-1 as a lazy
     generator, read straight off the walker's raw states, with no
-    Configuration per row.  Once the light cone of the remaining rows is no
-    wider than the state it walks, the generator walks the cone instead
-    (see the module docstring).  A caller that takes k words spends exactly
-    k-1 steps.
+    Configuration per row.  Once the light cone of the remaining rows is at
+    most k times as wide as the state it walks, k being the rows the walk
+    maps per lookup, the generator walks the cone instead (see the module
+    docstring).  A caller that takes r words has r-1 rows mapped, and at
+    most k-1 more: the rest of the lookup its last word came from.  No row
+    past rows-1 is mapped.
     """
     if i > j:
         raise EmptyInterval(f"empty interval [{i}, {j}]")
@@ -308,20 +387,33 @@ def _cone_columns(rule: LocalRule, states: Iterator[tuple[int, bytes, bytes, byt
     """The first ``rows`` words F^t(x)[i..j] off the walker's ``states``.
 
     With r rows left after row t, those rows read only row t over
-    [i - r*m, j + r*n].  As soon as that cone word is no longer than the
-    word _step would map next, it is cut once and mapped down, one
-    map_windows call per row; row t+k is its slice at offset (r-k)*m.
+    [i - r*m, j + r*n].  As soon as that cone is at most k times the word
+    _step would map next, it is cut once and mapped down, k rows per lookup
+    and its last r mod k rows one at a time; row t+q is its slice at offset
+    (r-q)*m.  k = _block_rows(rule) when the symbols the rows would map one
+    at a time, about r * (cone + width) / 2, are at least the
+    k * s^W * (W+1) / 2 that building the block maps, else 1, so short walks
+    never build it.
     """
     m, n = rule.memory, rule.anticipation
-    width = j - i + 1
+    size, width, k_block = rule.alphabet.size, j - i + 1, _block_rows(rule)
+    block_width = 1 + k_block * (m + n)
+    block_cost = k_block * size**block_width * (block_width + 1)
     for left, state in zip(range(rows - 1, -1, -1), states):
         _, lp, head, rp = state
-        if width + left * (m + n) <= len(lp) + len(head) + len(rp) + 2 * (m + n):
-            cone = _window(*state, i - left * m, j + left * n)
-            yield cone[left * m:left * m + width]
-            for r in range(left - 1, -1, -1):
-                cone = map_windows(rule, cone)
-                yield cone[r * m:r * m + width]
+        cone = width + left * (m + n)
+        k = k_block if left * (cone + width) >= block_cost else 1
+        if cone <= k * (len(lp) + len(head) + len(rp) + 2 * (m + n)):
+            word = _window(*state, i - left * m, j + left * n)
+            yield word[left * m:left * m + width]
+            word = np.frombuffer(word, dtype=np.uint8)
+            while left:
+                step = k if left >= k else 1
+                left -= step
+                word, between = _map_rows(rule, word, step, left * m, width)
+                for row in between:
+                    yield row.tobytes()
+                yield word[left * m:left * m + width].tobytes()
             return
         yield _window(*state, i, j)
 

@@ -254,6 +254,21 @@ def map_windows_oracle(rule: LocalRule, samples: bytes) -> bytes:
     return bytes(out)
 
 
+def radix_index_oracle(symbols, size: int, width: int) -> list:
+    """Horner's rule in Python integers, one window at a time: the radix
+    index of every length-``width`` window along axis 0 of a 1-D or 2-D
+    symbol array, leftmost symbol most significant, as nested lists."""
+    def index(column, p):
+        idx = 0
+        for s in column[p:p + width]:
+            idx = idx * size + int(s)
+        return idx
+    if symbols.ndim == 1:
+        return [index(symbols, p) for p in range(len(symbols) - width + 1)]
+    columns = symbols.T
+    return [[index(column, p) for column in columns] for p in range(len(symbols) - width + 1)]
+
+
 def trim_vacuous_oracle(rule: LocalRule) -> LocalRule:
     """Edge positions dropped by comparing table blocks: the leftmost
     symbol is vacuous when all size blocks of the table are equal, the

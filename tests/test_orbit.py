@@ -4,10 +4,11 @@ Every walk that reads less than a whole configuration reads the raw states
 of one walker, rules._states: rules.columns reads a window off each, or
 walks the light cone of its window once that is narrower, and the spreading
 and recurrence scans read a left edge or a tail off each.  rules.orbit
-steps canonical configurations with rules.apply.  Every step of any of them
-is one rules.map_windows call (a rules._step call maps one word, and so does
-each row of a cone), so counting those calls pins each consumer to the
-number of images it needs, and none of them computes one image too many.
+steps canonical configurations with rules.apply.  Every row any of them maps
+comes from one rules._map_rows call: a rules._step call maps one row, and a
+cone maps k rows per call through the rule's block and its last rows one per
+call.  Counting the rows of those calls pins each consumer to the number of
+images it needs, and none of them computes one image too many.
 """
 
 import contextlib
@@ -56,21 +57,29 @@ TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
 
 @contextlib.contextmanager
 def counting_steps():
-    """Yield a list that grows by the length of each word mapped by
-    rules.map_windows, the one call behind every step: rules._step (so
-    rules.apply and the orbit walker) and each row of a column cone."""
+    """Yield a list that grows by (rows, symbols) for each word mapped by
+    rules._map_rows, the one call behind every row: rules._step (so
+    rules.apply and the orbit walker) and each lookup of a column cone."""
     mapped = []
-    real = leftex.rules.map_windows
+    real = leftex.rules._map_rows
 
-    def counting(rule, samples):
-        mapped.append(len(samples))
-        return real(rule, samples)
+    def counting(rule, symbols, k=1, lo=0, width=0):
+        mapped.append((k, len(symbols)))
+        return real(rule, symbols, k, lo, width)
 
-    leftex.rules.map_windows = counting
+    leftex.rules._map_rows = counting
     try:
         yield mapped
     finally:
-        leftex.rules.map_windows = real
+        leftex.rules._map_rows = real
+
+
+def rows_of(mapped):
+    return sum(k for k, _ in mapped)
+
+
+def symbols_of(mapped):
+    return sum(count for _, count in mapped)
 
 
 @pytest.fixture
@@ -92,26 +101,33 @@ def test_orbit_is_lazy(applied):
 def test_columns_are_lazy(applied):
     rows = columns(eca(30), ONE, -2, 2, 10)
     assert next(rows) == b"\x00\x00\x01\x00\x00" and not applied
-    assert next(rows) == b"\x00\x01\x01\x01\x00" and len(applied) == 1
-    assert next(rows) == b"\x01\x01\x00\x00\x01" and len(applied) == 2
+    assert next(rows) == b"\x00\x01\x01\x01\x00" and rows_of(applied) == 1
+    assert next(rows) == b"\x01\x01\x00\x00\x01" and rows_of(applied) == 2
+    # a cone mapped six rows per lookup is lazy to within one lookup
+    want = trace_oracle(eca(30), ONE, 0, 0, 3000)
+    applied.clear()
+    for taken, row in enumerate(columns(eca(30), ONE, 0, 0, 3000), 1):
+        assert row == want[taken - 1]
+        assert taken - 1 <= rows_of(applied) <= taken - 1 + 5
+    assert any(k == 6 for k, _ in applied)
 
 
 def test_trace_and_render_step_counts(applied):
     list(columns(eca(30), ONE, -3, 3, 7))
-    assert len(applied) == 6
+    assert rows_of(applied) == 6
     applied.clear()
     list(columns(eca(30), ONE, 0, 0, 1))
     assert not applied
     render_to(io.StringIO(), eca(30), ONE, RenderSpec(5, -4, 4, "pbm"))
-    assert len(applied) == 4
+    assert rows_of(applied) == 4
 
 
 def test_scan_step_counts(applied):
     recurrence_scan(eca(90), ONE, 0, 9)
-    assert len(applied) == 9
+    assert rows_of(applied) == 9
     applied.clear()
     limit_point_census(eca(30), ONE, 0, 9, [1, 2])
-    assert len(applied) == 9
+    assert rows_of(applied) == 9
     applied.clear()
     limit_point_census(eca(30), ONE, 0, 0, [1, 2])
     assert not applied
@@ -210,8 +226,8 @@ def test_columns_work_is_linear_in_the_steps(applied):
     # two symbols a step until it is canonicalized again
     horizon = 2 * 10**4
     list(columns(eca(204), ONE, -3, 3, horizon))
-    assert len(applied) == horizon - 1
-    assert sum(applied) <= 100 * (horizon - 1)
+    assert rows_of(applied) == horizon - 1
+    assert symbols_of(applied) <= 100 * (horizon - 1)
 
 
 # -- bounded column walks against the canonical orbit ----------------------
@@ -221,7 +237,9 @@ def test_columns_work_is_linear_in_the_steps(applied):
 def cone_cases(draw):
     """A random rule, m+n = 0 included, a raw configuration, a window that
     may be far from the head or wider than the whole state, and a row count
-    from 0 up to past the walker's re-canonicalizations."""
+    from 0 up to past the walker's re-canonicalizations, up to enough rows
+    that the cone is mapped through the rule's block, with a tail of single
+    rows."""
     size = draw(st.integers(2, 3))
     m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -234,7 +252,7 @@ def cone_cases(draw):
     x = Configuration(Alphabet(size), draw(st.integers(-10, 10)), lp, head, rp)
     i = x.anchor + draw(st.integers(-400, 400))
     j = i + draw(st.sampled_from([0, 1, 5, 40, 300]))
-    rows = draw(st.sampled_from([0, 1, 2, 3, 50, 150, 400]))
+    rows = draw(st.sampled_from([0, 1, 2, 3, 50, 150, 400, 2503]))
     return automaton, x, i, j, rows
 
 
@@ -246,7 +264,7 @@ def test_bounded_columns_match_the_canonical_orbit(case):
         # one more than the rows asked for: a walk that overruns fails, not hangs
         got = list(itertools.islice(columns(automaton, x, i, j, rows), rows + 1))
     assert len(got) == rows
-    assert len(mapped) == max(rows - 1, 0)
+    assert rows_of(mapped) == max(rows - 1, 0)
     assert got == trace_oracle(automaton, x, i, j, rows)
 
 
@@ -256,24 +274,37 @@ def test_bounded_columns_match_the_canonical_orbit(case):
     (30, 500, 520, 3),     # far right of the head
     (204, -3, 3, 300),     # a head that re-canonicalizes before the switch
     (0, -1, 1, 1),         # one row, no step
+    (30, -3, 3, 1003),     # six rows per lookup from t = 141, then three single rows
 ])
 def test_bounded_columns_take_exactly_their_rows(applied, rule, i, j, rows):
     want = trace_oracle(eca(rule), ONE, i, j, rows)
     applied.clear()
     assert list(itertools.islice(columns(eca(rule), ONE, i, j, rows), rows + 1)) == want
-    assert len(applied) == rows - 1
+    assert rows_of(applied) == rows - 1
 
 
 def test_bounded_columns_switch_to_the_cone(applied):
-    # 400 rows over one column from a single 1: from t = 198 on, the cone of
-    # the remaining rows is no wider than the word the stepped state maps,
-    # so the column walk maps about half the symbols of 400 walker states
-    rows = [_window(*state, 0, 0) for _, state in zip(range(400), _states(eca(30), ONE))]
-    stepped = sum(applied)
-    applied.clear()
-    assert list(columns(eca(30), ONE, 0, 0, 400)) == rows
-    assert len(applied) == 399
-    assert sum(applied) < stepped * 0.55
+    # rows over one column from a single 1: rule 30 maps six rows per block
+    # lookup, so the walk steps the state only until the cone of the
+    # remaining rows is at most six times the word the stepped state maps;
+    # from there on it maps the cone six rows per lookup and the last
+    # left mod 6 rows (none for 2000 rows, two for 2003) one at a time
+    span = 2
+    for rows, tail_rows in ((2000, 0), (2003, 2)):
+        states = [state for _, state in zip(range(rows), _states(eca(30), ONE))]
+        stepped = [len(lp) + len(head) + len(rp) + 2 * span for _, lp, head, rp in states]
+        switch = next(t for t in range(rows) if 1 + (rows - 1 - t) * span <= 6 * stepped[t])
+        left = rows - 1 - switch
+        cones = [1 + r * span for r in range(left, left % 6, -6)]
+        tail = [1 + r * span for r in range(left % 6, 0, -1)]
+        applied.clear()
+        assert list(columns(eca(30), ONE, 0, 0, rows)) == \
+            [_window(*state, 0, 0) for state in states]
+        assert applied == ([(1, stepped[t]) for t in range(switch)] + [(6, c) for c in cones]
+                           + [(1, c) for c in tail])
+        assert 250 < switch < 300 and len(tail) == tail_rows
+        # about a seventh of the symbols the walker maps for the same rows
+        assert symbols_of(applied) < sum(stepped) * 0.15
 
 
 def test_negative_row_count_is_out_of_range():
@@ -285,17 +316,21 @@ def test_negative_row_count_is_out_of_range():
 def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():
     rule = eca(30).rule
     twin = LocalRule(A2, 1, 1, bytes(rule.table))
+    walked = list(columns(Automaton(rule), ONE, 0, 0, 3000))  # builds rule 30's block
+    assert hasattr(rule, "_block_tables") and not hasattr(twin, "_block_tables")
     assert twin == rule and hash(twin) == hash(rule)
-    assert "_table_array" not in repr(rule)
+    assert repr(twin) == repr(rule) and "_table_array" not in repr(rule)
     blob = pickle.dumps(rule)
-    assert b"numpy" not in blob
+    assert b"numpy" not in blob and blob == pickle.dumps(twin)
     back = pickle.loads(blob)
     assert back == rule and hash(back) == hash(rule)
+    assert not hasattr(back, "_block_tables")
     assert back._table_array.tobytes() == rule.table
     assert back._index_dtype == rule._index_dtype
     assert copy.deepcopy(rule) == rule
     assert list(columns(Automaton(back), ONE, -3, 3, 5)) == \
         list(columns(eca(30), ONE, -3, 3, 5))
+    assert list(columns(Automaton(back), ONE, 0, 0, 3000)) == walked
 
 
 # -- raw-state readers against the canonical orbit ---------------------------

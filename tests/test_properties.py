@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from leftex import (
     Alphabet,
@@ -446,6 +446,33 @@ def small_dims_searches(draw):
 @settings(max_examples=100, deadline=None)
 def test_find_dims_matches_linear_scan_on_random_rules(query):
     automaton, bounds, budget = query
+    assert find_left_expansive_dims(automaton, *bounds, budget=budget) == \
+        linear_dims_search_oracle(automaton, *bounds, budget=budget)
+
+
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_no_cell_costs_more_than_its_corner(size, m, n, max_h, max_d, max_w):
+    """The decider's charge is monotone in the cell, which lets the
+    dimension search skip every cell's charge once the corner fits."""
+    rule = LocalRule(Alphabet(size), m, n, bytes(size ** (m + n + 1)))
+    corner = properties._decider_frame(rule, ExpansivityDims(max_h, max_d, max_w))[-1]
+    for h in range(max_h + 1):
+        for d in range(max_d + 1):
+            for w in range(1, max_w + 1):
+                assert properties._decider_frame(rule, ExpansivityDims(h, d, w))[-1] <= corner
+
+
+@given(small_dims_searches(), st.sampled_from([-1, 0]))
+@settings(max_examples=60, deadline=None)
+def test_find_dims_at_the_corner_budget_matches_linear_scan(query, offset):
+    """A budget of exactly the corner's charge settles the search from the
+    corner; one less walks every cell's charge."""
+    automaton, bounds, _ = query
+    assume(bounds[2] >= 1)
+    budget = properties._decider_frame(automaton.rule, ExpansivityDims(*bounds))[-1] + offset
+    assume(budget <= 10**6)
     assert find_left_expansive_dims(automaton, *bounds, budget=budget) == \
         linear_dims_search_oracle(automaton, *bounds, budget=budget)
 

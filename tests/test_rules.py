@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,7 +21,15 @@ from leftex import (
     shift_rule,
     trim_vacuous,
 )
-from leftex.rules import Automaton, LocalRule, map_windows
+from leftex.rules import (
+    Automaton,
+    LocalRule,
+    _BLOCK_ENTRIES,
+    _block,
+    _block_rows,
+    _radix_index,
+    map_windows,
+)
 from leftex.errors import (
     AlphabetMismatch,
     EmptyInterval,
@@ -37,6 +46,7 @@ from oracles import (
     compose_oracle,
     map_windows_oracle,
     padded_step,
+    radix_index_oracle,
     raw_configurations,
     simulate_zero_padded,
     trim_vacuous_oracle,
@@ -353,6 +363,45 @@ def test_map_windows_matches_rolling_index_oracle():
         for length in [*range(rule.width, 65), *range(2040, 2061)]:
             samples = bytes(b % size for b in rng.randbytes(length))
             assert map_windows(rule, samples) == map_windows_oracle(rule, samples)
+
+
+@given(st.integers(2, 4), st.integers(1, 17), st.integers(0, 40), st.integers(1, 5),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_radix_index_matches_horner(size, width, extra, count, matrix, rng):
+    """Horner up to width 3 and doubling beyond, on words and on word
+    matrices, in the narrowest dtype that holds size**width - 1."""
+    shape = (width + extra, count) if matrix else (width + extra,)
+    symbols = np.array([rng.randrange(size) for _ in range(np.prod(shape))],
+                       dtype=np.uint8).reshape(shape)
+    dtype = np.min_scalar_type(size**width - 1)
+    got = _radix_index(symbols, size, width, dtype)
+    assert got.dtype == dtype and got.shape == (extra + 1, *shape[1:])
+    assert got.tolist() == radix_index_oracle(symbols, size, width)
+
+
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_block_tables_are_k_rule_applications(size, m, n, rng):
+    """For a sample of neighborhoods, the block's F^k table and its rows
+    1..k-1 are the center of k rolling-index applications of the rule."""
+    table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+    rule = LocalRule(Alphabet(size), m, n, table)
+    k = _block_rows(rule)
+    width = 1 + k * (m + n)
+    assert size**width <= _BLOCK_ENTRIES or k == 1
+    assert k == 8 or k == 1 or size ** (width + m + n) > _BLOCK_ENTRIES
+    if k == 1:
+        return
+    center, between, dtype = _block(rule)
+    assert center.shape == (size**width,) and between.shape == (k - 1, size**width)
+    assert dtype == np.min_scalar_type(size**width - 1)
+    for v in {0, size**width - 1, *(rng.randrange(size**width) for _ in range(64))}:
+        row = bytes(v // size**p % size for p in range(width - 1, -1, -1))
+        for q in range(1, k + 1):
+            row = map_windows_oracle(rule, row)
+            want = between[q - 1][v] if q < k else center[v]
+            assert row[(k - q) * m] == want
 
 
 def test_map_windows_rejects_short_input():

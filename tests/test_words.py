@@ -28,6 +28,28 @@ def test_parse_word_rejects_junk():
 def test_format_word():
     assert format_word(bytes([0, 1, 3]), 6) == "013"
     assert format_word(bytes([0, 11, 3]), 16) == "0,11,3"
+    # a word with a symbol out of range, as an error message names it
+    assert format_word(bytes([0, 12, 3]), 10) == "0123"
+
+
+@given(st.integers(1, 16).flatmap(
+    lambda size: st.tuples(st.just(size), st.binary(max_size=300).map(
+        lambda raw: bytes(b % size for b in raw)))), st.sampled_from(["", " ", "\t "]))
+@settings(max_examples=200, deadline=None)
+def test_words_round_trip_through_digits(case, pad):
+    size, w = case
+    text = format_word(w, size)
+    assert text == (",".join if size > 10 else "".join)(str(s) for s in w)
+    assert parse_word(pad + text + pad, size) == w
+    if size <= 10:
+        assert parse_word(text) == w
+
+
+def test_parse_word_keeps_non_ascii_digits_and_error_columns():
+    assert parse_word("1\u06632", 10) == b"\x01\x03\x02"  # ARABIC-INDIC 3
+    with pytest.raises(ParseError) as error:
+        parse_word("  01\u00b23", 10)  # a superscript two is a digit, not a decimal
+    assert error.value.column == 5
 
 
 def test_primitive_root_examples():
