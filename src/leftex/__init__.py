@@ -1,6 +1,8 @@
 """leftex: exact simulation and structural analysis of one-dimensional
 cellular automata on eventually periodic configurations."""
 
+from types import ModuleType as _ModuleType
+
 from .configuration import (
     Alphabet,
     Configuration,
@@ -9,7 +11,6 @@ from .configuration import (
     fractional_part,
     left_edge,
     parse_configuration,
-    seq_equal,
 )
 from .dynamics import (
     AperiodicityReport,
@@ -49,7 +50,7 @@ from .properties import (
     is_left_spreading_eca,
     left_spreading_witnesses,
 )
-from .render import RenderSpec, default_palette, render, render_to
+from .render import RenderSpec, default_palette, render_to
 from .rules import (
     Automaton,
     LocalRule,
@@ -58,7 +59,6 @@ from .rules import (
     columns,
     compose,
     eca,
-    eca_rule,
     identity_rule,
     make_rule,
     orbit,
@@ -69,5 +69,7 @@ from .rules import (
 )
 from .words import format_word, parse_word, word
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are reached as leftex.<module>; only what they define is exported
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

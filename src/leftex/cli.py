@@ -6,16 +6,15 @@ or a path to a JSON rule file
 ``{"alphabet": n, "m": m, "n": n, "table": {"digits": symbol, ...}}``.
 Configurations use the literal format ``[L:word] head [R:word] @anchor``.
 
+Options are spelled in full; an abbreviated option is a usage error.
 Exit codes: 0 pass/True, 1 fail/False, 2 Unknown or budget exhausted,
-3 usage or parse error.  The environment variable LEFTEX_BUDGET overrides
-the enumeration budget.
+3 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -46,6 +45,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # subparsers are made by this class too, so no command accepts a prefix
+    # of an option for the option itself
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on usage errors; our contract wants 3
     def error(self, message):
         raise _UsageError(message)
@@ -94,21 +98,13 @@ def _parse_cols(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _budget(args) -> int:
-    """--budget, else LEFTEX_BUDGET, else the default; a negative or
-    malformed value is a usage error that names where it came from."""
-    if getattr(args, "budget", None) is not None:
-        source, raw = "--budget", args.budget
-    elif os.environ.get("LEFTEX_BUDGET"):
-        source, raw = "LEFTEX_BUDGET", os.environ["LEFTEX_BUDGET"]
-    else:
-        return DEFAULT_BUDGET
+def _parse_budget(text: str) -> int:
     try:
-        budget = int(raw)
+        budget = int(text)
     except ValueError:
         budget = -1
     if budget < 0:
-        raise _UsageError(f"{source} must be a nonnegative integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return budget
 
 
@@ -150,14 +146,13 @@ def _cmd_render(args, automaton, x) -> int:
 
 
 def _cmd_atlas(args, *_) -> int:
-    budget = _budget(args)
     rows = []
     for number in range(256):
         automaton = eca(number)
         permutive = is_left_permutive(automaton.rule)
         spreading = is_left_spreading_eca(automaton.rule)
-        found = find_left_expansive_dims(automaton, 2, 2, 4, budget=budget)
-        classification = classify_rapid(automaton, (2, 2, 4), budget=budget)
+        found = find_left_expansive_dims(automaton, 2, 2, 4, budget=args.budget)
+        classification = classify_rapid(automaton, (2, 2, 4), budget=args.budget)
         rows.append({
             "rule": number,
             "permutive": permutive,
@@ -186,7 +181,7 @@ def _cmd_verify_mul(args, *_) -> int:
 
 
 def _cmd_scan_period(args, automaton, x) -> int:
-    lo, hi = _parse_cols(args.cols) if args.col is None else (args.col, args.col)
+    lo, hi = _parse_cols(args.cols)
     report = aperiodicity_scan(automaton, x, lo, hi, args.horizon, args.max_c, args.max_p)
     if args.json:
         print(json.dumps(report.to_json_dict()))
@@ -225,7 +220,7 @@ def _cmd_classify(args, automaton, _) -> int:
     bounds = tuple(int(v) for v in args.bounds.split(","))
     if len(bounds) != 3:
         raise _UsageError("bounds must be three comma-separated integers h,d,w")
-    result = classify_rapid(automaton, bounds, budget=_budget(args))
+    result = classify_rapid(automaton, bounds, budget=args.budget)
     if args.json:
         print(json.dumps(result.to_json_dict()))
     else:
@@ -260,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="structural census of all 256 elementary rules")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("verify-mul", help="check the multiplication automata exactly")
@@ -272,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-period", parents=[stepped],
                        help="search a trace for an eventual period")
-    cols = p.add_mutually_exclusive_group(required=True)
-    cols.add_argument("--col", type=int)
-    cols.add_argument("--cols", metavar="A:B")
+    p.add_argument("--cols", required=True, metavar="A:B", help="column window; --cols=A:A for one")
     p.add_argument("--T", dest="horizon", type=int, required=True)
     p.add_argument("--max-c", type=int, default=500)
     p.add_argument("--max-p", type=int, default=500)
@@ -299,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rule")
     p.add_argument("--bounds", default="2,2,4", metavar="H,D,W",
                    help="nonnegative; H is not searched, since a Yes needs height 0")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import re
 
 from .errors import (
-    AlphabetMismatch,
     EmptyInterval,
     NotNumberLike,
     ParseError,
@@ -253,7 +252,8 @@ class OneSidedSeq:
     """An eventually periodic one-sided sequence (index set 0, 1, 2, ...).
 
     Canonical form: primitive period, head shortened as far as possible.
-    Structural equality then coincides with pointwise equality.
+    Structural equality then coincides with pointwise equality, so ``==``
+    decides whether two sequences are equal.
     """
 
     alphabet: Alphabet
@@ -310,18 +310,6 @@ def _fractional_part(alphabet: Alphabet, anchor: int, lp: bytes, head: bytes, rp
 def fractional_part(x: Configuration, c: int) -> OneSidedSeq:
     """The one-sided sequence i -> x[c+i]."""
     return _fractional_part(x.alphabet, x.anchor, x.left_period, x.head, x.right_period, c)
-
-
-def seq_equal(a: OneSidedSeq, b: OneSidedSeq) -> bool:
-    """Exact equality of two one-sided sequences.
-
-    Both arguments are canonical, so structural comparison decides equality;
-    it gives the same verdict as comparing the first
-    max(|head_a|, |head_b|) + lcm(|period_a|, |period_b|) entries.
-    """
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch("cannot compare sequences over different alphabets")
-    return a.head == b.head and a.period == b.period
 
 
 # -- textual literals --------------------------------------------------------

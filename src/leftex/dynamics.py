@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .configuration import Configuration, _fractional_part, seq_equal
+from .configuration import Configuration, _fractional_part
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
 from .rules import Automaton, _states, columns
@@ -147,7 +147,7 @@ def recurrence_scan(
     states = _states(automaton, x)
     target = _fractional_part(x.alphabet, *next(states), c)  # x's own tail
     return [t for t, state in zip(range(1, horizon + 1), states)
-            if seq_equal(_fractional_part(x.alphabet, *state, c), target)]
+            if _fractional_part(x.alphabet, *state, c) == target]
 
 
 def limit_point_census(

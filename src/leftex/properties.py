@@ -10,8 +10,8 @@ those dimensions when the contents of any such rectangle in any space-time
 diagram determine the symbol in the cell immediately to the rectangle's
 left at the reference row, i.e. at (column c-1, row t).
 
-The decider's seeds are the words of length L = (w+1) + 2r(h+d) (r being
-the automaton radius), each the top row of a patch.  The top row of a
+The decider's seeds are the words of length L = (w+1) + 2r(h+d), r being
+max(m, n) of the rule, each the top row of a patch.  The top row of a
 rectangle placement may be row 0 of a diagram, which is an arbitrary
 configuration, so the seeds cover every instance: any conflicting pair of
 seeds zero-extends to two genuine diagrams violating the implication, and

@@ -15,7 +15,6 @@ bytes.translate (PBM, ASCII) or one join over per-symbol gray labels (PGM).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import IO, Mapping, Optional
 
@@ -78,9 +77,11 @@ def _ascii_char(symbol: int, alphabet_size: int) -> str:
 
 def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: RenderSpec) -> None:
     """Stream the raster for rows t = 0 .. rows-1, row t being
-    F^t(x)[col_lo .. col_hi]."""
+    F^t(x)[col_lo .. col_hi].  Invalid input raises before anything is
+    written."""
     width = spec.col_hi - spec.col_lo + 1
     size = automaton.alphabet.size
+    rows = columns(automaton, x, spec.col_lo, spec.col_hi, spec.rows)
     if spec.format == "pgm":
         labels = [str(level) for level in _gray_map(size, spec.palette)]
         out.write(f"P2\n{width} {spec.rows}\n255\n")
@@ -89,7 +90,7 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
         out.write(f"P1\n{width} {spec.rows}\n")
     else:
         chars = "".join(_ascii_char(s, size) for s in range(256)).encode("ascii")
-    for row in columns(automaton, x, spec.col_lo, spec.col_hi, spec.rows):
+    for row in rows:
         if spec.format == "pgm":
             out.write(" ".join(map(labels.__getitem__, row)))
         elif spec.format == "pbm":
@@ -97,10 +98,3 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
         else:
             out.write(row.translate(chars).decode("ascii"))
         out.write("\n")
-
-
-def render(automaton: Automaton, x: Configuration, spec: RenderSpec) -> bytes:
-    """Convenience wrapper returning the raster as bytes."""
-    buf = io.StringIO()
-    render_to(buf, automaton, x, spec)
-    return buf.getvalue().encode("ascii")

@@ -156,8 +156,8 @@ def make_rule(
     return LocalRule(alphabet, memory, anticipation, bytes(flat))
 
 
-def eca_rule(number: int) -> LocalRule:
-    """Elementary CA rule in the Wolfram numbering.
+def eca(number: int) -> Automaton:
+    """Elementary CA in the Wolfram numbering.
 
     The output for neighborhood a b c is bit 4a+2b+c of ``number``; since our
     flat tables are radix-indexed with the leftmost symbol most significant,
@@ -165,11 +165,8 @@ def eca_rule(number: int) -> LocalRule:
     """
     if not 0 <= number <= 255:
         raise OutOfRange(f"ECA number must be in 0..255, got {number}")
-    return LocalRule(Alphabet(2), 1, 1, bytes((number >> i) & 1 for i in range(8)))
-
-
-def eca(number: int) -> Automaton:
-    return Automaton(eca_rule(number), name=f"eca:{number}")
+    table = bytes((number >> i) & 1 for i in range(8))
+    return Automaton(LocalRule(Alphabet(2), 1, 1, table), name=f"eca:{number}")
 
 
 def shift_rule(alphabet: Alphabet) -> Automaton:
@@ -338,11 +335,16 @@ def _states(automaton: Automaton,
     x, F(x), F^2(x), ..., the first being x's own parts, as a lazy generator:
     a caller that takes k states spends exactly k-1 steps.  A state is
     canonical only after a re-canonicalization (see the module docstring).
+    The alphabets are checked at the call, so every walk over the wrong
+    alphabet raises before it yields anything.
     """
     if automaton.alphabet != x.alphabet:
         raise AlphabetMismatch("automaton and configuration alphabets differ")
-    rule = automaton.rule
-    state = (x.anchor, x.left_period, x.head, x.right_period)
+    return _walk(automaton.rule, (x.anchor, x.left_period, x.head, x.right_period))
+
+
+def _walk(rule: LocalRule, state: tuple[int, bytes, bytes, bytes]
+          ) -> Iterator[tuple[int, bytes, bytes, bytes]]:
     while True:
         limit = 2 * len(state[2]) + 64
         while len(state[2]) <= limit:

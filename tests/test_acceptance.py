@@ -5,6 +5,7 @@ lines as they complete.  Everything asserted here is exact (tolerance zero)
 unless the criterion itself states a numeric band.
 """
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -24,7 +25,6 @@ from leftex import (
     config_to_rational,
     detect_eventual_period,
     eca,
-    eca_rule,
     estimate_spreading_speed,
     fractional_multiplication_rule,
     is_left_expansive,
@@ -40,7 +40,7 @@ from leftex import (
     subword_complexity,
     verify_mul,
 )
-from leftex.render import RenderSpec, render
+from leftex.render import RenderSpec, render_to
 
 from oracles import RULE30, simulate_zero_padded
 
@@ -49,6 +49,13 @@ ONE = Configuration.single(A2, 1)
 MUL32 = fractional_multiplication_rule(MulSpec(3, 2))
 MUL_SPECS = (MulSpec(3, 2), MulSpec(5, 2), MulSpec(5, 3), MulSpec(7, 4))
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+
+def render(automaton, x, spec):
+    """The raster render_to streams, as bytes."""
+    buf = io.StringIO()
+    render_to(buf, automaton, x, spec)
+    return buf.getvalue().encode("ascii")
 
 
 def report(number, ok, text):
@@ -124,8 +131,8 @@ def test_criterion_3_expansivity_anchors():
 
 
 def test_criterion_4_permutive_census_and_expansivity():
-    permutive = [k for k in range(256) if is_left_permutive(eca_rule(k))]
-    spreading = [k for k in range(256) if is_left_spreading_eca(eca_rule(k))]
+    permutive = [k for k in range(256) if is_left_permutive(eca(k).rule)]
+    spreading = [k for k in range(256) if is_left_spreading_eca(eca(k).rule)]
     assert len(permutive) == 16
     assert len(spreading) == 128
     for k in permutive:

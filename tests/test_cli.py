@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from leftex import Alphabet, config_to_rational, parse_configuration
-from leftex.cli import main
+from leftex.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -84,7 +85,7 @@ def test_classify_json_matches_golden(capsys):
 
 def test_scan_period_exit_codes(capsys):
     code, out, _ = run(
-        capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0", "--col", "0", "--T", "256"
+        capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0", "--cols=0:0", "--T", "256"
     )
     assert code == 0 and "PeriodFound c=1 p=1" in out
     code, out, _ = run(
@@ -96,7 +97,7 @@ def test_scan_period_exit_codes(capsys):
 
 def test_negative_scan_bounds_are_usage_errors(capsys):
     code, out, err = run(capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0",
-                         "--col", "0", "--T", "64", "--max-c", "-1", "--max-p", "-1")
+                         "--cols=0:0", "--T", "64", "--max-c", "-1", "--max-p", "-1")
     assert code == 3 and out == "" and "max_c" in err
 
 
@@ -106,6 +107,7 @@ def test_scan_period_requires_columns(capsys):
 
 
 def test_scan_period_rejects_col_with_cols(capsys):
+    # one column is --cols=A:A; there is no --col, nor any other prefix of --cols
     code, out, err = run(capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0",
                          "--col", "0", "--cols", "0:1", "--T", "16")
     assert code == 3 and out == "" and "--col" in err
@@ -114,7 +116,7 @@ def test_scan_period_rejects_col_with_cols(capsys):
 def test_scan_period_json(capsys):
     code, out, _ = run(
         capsys, "scan-period", "eca:90", "[L:0] 1 [R:0] @0",
-        "--col", "0", "--T", "64", "--json",
+        "--cols=0:0", "--T", "64", "--json",
     )
     assert code == 0
     doc = json.loads(out)
@@ -155,7 +157,7 @@ def test_parse_error_exit_code(capsys):
 
 def test_every_stepping_command_rejects_a_malformed_literal(capsys):
     for argv in (("simulate", "1"), ("render", "--rows", "2", "--cols=0:1"),
-                 ("scan-period", "--col", "0", "--T", "8"), ("recur", "--T", "8"),
+                 ("scan-period", "--cols=0:0", "--T", "8"), ("recur", "--T", "8"),
                  ("limits", "--T", "8")):
         code, out, err = run(capsys, argv[0], "eca:30", "[L:0] 1 [R:0] @0 junk", *argv[1:])
         assert (code, out) == (3, ""), argv[0]
@@ -215,21 +217,54 @@ def test_negative_classify_bounds_are_usage_errors(capsys):
         assert code == 3 and out == "" and "bounds" in err, bounds
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEFTEX_BUDGET", "1")
-    assert run(capsys, "classify", "eca:30")[0] == 2
-    monkeypatch.delenv("LEFTEX_BUDGET")
-    assert run(capsys, "classify", "eca:30")[0] == 0
-
-
-def test_negative_or_malformed_budgets_are_usage_errors(capsys, monkeypatch):
-    for argv in (("classify", "eca:30", "--budget", "-1"), ("atlas", "--budget", "-1")):
-        code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "" and "--budget" in err
-    for value in ("abc", "-5"):
+def test_budget_env_variable_is_ignored(capsys, monkeypatch):
+    # --budget is the one way to set the budget
+    for value in ("1", "abc"):
         monkeypatch.setenv("LEFTEX_BUDGET", value)
-        code, out, err = run(capsys, "classify", "eca:30")
-        assert code == 3 and out == "" and "LEFTEX_BUDGET" in err and repr(value) in err
+        assert run(capsys, "classify", "eca:30")[0] == 0
+
+
+def test_negative_or_malformed_budgets_are_usage_errors(capsys):
+    for command in (("classify", "eca:30"), ("atlas",)):
+        for value in ("-1", "abc"):
+            code, out, err = run(capsys, *command, "--budget", value)
+            assert code == 3 and out == "", (command, value)
+            assert "--budget" in err and repr(value) in err and "Traceback" not in err
+
+
+# one valid argv per command, so that only an appended option can make it fail
+VALID_ARGV = {
+    "simulate": ("eca:30", "[L:0] 1 [R:0] @0", "2"),
+    "render": ("eca:30", "[L:0] 1 [R:0] @0", "--rows", "2", "--cols=0:1"),
+    "atlas": (),
+    "verify-mul": ("3", "2", "1", "4"),
+    "scan-period": ("eca:90", "[L:0] 1 [R:0] @0", "--cols=0:0", "--T", "8"),
+    "recur": ("eca:204", "[L:0] 1 [R:0] @0", "--T", "8"),
+    "limits": ("eca:204", "[L:0] 1 [R:0] @0", "--T", "8"),
+    "classify": ("eca:30",),
+}
+
+
+def test_every_abbreviated_option_is_a_usage_error(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(VALID_ARGV)
+    checked = 0
+    for name, command in commands.choices.items():
+        argv = [name, *VALID_ARGV[name]]
+        parser.parse_args(argv)  # valid as it stands
+        options = {o for action in command._actions for o in action.option_strings}
+        for option in sorted(o for o in options if o.startswith("--")):
+            for cut in range(3, len(option)):
+                prefix = option[:cut]
+                if prefix in options:
+                    continue
+                for extra in ([prefix, "1"], [f"{prefix}=1"]):
+                    code, out, err = run(capsys, *argv, *extra)
+                    assert (code, out) == (3, ""), (name, extra)
+                    assert prefix in err and "Traceback" not in err
+                checked += 1
+    assert checked > 50
 
 
 @pytest.mark.slow

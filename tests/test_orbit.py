@@ -45,7 +45,7 @@ from leftex import (
 )
 from leftex.cli import main
 from leftex.configuration import _window
-from leftex.errors import OutOfRange
+from leftex.errors import AlphabetMismatch, OutOfRange
 from leftex.rules import _states
 
 from oracles import edge_trajectory_oracle, recurrence_oracle, trace_oracle
@@ -311,6 +311,12 @@ def test_negative_row_count_is_out_of_range():
     with pytest.raises(OutOfRange):
         columns(eca(30), ONE, 0, 0, -1)
     assert list(columns(eca(30), ONE, 0, 0, 0)) == []
+
+
+def test_columns_check_the_alphabet_at_the_call():
+    # like an empty window or a negative row count, before any row is taken
+    with pytest.raises(AlphabetMismatch):
+        columns(eca(30), Configuration.single(Alphabet(3), 2), 0, 0, 3)
 
 
 def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():

@@ -16,7 +16,6 @@ from leftex import (
     apply,
     classify_rapid,
     eca,
-    eca_rule,
     estimate_spreading_speed,
     find_left_expansive_dims,
     fractional_multiplication_rule,
@@ -69,13 +68,13 @@ def random_left_permutive_rule(rng, size=3):
 
 
 def test_permutive_examples():
-    assert is_left_permutive(eca_rule(30))
-    assert is_left_permutive(eca_rule(90))
-    assert not is_left_permutive(eca_rule(0))
+    assert is_left_permutive(eca(30).rule)
+    assert is_left_permutive(eca(90).rule)
+    assert not is_left_permutive(eca(0).rule)
 
 
 def test_permutive_census_is_sixteen():
-    assert sum(is_left_permutive(eca_rule(k)) for k in range(256)) == 16
+    assert sum(is_left_permutive(eca(k).rule) for k in range(256)) == 16
 
 
 def test_permutive_requires_memory():
@@ -86,7 +85,7 @@ def test_permutive_requires_memory():
 def test_permutive_reexpression():
     # rule 170 only reads its right neighbor; as a (1,1) rule its leftmost
     # section is constant, hence not bijective
-    assert not is_left_permutive(eca_rule(170))
+    assert not is_left_permutive(eca(170).rule)
     # on one symbol every section is a bijection
     assert is_left_permutive(LocalRule(Alphabet(1), 1, 1, b"\x00"))
 
@@ -539,24 +538,24 @@ def test_negative_budgets_are_rejected():
 
 
 def test_spreading_criterion():
-    assert is_left_spreading_eca(eca_rule(30))
-    assert is_left_spreading_eca(eca_rule(90))
-    assert not is_left_spreading_eca(eca_rule(0))
+    assert is_left_spreading_eca(eca(30).rule)
+    assert is_left_spreading_eca(eca(90).rule)
+    assert not is_left_spreading_eca(eca(0).rule)
     with pytest.raises(NotECA):
         is_left_spreading_eca(shift_rule(Alphabet(3)).rule)
 
 
 def test_spreading_criterion_census():
-    assert sum(is_left_spreading_eca(eca_rule(k)) for k in range(256)) == 128
+    assert sum(is_left_spreading_eca(eca(k).rule) for k in range(256)) == 128
 
 
 def test_spreading_search_decides_every_eca_at_t1():
     """On a binary (1,1) table the search reads F(x)[-1] = f(0,0,1) for the
     one start word 1, so it is the 001 criterion at a cost of one evaluation."""
     for number in range(256):
-        expected = Verdict.TRUE if is_left_spreading_eca(eca_rule(number)) else Verdict.FALSE
-        assert properties._left_spreading_search(eca_rule(number), 1) == (expected, 1, 1)
-        assert properties._left_spreading_search(eca_rule(number), 0)[0] is Verdict.UNKNOWN
+        expected = Verdict.TRUE if is_left_spreading_eca(eca(number).rule) else Verdict.FALSE
+        assert properties._left_spreading_search(eca(number).rule, 1) == (expected, 1, 1)
+        assert properties._left_spreading_search(eca(number).rule, 0)[0] is Verdict.UNKNOWN
 
 
 def test_spreading_search_reads_every_start_word_before_a_no():

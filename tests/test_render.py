@@ -1,11 +1,20 @@
+import io
+
 import pytest
 
 from leftex import Alphabet, Configuration, MulSpec, eca, fractional_multiplication_rule, rational_to_config
-from leftex.render import RenderSpec, default_palette, render
-from leftex.errors import EmptyInterval, OutOfRange, PaletteIncomplete
+from leftex.render import RenderSpec, default_palette, render_to
+from leftex.errors import AlphabetMismatch, EmptyInterval, OutOfRange, PaletteIncomplete
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
+
+
+def render(automaton, x, spec):
+    """The raster render_to streams, as bytes."""
+    buf = io.StringIO()
+    render_to(buf, automaton, x, spec)
+    return buf.getvalue().encode("ascii")
 
 
 def test_render_spec_validation():
@@ -55,6 +64,15 @@ def test_pgm_uses_palette():
 def test_pgm_palette_incomplete():
     with pytest.raises(PaletteIncomplete):
         render(eca(30), ONE, RenderSpec(1, 0, 1, "pgm", {0: 0}))
+
+
+def test_invalid_input_leaves_the_stream_empty():
+    three = Configuration.single(Alphabet(3), 2)
+    for fmt in ("ascii", "pbm", "pgm"):
+        buf = io.StringIO()
+        with pytest.raises(AlphabetMismatch):
+            render_to(buf, eca(30), three, RenderSpec(3, 0, 1, fmt))
+        assert buf.getvalue() == "", fmt
 
 
 def test_render_is_deterministic():

@@ -13,7 +13,6 @@ from leftex import (
     columns,
     compose,
     eca,
-    eca_rule,
     identity_rule,
     make_rule,
     patch,
@@ -67,31 +66,41 @@ def rules(draw, min_size=2, max_size=3, max_m=1, max_n=1):
 
 
 def test_eca30_matches_hand_table():
-    rule = eca_rule(30)
+    rule = eca(30).rule
     for neigh, out in RULE30.items():
         assert rule.value(bytes(neigh)) == out
 
 
 def test_eca90_is_additive():
-    rule = eca_rule(90)
+    rule = eca(90).rule
     for neigh, out in RULE90.items():
         assert rule.value(bytes(neigh)) == out
 
 
 def test_eca0_constant():
-    assert eca_rule(0).table == bytes(8)
+    assert eca(0).rule.table == bytes(8)
 
 
 def test_eca_out_of_range():
     with pytest.raises(OutOfRange):
-        eca_rule(256)
+        eca(256)
     with pytest.raises(OutOfRange):
-        eca_rule(-1)
+        eca(-1)
+
+
+def test_the_package_exports_no_alias_entry_points():
+    import leftex
+
+    assert {"render", "seq_equal", "eca_rule"}.isdisjoint(leftex.__all__)
+    assert {"render_to", "eca", "OneSidedSeq"} <= set(leftex.__all__)
+    assert not hasattr(leftex.render, "render")
+    assert not hasattr(leftex.configuration, "seq_equal")
+    assert not hasattr(leftex.rules, "eca_rule")
 
 
 def test_make_rule_round_trip():
     rule = make_rule(A2, 1, 1, {bytes(k): v for k, v in RULE30.items()})
-    assert rule.table == eca_rule(30).table
+    assert rule.table == eca(30).rule.table
 
 
 def test_make_rule_missing_entry():
@@ -235,11 +244,11 @@ def test_compose_working_memory_does_not_grow_with_the_table():
 
 
 def test_trim_vacuous():
-    assert (trim_vacuous(eca_rule(170)).memory, trim_vacuous(eca_rule(170)).anticipation) == (0, 1)
-    trimmed = trim_vacuous(eca_rule(204))
+    assert (trim_vacuous(eca(170).rule).memory, trim_vacuous(eca(170).rule).anticipation) == (0, 1)
+    trimmed = trim_vacuous(eca(204).rule)
     assert (trimmed.memory, trimmed.anticipation) == (0, 0)
     assert trimmed.table == bytes([0, 1])
-    assert trim_vacuous(eca_rule(30)) == eca_rule(30)
+    assert trim_vacuous(eca(30).rule) == eca(30).rule
 
 
 @st.composite
@@ -406,6 +415,6 @@ def test_block_tables_are_k_rule_applications(size, m, n, rng):
 
 def test_map_windows_rejects_short_input():
     with pytest.raises(SeedTooShort):
-        map_windows(eca_rule(30), b"\x01")
+        map_windows(eca(30).rule, b"\x01")
     with pytest.raises(SeedTooShort):
         map_windows(identity_rule(A2).rule, b"")
