@@ -25,26 +25,45 @@ conflict of the full lexicographic search is the first conflict among these
 prefixes, padded with zeros: seeds_checked is (prefix index)*size**(L-L')+1
 and True still reports all size**L seeds.  The budget is charged for what
 is mapped: size**L' prefixes times the cells below each top row (_cells, at
-least 1).  Every search reads its budget capped at _BUDGET_CAP = 2**61, so
-no enumeration index or np.arange bound reaches 2**63: the decider's
-prefixes number at most its charge, and a t of the spreading search runs
-only once charged for its size**(t*n) - size**(t*n-1) start words, at least
-half of the bound size**(t*n) on its indices.
+least 1).  Every search reads its budget capped at _BUDGET_CAP = 2**61.
+No word is enumerated from an int64 range: a chunk's words are the digits
+of a Python int over one block of low digits (rules._lex_words).  The one
+int64 index left is a prefix number, the first prefix each rectangle keeps
+in the carry, and the prefixes number at most the charge, so every such
+index stays below 2**61, far from 2**63.  The spreading search keeps no
+index array; its counts are Python ints.
 
-Prefixes are enumerated in lexicographic chunks of _CHUNK = 1024 words,
-the chunk size of the spreading search too, so memory stays bounded.  The
-size is measured: on the benchmark's decide workload, where most random
-rules stop at an early False, fixed chunks of 1024 gave a median op time of
-0.85 ms, against 1.13 ms for a first chunk of 256 doubling up to 1024 and
-1.6 ms for fixed chunks of 2^12 or 2^14 (2^14 also took 1 MB more memory).
-A chunk is a uint8 digit matrix with one prefix per column
-(rules._lex_words); its patch rows grow by table lookup on the whole matrix
-at once (rules.lookup_windows), and each prefix is keyed by its rectangle
-as fixed-width bytes.  np.unique finds the first occurrence of every key in
-the chunk, and a sorted table carried between chunks holds, for each key
-met before, its determined value and first prefix.  The first prefix whose
-value differs from its key's reference is the first conflict of the
-one-at-a-time search, so certificates do not depend on the chunking.
+Prefixes are enumerated in lexicographic chunks of size**e words, each
+aligned to size**e, where size**e is the power of the alphabet size
+nearest _CHUNK = 1024 on a log scale (rules._chunk_digits): 1024 words for
+2 and 4 symbols, 729 for 3, 1296 for 6, 1000 for 10, and one word for a
+single symbol.  The spreading search reads chunks of the same size, so
+memory stays bounded.  A chunk is the digits of its first prefix's high
+part over a block of every e-symbol low part built once per search, so
+drawing it rewrites a few rows.  The target is measured: on the benchmark's
+decide workload, where most random rules stop at an early False, fixed
+chunks of 1024 gave a median op time of 0.85 ms, against 1.13 ms for a
+first chunk of 256 doubling up to 1024 and 1.6 ms for fixed chunks of 2^12
+or 2^14 (2^14 also took 1 MB more memory).
+
+A chunk is a uint8 digit matrix with one prefix per column; its patch rows
+grow by table lookup on the whole matrix at once (rules.lookup_windows).
+Each prefix is keyed by its rectangle: the n_rows*w symbols, in radix size,
+packed by one integer matrix product into ceil(n_rows*w / k) uint64 words,
+k being the most symbols whose radix value stays below 2**64 (_key_layout).
+One word is a uint64 key, and more are a void view of the same words.  The
+keys are exact, not hashes: equal keys are equal rectangles.  np.unique
+finds the first occurrence of every key in the chunk.  The rectangles met
+in earlier chunks are carried as sorted runs of (key, determined value,
+first prefix), each key in exactly one run.  A chunk looks its keys up in
+every run with searchsorted, and its new keys become a run, merged into the
+last run while that is at most twice as long.  Each run is then more than
+twice the next, so there are at most log2(K) + 1 runs for K keys, and a key
+is copied O(log K) times: the carry costs O(K log K) in all, where
+inserting each chunk's keys into one sorted table copies the whole table
+per chunk.  The first prefix whose value differs from its key's reference
+is the first conflict of the one-at-a-time search, so certificates do not
+depend on the chunking.
 
 Left expansivity is monotone in the rectangle.  A pair of diagrams that
 agree on an (h', d', w') rectangle and differ in the cell to its left also
@@ -83,6 +102,7 @@ from .numeric import MulSpec, fractional_multiplication_rule
 from .rules import (
     Automaton,
     LocalRule,
+    _chunk_digits,
     _lex_words,
     _states,
     lookup_windows,
@@ -233,6 +253,24 @@ def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
     return seed_len, read_len, c, starts, (c - 1) - dims.h * m, charge
 
 
+def _key_layout(size: int, symbols: int) -> tuple[np.ndarray, np.dtype]:
+    """How the decider packs a rectangle of ``symbols`` symbols, in radix
+    ``size``, into uint64 words of k symbols each, k the most whose radix
+    value stays below 2**64: the (words, symbols) matrix of radix weights
+    that maps a rectangle column to its words, and the key dtype, uint64
+    for one word and a void over the words' bytes for more."""
+    per_word = symbols
+    while size**per_word > 2**64:
+        per_word -= 1
+    i = np.arange(symbols)
+    word = i // per_word  # the word symbol i sits in, most significant first
+    weights = np.zeros((word[-1] + 1, symbols), dtype=np.uint64)
+    weights[word, i] = np.uint64(size) ** (
+        np.minimum(word * per_word + per_word, symbols) - 1 - i).astype(np.uint64)
+    key = np.dtype(np.uint64) if len(weights) == 1 else np.dtype((np.void, 8 * len(weights)))
+    return weights, key
+
+
 def is_left_expansive(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
@@ -253,36 +291,37 @@ def is_left_expansive(
             name, Verdict.UNKNOWN, dims, size, 0, seed_space,
             evals_needed=needed, budget=budget,
         )
-    pad, prefixes = seed_len - read_len, size**read_len
-    key_type = np.dtype((np.void, n_rows * w))
-    # every rectangle met in earlier chunks, sorted, with its value and first prefix
-    known_keys = np.empty(0, dtype=key_type)
-    known_vals = np.empty(0, dtype=np.uint8)
-    known_prefixes = np.empty(0, dtype=np.int64)
-    for first in range(0, prefixes, _CHUNK):
-        rows = [_lex_words(first, min(_CHUNK, prefixes - first), size, read_len)]
+    pad, low = seed_len - read_len, min(_chunk_digits(size, _CHUNK), read_len)
+    weights, key_type = _key_layout(size, n_rows * w)
+    runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
+    for high, top in enumerate(_lex_words(size, read_len, low, range(size ** (read_len - low)))):
+        first = high * size**low
+        rows = [top]
         for _ in range(n_rows - 1):
             rows.append(lookup_windows(rule, rows[-1]))
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
-        keys = np.ascontiguousarray(rect.T).view(key_type).ravel()
+        keys = np.ascontiguousarray((weights @ rect).T).view(key_type).ravel()
         vals = rows[dims.h][det_index]
         uniq, where, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        pos = np.searchsorted(known_keys, uniq)
-        known = pos < len(known_keys)
-        known[known] = known_keys[pos[known]] == uniq[known]
-        # each key's reference: its entry from an earlier chunk, else its
-        # first prefix in this one
+        # each key's reference: its entry in an earlier run, else its first
+        # prefix in this chunk
         ref_vals, ref_prefixes = vals[where], where + first
-        ref_vals[known] = known_vals[pos[known]]
-        ref_prefixes[known] = known_prefixes[pos[known]]
+        new = np.ones(len(uniq), dtype=bool)
+        for run_keys, run_vals, run_prefixes in runs:
+            pos = np.minimum(np.searchsorted(run_keys, uniq), len(run_keys) - 1)
+            hit = run_keys[pos] == uniq
+            ref_vals[hit] = run_vals[pos[hit]]
+            ref_prefixes[hit] = run_prefixes[pos[hit]]
+            new &= ~hit
         clash = vals != ref_vals[inverse]
         if clash.any():
             j = int(clash.argmax())
             ref = int(ref_prefixes[inverse[j]])
-            top_a = rows[0][:, ref - first] if ref >= first else _lex_words(ref, 1, size, read_len)
+            top_a = top[:, ref - first] if ref >= first else \
+                next(_lex_words(size, read_len, 0, [ref]))[:, 0]
             cex = Counterexample(
                 seed_a=top_a.tobytes() + bytes(pad),
-                seed_b=rows[0][:, j].tobytes() + bytes(pad),
+                seed_b=top[:, j].tobytes() + bytes(pad),
                 rectangle=tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
                                 for k in range(n_rows)),
                 value_a=int(ref_vals[inverse[j]]), value_b=int(vals[j]),
@@ -290,10 +329,13 @@ def is_left_expansive(
             )
             return PropertyVerdict(name, Verdict.FALSE, dims, size,
                                    (first + j) * size**pad + 1, seed_space, counterexample=cex)
-        new = ~known
-        known_keys = np.insert(known_keys, pos[new], uniq[new])
-        known_vals = np.insert(known_vals, pos[new], ref_vals[new])
-        known_prefixes = np.insert(known_prefixes, pos[new], ref_prefixes[new])
+        run = (uniq[new], ref_vals[new], ref_prefixes[new])
+        while runs and len(runs[-1][0]) <= 2 * len(run[0]):  # each run > twice the next
+            older = runs.pop()
+            at = np.searchsorted(older[0], run[0])
+            run = tuple(np.insert(a, at, b) for a, b in zip(older, run))
+        if len(run[0]):
+            runs.append(run)
     return PropertyVerdict(name, Verdict.TRUE, dims, size, seed_space, seed_space)
 
 
@@ -327,8 +369,9 @@ def find_left_expansive_dims(
     least 1 because L' >= (h+d)*(m+n) + 1: a longer L' lengthens every row,
     and a larger h+d adds rows.  So when the corner is within budget, so is
     every cell; the corner is decided first, and a False there refutes every
-    cell (see the module docstring), which ends the search with every cell
-    counted.  Otherwise the cells are walked in order: an over-budget cell
+    cell (see the module docstring), which ends the search with all
+    (max_h+1)*(max_d+1)*max_w cells counted and none listed.  Otherwise the
+    cells are listed and walked in order: an over-budget cell
     sets budget_exceeded, and every other cell is decided.  cells_checked is
     the position of the answer in the order, or the number of cells when
     there is none, so the result is that of deciding every cell in turn.
@@ -339,17 +382,19 @@ def find_left_expansive_dims(
     budget = _check_budget(budget)
     if max_h < 0 or max_d < 0 or max_w < 0:
         raise BadDims("search bounds must be nonnegative")
+    count = (max_h + 1) * (max_d + 1) * max_w
+    if count == 0:
+        return DimsSearch(None, False, 0)
+    top = ExpansivityDims(max_h, max_d, max_w)  # the only cell with the largest h+d+w
+    top_fits = _decider_frame(automaton.rule, top)[-1] <= budget
+    top_verdict = is_left_expansive(automaton, top, budget=budget) if top_fits else None
+    if top_fits and top_verdict.status is Verdict.FALSE:
+        return DimsSearch(None, False, count)
     cells = sorted(
         (ExpansivityDims(h, d, w)
          for h in range(max_h + 1) for d in range(max_d + 1) for w in range(1, max_w + 1)),
         key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d),
     )
-
-    top = cells[-1] if cells else None  # the only cell with the largest h+d+w
-    top_fits = top is not None and _decider_frame(automaton.rule, top)[-1] <= budget
-    top_verdict = is_left_expansive(automaton, top, budget=budget) if top_fits else None
-    if top_fits and top_verdict.status is Verdict.FALSE:
-        return DimsSearch(None, False, len(cells))
     budget_hit = False
     for checked, dims in enumerate(cells, 1):
         if not top_fits and _decider_frame(automaton.rule, dims)[-1] > budget:
@@ -358,7 +403,7 @@ def find_left_expansive_dims(
         verdict = top_verdict if dims == top else is_left_expansive(automaton, dims, budget=budget)
         if verdict.status is Verdict.TRUE:
             return DimsSearch(dims, budget_hit, checked)
-    return DimsSearch(None, budget_hit, len(cells))
+    return DimsSearch(None, budget_hit, count)
 
 
 # -- left spreading ------------------------------------------------------------
@@ -386,10 +431,14 @@ def _left_spreading_search(rule: LocalRule, budget: int) -> tuple[Verdict, int, 
         spent += (last - first) * _cells(t * (m + 2 * n), t, m + n)
         if spent > budget:
             return Verdict.UNKNOWN, t, 0
-        moved = 0
-        for start in range(first, last, _CHUNK):
-            # every index is below size**(t*n): the first t*(m+n) rows are zeros
-            rows = _lex_words(start, min(_CHUNK, last - start), size, t * (m + 2 * n))
+        moved, low = 0, min(_chunk_digits(size, _CHUNK), t * n)
+        # the start words are words first .. last-1 of t*(m+2n) symbols, whose
+        # first t*(m+n) are zeros; a block of every t*n-symbol start word
+        # begins with the first ones, led by a zero, which are skipped
+        skip = first if low == t * n else 0
+        for rows in _lex_words(size, t * (m + 2 * n), low,
+                               range(first // size**low, last // size**low)):
+            rows = rows[:, skip:]
             for _ in range(t):
                 rows = lookup_windows(rule, rows)
             hits = rows.any(axis=0)

@@ -16,11 +16,19 @@ patch row to a 10^5-symbol image, is one numpy radix-index lookup
 (lookup_windows, over the index of _radix_index); the same lookup maps many
 equal-length words at once when they are stacked as the columns of a
 matrix, which is how the expansivity decider grows a chunk of seeds.
-compose() tabulates a product rule the same way: it maps every word of the
-product width, enumerated in lexicographic order by _lex_words (the
-decider's seed enumerator too), through the inner rule and then the outer
-one, a fixed-size chunk of words at a time so that working memory does not
-grow with the table.
+
+Every such matrix of words in lexicographic order comes from one
+enumerator, _lex_words: blocks of size**e words that share their high
+symbols, the digits of a Python int, over one block of every e-symbol low
+part, built once with a row fill per symbol; each further block rewrites
+only the high rows.  The block size is the power of the alphabet size
+nearest a target on a log scale (_chunk_digits).  Its callers are the
+expansivity decider's chunks of read prefixes and the spreading search's
+chunks of start words (blocks near 2^10 words), compose(), which maps every
+word of the product width through the inner rule and then the outer one a
+block near 2^14 words at a time so that working memory does not grow with
+the table, _block (one block of every word of its width), and the
+decider's counterexample seed (a block of one word).
 
 One lazy walker, _states, steps along an orbit: it computes the raw state
 of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
@@ -49,7 +57,7 @@ canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -67,7 +75,8 @@ from .words import WordLike, cyclic_slice, word
 
 #: entries allowed in a composed rule table before compose() refuses
 DEFAULT_COMPOSE_GUARD = 10**7
-#: table entries compose() tabulates per pass, bounding its working memory
+#: table entries compose() tabulates per pass, bounding its working memory:
+#: it maps blocks of the power of the alphabet size nearest this
 _COMPOSE_CHUNK = 2**14
 #: neighborhoods a rule's block of column-walk rows may tabulate (see _block)
 _BLOCK_ENTRIES = 2**13
@@ -190,14 +199,38 @@ def identity_rule(alphabet: Alphabet) -> Automaton:
 # -- bulk rule application ----------------------------------------------------
 
 
-def _lex_words(first: int, count: int, size: int, length: int) -> np.ndarray:
-    """Words first .. first+count-1 of the lexicographic order, one per
-    column, most significant symbol in row 0."""
-    index = np.arange(first, first + count, dtype=np.int64)
-    digits = np.empty((length, count), dtype=np.uint8)
-    for k in range(length - 1, -1, -1):
-        index, digits[k] = np.divmod(index, size)
-    return digits
+def _chunk_digits(size: int, target: int) -> int:
+    """The e for which size**e is the power of size nearest ``target`` on a
+    log scale (the lower one on a tie); 0, one word, for a single symbol."""
+    if size < 2:
+        return 0
+    e = 0
+    while size ** (e + 1) <= target:
+        e += 1
+    return e + (target * target > size ** (2 * e + 1))
+
+
+def _lex_words(size: int, length: int, low: int, highs: Iterable[int]) -> Iterator[np.ndarray]:
+    """For each ``high`` in ``highs``, the size**low words of ``length``
+    symbols whose first length-low symbols spell ``high`` in radix ``size``:
+    words high*size**low .. (high+1)*size**low - 1 of the lexicographic
+    order, one per column, most significant symbol in row 0.
+
+    The low rows, every word of ``low`` symbols, are built once; each
+    block is then the same ``uint8`` array with its high rows rewritten
+    from the digits of a Python int, so a block is valid until the next one
+    is drawn.
+    """
+    words = np.empty((length, size**low), dtype=np.uint8)
+    symbols = np.arange(size, dtype=np.uint8)[:, None]
+    for k in range(low):  # row length-low+k repeats each symbol size**(low-1-k) times
+        words[length - low + k].reshape(size**k, size, -1)[:] = symbols
+    digits = bytearray(length - low)
+    for high in highs:
+        for k in range(length - low - 1, -1, -1):
+            high, digits[k] = divmod(high, size)
+        words[:length - low] = np.frombuffer(digits, dtype=np.uint8)[:, None]
+        yield words
 
 
 def _radix_index(symbols: np.ndarray, size: int, width: int, dtype) -> np.ndarray:
@@ -266,7 +299,7 @@ def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     if block is None:
         size, m, k = rule.alphabet.size, rule.memory, _block_rows(rule)
         width = 1 + k * (m + rule.anticipation)
-        words, centers = _lex_words(0, size**width, size, width), []
+        words, centers = next(_lex_words(size, width, width, [0])), []
         for q in range(1, k + 1):
             words = lookup_windows(rule, words)
             centers.append(words[(k - q) * m])  # the neighborhood's center after q rows
@@ -460,11 +493,9 @@ def compose(outer: Automaton, inner: Automaton) -> Automaton:
         raise TableTooLarge(
             f"composed table would need {total} entries (guard {DEFAULT_COMPOSE_GUARD})"
         )
-    chunks = []
-    for first in range(0, total, _COMPOSE_CHUNK):
-        words = _lex_words(first, min(_COMPOSE_CHUNK, total - first), size, width)
-        chunks.append(lookup_windows(outer.rule, lookup_windows(inner.rule, words))[0].tobytes())
-    table = b"".join(chunks)
+    low = min(_chunk_digits(size, _COMPOSE_CHUNK), width)
+    table = b"".join(lookup_windows(outer.rule, lookup_windows(inner.rule, words))[0].tobytes()
+                     for words in _lex_words(size, width, low, range(size ** (width - low))))
     return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
 
 

@@ -2,6 +2,7 @@
 
 Everything here recomputes expected values from first principles (pointwise
 indexing, schoolbook long division, Horner and divmod digit conversion,
+lexicographic words as the divmod digits of an index range,
 the geometric-series value of a periodic tail, one-factor-at-a-time
 preperiods, digit expansions by one long division, primitive roots by
 searching w+w for w, padded finite simulation, cubic period search,
@@ -252,6 +253,17 @@ def map_windows_oracle(rule: LocalRule, samples: bytes) -> bytes:
         idx = (idx % high) * size + samples[width - 1 + j]
         out[j] = table[idx]
     return bytes(out)
+
+
+def lex_words_oracle(first: int, count: int, size: int, length: int) -> np.ndarray:
+    """Words first .. first+count-1 of the lexicographic order of words of
+    ``length`` symbols, one per column, most significant symbol in row 0:
+    the digits of an int64 index range, peeled off by repeated divmod."""
+    index = np.arange(first, first + count, dtype=np.int64)
+    digits = np.empty((length, count), dtype=np.uint8)
+    for k in range(length - 1, -1, -1):
+        index, digits[k] = np.divmod(index, size)
+    return digits
 
 
 def radix_index_oracle(symbols, size: int, width: int) -> list:

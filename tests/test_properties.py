@@ -264,6 +264,44 @@ def test_read_prefix_matches_full_length_oracle(query):
         chunked_left_expansive_oracle(automaton, dims).to_json_dict()
 
 
+#: binary (1,0) rules f(a, b) = a or b and a xor b
+OR10 = Automaton(LocalRule(A2, 1, 0, bytes([0, 1, 1, 1])))
+XOR10 = Automaton(LocalRule(A2, 1, 0, bytes([0, 1, 1, 0])))
+
+
+def test_two_word_keys_match_the_full_length_oracle():
+    """A rectangle of 6 rows of 11 binary symbols packs into two uint64
+    words, of 64 and 2 symbols.  The first conflict, read prefix 3072 of
+    2**16 against prefix 1024, is found in the older of two runs of such
+    keys (chunks 0-1 merged, then chunk 2) and is the full-length oracle's."""
+    dims = ExpansivityDims(4, 1, 11)
+    assert properties._key_layout(2, 66)[1].itemsize == 16
+    verdict = is_left_expansive(OR10, dims)
+    assert verdict.status is Verdict.FALSE and verdict.seeds_checked == 196609
+    assert verdict == chunked_left_expansive_oracle(OR10, dims)
+
+
+def test_two_word_keys_tell_rectangles_apart_by_their_last_word():
+    """At (7,1,8) the rectangle's last row, row 8, fills the second word of
+    its key on its own.  Its first cell is row 7's cells c-1 and c added
+    mod 2, so with row 7's cell c it gives the determined cell, row 7's cell
+    c-1.  That cell reads the leftmost read column, which no other
+    rectangle row reads, so the proof needs the second word of every key."""
+    verdict = is_left_expansive(XOR10, ExpansivityDims(7, 1, 8))
+    assert verdict.status is Verdict.TRUE
+    assert verdict.seeds_checked == verdict.seed_space == 2**25
+
+
+def test_single_symbol_alphabet_is_expansive_with_one_seed():
+    """Over one symbol every rectangle determines its cell, and the one seed
+    is read in one chunk of one word."""
+    automaton = Automaton(LocalRule(Alphabet(1), 1, 1, b"\x00"))
+    verdict = is_left_expansive(automaton, ExpansivityDims(1, 1, 2))
+    assert verdict.status is Verdict.TRUE
+    assert verdict.seeds_checked == verdict.seed_space == 1
+    assert verdict == left_expansive_oracle(automaton, ExpansivityDims(1, 1, 2))
+
+
 def seed_index(seed, size):
     value = 0
     for s in seed:
@@ -271,8 +309,9 @@ def seed_index(seed, size):
     return value
 
 
-# the decider reads prefixes in chunks of 1024; the comments give seed_a and
-# the conflict as read-prefix indices, which are what the decider chunks
+# the decider reads prefixes in chunks of 1024 for 2 symbols and 729 for 3;
+# the comments give seed_a and the conflict as read-prefix indices, which are
+# what the decider chunks
 @pytest.mark.parametrize("size, m, n, table, dims, index_a, index_b", [
     # prefix (0, 128): chunk 0 only
     (2, 0, 2, b"\x00\x00\x01\x01\x01\x00\x01\x00", (1, 2, 1), 0, 8192),
@@ -287,18 +326,24 @@ def seed_index(seed, size):
      14336, 30720),
     # prefix (648, 1377): chunk 0 -> chunk 1, m = 0, 3 columns padded
     (3, 0, 1, bytes([0, 0, 0, 0, 0, 1, 0, 0, 2]), (2, 1, 3), 17496, 37179),
-    # prefix (324, 810): chunk 0 only, n = 0, 4 columns padded
+    # prefix (324, 810): chunk 0 -> chunk 1, n = 0, 4 columns padded
     (3, 2, 0, bytes([0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 2, 0, 2, 0, 1, 1, 2, 0, 0, 2, 1,
                      0, 0, 0, 1, 1, 0]), (2, 0, 3), 26244, 65610),
     # prefix (1280, 1536): both in chunk 1
     (2, 2, 1, bytes([1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0]), (1, 2, 3),
      20480, 24576),
+    # prefix (756, 1233): both in chunk 1, 1 column padded
+    (3, 1, 1, bytes([2, 0, 0, 0, 2, 2, 0, 0, 1, 1, 2, 2, 2, 0, 0, 1, 1, 0, 0, 1, 1, 1,
+                     1, 1, 2, 2, 2]), (2, 2, 1), 2268, 3699),
+    # prefix (256, 2304): chunk 0 -> chunk 2, whose carry holds two runs, of
+    # 65 keys from chunk 0 and 29 from chunk 1; the key is in the older one
+    (2, 1, 2, bytes.fromhex("01010101010100010100000000010000"), (2, 1, 3), 4096, 36864),
 ])
 def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index_a, index_b):
     """The first conflict lies in the first chunk; in a later chunk than the
-    first occurrence of its rectangle, so it is found through the table
-    carried between chunks; or in the same chunk past the first, whose own
-    column gives seed_a."""
+    first occurrence of its rectangle, so it is found through the runs
+    carried between chunks, the latest or an older one; or in the same chunk
+    past the first, whose own column gives seed_a."""
     automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
     dims = ExpansivityDims(*dims)
     verdict = is_left_expansive(automaton, dims)
@@ -313,7 +358,9 @@ def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index
 
 def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
     """Verdict JSON, seeds_checked and counterexamples included, is the same
-    whether the decider reads 1, 7 or 1024 prefixes per chunk."""
+    whether the decider's chunks are the powers of the alphabet size
+    nearest 1, 7 or 1024 prefixes: 1, 8 or 1024 for 2 symbols and 1, 9 or
+    729 for 3."""
     rng = random.Random(15)
     queries = [(eca(k), ExpansivityDims(1, 1, 2)) for k in range(256)]
     queries.append((MUL32, ExpansivityDims(1, 1, 1)))  # 7 776 prefixes, True
@@ -482,6 +529,25 @@ def test_find_dims_edge_bounds():
             assert find_left_expansive_dims(automaton, *bounds) == \
                 linear_dims_search_oracle(automaton, *bounds), bounds
     assert find_left_expansive_dims(eca(30), 2, 2, 0) == DimsSearch(None, False, 0)
+
+
+def test_find_dims_lists_cells_only_past_a_corner_that_does_not_refute(monkeypatch):
+    """A refuted search counts its 36 cells without listing them; a proved
+    one lists all 36 and stops at the sixth, (0,1,2)."""
+    built = []
+
+    class Counted(ExpansivityDims):
+        def __post_init__(self):
+            built.append((self.h, self.d, self.w))
+            super().__post_init__()
+
+    monkeypatch.setattr(properties, "ExpansivityDims", Counted)
+    assert find_left_expansive_dims(eca(110), 2, 2, 4) == DimsSearch(None, False, 36)
+    assert built == [(2, 2, 4)]
+    built.clear()
+    found = find_left_expansive_dims(eca(30), 2, 2, 4)
+    assert (found.dims.h, found.dims.d, found.dims.w, found.cells_checked) == (0, 1, 2, 6)
+    assert len(built) == 1 + 36
 
 
 def test_refuting_probe_at_the_top_corner_settles_the_search(monkeypatch):

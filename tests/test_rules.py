@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from leftex.rules import (
     _BLOCK_ENTRIES,
     _block,
     _block_rows,
+    _chunk_digits,
+    _lex_words,
     _radix_index,
     map_windows,
 )
@@ -43,6 +46,7 @@ from oracles import (
     RULE30,
     RULE90,
     compose_oracle,
+    lex_words_oracle,
     map_windows_oracle,
     padded_step,
     radix_index_oracle,
@@ -387,6 +391,40 @@ def test_radix_index_matches_horner(size, width, extra, count, matrix, rng):
     got = _radix_index(symbols, size, width, dtype)
     assert got.dtype == dtype and got.shape == (extra + 1, *shape[1:])
     assert got.tolist() == radix_index_oracle(symbols, size, width)
+
+
+@given(st.integers(1, 16), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lex_words_match_the_divmod_oracle(size, data):
+    """Every aligned block of every low-symbol count, drawn in order, is the
+    oracle's run of words; so is one block far into a long word's order."""
+    length = data.draw(st.integers(1, max(k for k in range(1, 15) if size**k <= 2**14)))
+    low = data.draw(st.integers(0, length))
+    highs = range(size ** (length - low))
+    blocks = [words.copy() for words in _lex_words(size, length, low, highs)]
+    assert len(blocks) == len(highs)
+    assert np.array_equal(np.concatenate(blocks, axis=1),
+                          lex_words_oracle(0, size**length, size, length))
+    long = data.draw(st.integers(length, 40))
+    high = data.draw(st.integers(0, 2**62 // size**low - 1)) % size ** (long - low)
+    assert np.array_equal(next(_lex_words(size, long, low, [high])),
+                          lex_words_oracle(high * size**low, size**low, size, long))
+
+
+def test_chunks_are_the_nearest_power_of_the_alphabet_size():
+    """size**e is the power of the alphabet size nearest the target on a log
+    scale, the lower one on a tie, and one word for a single symbol."""
+    assert [size**_chunk_digits(size, 2**10) for size in (1, 2, 3, 4, 6, 10)] == \
+        [1, 1024, 729, 1024, 1296, 1000]
+    assert 16 ** _chunk_digits(16, 2**10) == 256  # 256 and 4096 are equally near
+    for size in range(2, 40):
+        for target in (1, 7, 2**10, 2**14):
+            def distance(f):  # size**f / target or its inverse, whichever is >= 1
+                ratio = Fraction(size**f, target)
+                return max(ratio, 1 / ratio)
+            e = _chunk_digits(size, target)
+            assert all(distance(e) <= distance(f) for f in range(16))
+            assert all(distance(e) < distance(f) for f in range(e))
 
 
 @given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
