@@ -14,6 +14,7 @@ Exit codes: 0 pass/True, 1 fail/False, 2 Unknown or budget exhausted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -204,6 +205,8 @@ def _cmd_recur(args, automaton, x) -> int:
 
 
 def _cmd_limits(args, automaton, x) -> int:
+    if args.n_max < 1:
+        raise _UsageError(f"--n-max must be at least 1, got {args.n_max}")
     lengths = range(1, args.n_max + 1)
     census = limit_point_census(automaton, x, args.c, args.horizon, lengths)
     with _output(args) as stream:
@@ -299,9 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser main reads, built at the first call rather than at import
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         automaton = load_rule(args.rule) if "rule" in args else None
         x = parse_configuration(args.config, automaton.alphabet) if "config" in args else None
         return args.func(args, automaton, x)

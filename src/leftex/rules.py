@@ -11,11 +11,16 @@ left period, head, right period) state to its image laid out the same way:
 the periods keep their lengths and the head grows by m+n symbols.
 
 Tables are stored flat, indexed by the radix value of the neighborhood
-(leftmost symbol most significant).  Every rule evaluation, from a single
-patch row to a 10^5-symbol image, is one numpy radix-index lookup
-(lookup_windows, over the index of _radix_index); the same lookup maps many
-equal-length words at once when they are stacked as the columns of a
-matrix, which is how the expansivity decider grows a chunk of seeds.
+(leftmost symbol most significant).  A rule evaluation is one radix-index
+lookup, by one of two kernels chosen from the table size and the word
+length alone.  One row of a word of at most _SHORT_WORD symbols under a
+table of at most 256 entries (every ECA, mul:3/2) is mapped with Python
+ints and bytes.translate (_map_short), which skips numpy's fixed cost of
+about 5 us a call.  Every other evaluation is a numpy lookup
+(lookup_windows, over the index of _radix_index): longer words, larger
+tables, block lookups, and many equal-length words at once when they are
+stacked as the columns of a matrix, which is how the expansivity decider
+grows a chunk of seeds.
 
 Every such matrix of words in lexicographic order comes from one
 enumerator, _lex_words: blocks of size**e words that share their high
@@ -80,6 +85,11 @@ DEFAULT_COMPOSE_GUARD = 10**7
 _COMPOSE_CHUNK = 2**14
 #: neighborhoods a rule's block of column-walk rows may tabulate (see _block)
 _BLOCK_ENTRIES = 2**13
+#: longest word _map_short maps; numpy maps longer ones.  On a 2-core VM
+#: (Python 3.11, numpy 2.4) _map_short takes 1.7-2.7 us at 20-100 symbols
+#: against numpy's 6.8-12.9 us, and the two cross at about 1000-1500 symbols
+#: for widths 2 and 3 (eca:30, mul:3/2) and about 800 for width 8
+_SHORT_WORD = 1024
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,9 @@ class LocalRule:
         # not fields, so equality, hashing and pickles ignore them
         object.__setattr__(self, "_table_array", np.frombuffer(self.table, dtype=np.uint8))
         object.__setattr__(self, "_index_dtype", np.min_scalar_type(len(self.table) - 1))
+        # the short-word kernel's bytes.translate table, None past 256 entries
+        object.__setattr__(self, "_translation", self.table.ljust(256, b"\0")
+                           if len(self.table) <= 256 else None)
 
     def __reduce__(self):
         return LocalRule, (self.alphabet, self.memory, self.anticipation, self.table)
@@ -308,31 +321,48 @@ def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     return block
 
 
-def _map_rows(rule: LocalRule, symbols: np.ndarray, k: int = 1, lo: int = 0,
-              width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Map a ``uint8`` word k rows down with one lookup: the word k rows
-    down, and rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the
-    rule's own table) or _block_rows(rule) (its block).  Every row an orbit
-    or a cone walk maps comes from here.
+def _map_short(rule: LocalRule, symbols: bytes) -> bytes:
+    """One row of a word of at most _SHORT_WORD symbols under a rule of at
+    most 256 entries, with Python ints: read as one big-endian int x, the
+    sum of size**j * (x >> 8*j) over j < width holds at each byte the radix
+    index of the window ending there, and since every index is below 256 no
+    byte carries into the next."""
+    x = int.from_bytes(symbols, "big")
+    size, width = rule.alphabet.size, rule.width
+    idx = x
+    for j in range(1, width):
+        idx += size**j * (x >> 8 * j)
+    return idx.to_bytes(len(symbols), "big")[width - 1:].translate(rule._translation)
+
+
+def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
+              width: int = 0) -> tuple[bytes, np.ndarray]:
+    """Map a word k rows down with one lookup: the word k rows down, and
+    rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the rule's own
+    table) or _block_rows(rule) (its block).  Every row an orbit or a cone
+    walk maps comes from here.  One row of a short word under a table of at
+    most 256 entries is _map_short's; numpy maps every other.
     """
     if k == 1:
-        return lookup_windows(rule, symbols), ()
+        if rule._translation is not None and len(symbols) <= _SHORT_WORD:
+            return _map_short(rule, symbols), ()
+        return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
     center, between, dtype = _block(rule)
-    idx = _radix_index(symbols, rule.alphabet.size,
+    idx = _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
                        1 + k * (rule.memory + rule.anticipation), dtype)
-    return center.take(idx), between.take(idx[lo:lo + width], axis=1)
+    return center.take(idx).tobytes(), between.take(idx[lo:lo + width], axis=1)
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
-    ``_step`` (so behind ``apply`` and every orbit walk) and ``patch``, a
-    bytes wrapper over one row of ``_map_rows``.
+    ``_step`` (so behind ``apply`` and every orbit walk) and ``patch``, one
+    row of ``_map_rows``.
     """
     if len(samples) < rule.width:
         raise SeedTooShort(f"need at least {rule.width} symbols, got {len(samples)}")
-    return _map_rows(rule, np.frombuffer(samples, dtype=np.uint8))[0].tobytes()
+    return _map_rows(rule, samples)[0]
 
 
 def _step(rule: LocalRule, anchor: int, lp: bytes, head: bytes,
@@ -441,14 +471,13 @@ def _cone_columns(rule: LocalRule, states: Iterator[tuple[int, bytes, bytes, byt
         if cone <= k * (len(lp) + len(head) + len(rp) + 2 * (m + n)):
             word = _window(*state, i - left * m, j + left * n)
             yield word[left * m:left * m + width]
-            word = np.frombuffer(word, dtype=np.uint8)
             while left:
                 step = k if left >= k else 1
                 left -= step
                 word, between = _map_rows(rule, word, step, left * m, width)
                 for row in between:
                     yield row.tobytes()
-                yield word[left * m:left * m + width].tobytes()
+                yield word[left * m:left * m + width]
             return
         yield _window(*state, i, j)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from leftex import Alphabet, config_to_rational, parse_configuration
+from leftex import Alphabet, cli, config_to_rational, parse_configuration
 from leftex.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -137,6 +137,46 @@ def test_limits_csv(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["n,census", "1,1", "2,1", "3,1"]
+
+
+def test_limits_n_max_below_one_is_a_usage_error(capsys):
+    # an empty census would read as a pass
+    for n_max in ("-3", "0"):
+        code, out, err = run(capsys, "limits", "eca:30", "[L:0] 1 [R:0] @0", "--T", "10",
+                             "--n-max", n_max, "--json")
+        assert (code, out) == (3, ""), n_max
+        assert "--n-max" in err and "Traceback" not in err
+
+
+# calls with and without --budget, --json and --format, in turn
+ALTERNATING_ARGV = (
+    ("classify", "eca:30", "--budget", "1000"),
+    ("classify", "eca:30"),
+    ("classify", "eca:30", "--json"),
+    ("render", "eca:30", "[L:0] 1 [R:0] @0", "--rows", "3", "--cols=-2:2", "--format", "pbm"),
+    ("render", "eca:30", "[L:0] 1 [R:0] @0", "--rows", "3", "--cols=-2:2"),
+    ("recur", "eca:204", "[L:0] 1 [R:0] @0", "--T", "8", "--json"),
+    ("recur", "eca:204", "[L:0] 1 [R:0] @0", "--T", "8"),
+    ("classify", "eca:30", "--budget", "1000", "--json"),
+    ("classify", "eca:30", "--budget", "x"),
+    ("classify", "eca:30"),
+)
+
+
+def parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return str(exc)
+
+
+def test_the_parser_main_reuses_leaks_nothing_between_calls(capsys, monkeypatch):
+    argvs = [list(argv) for argv in ALTERNATING_ARGV * 2]
+    reused = [(run(capsys, *argv), parsed(cli._parser(), argv)) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)  # main builds a parser per call
+    fresh = [(run(capsys, *argv), parsed(build_parser(), argv)) for argv in argvs]
+    assert reused == fresh
 
 
 def test_render_pbm_to_file(tmp_path, capsys):

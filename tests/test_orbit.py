@@ -36,6 +36,7 @@ from leftex import (
     default_palette,
     eca,
     estimate_spreading_speed,
+    fractional_multiplication_rule,
     left_spreading_witnesses,
     limit_point_census,
     orbit,
@@ -48,7 +49,12 @@ from leftex.configuration import _window
 from leftex.errors import AlphabetMismatch, OutOfRange
 from leftex.rules import _states
 
-from oracles import edge_trajectory_oracle, recurrence_oracle, trace_oracle
+from oracles import (
+    edge_trajectory_oracle,
+    recurrence_oracle,
+    simulate_zero_padded,
+    trace_oracle,
+)
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -281,6 +287,22 @@ def test_bounded_columns_take_exactly_their_rows(applied, rule, i, j, rows):
     applied.clear()
     assert list(itertools.islice(columns(eca(rule), ONE, i, j, rows), rows + 1)) == want
     assert rows_of(applied) == rows - 1
+
+
+def test_mul_3_2_columns_match_the_canonical_orbit():
+    # mul:3/2 has a 216-entry table, so its rows are mapped by the short-word
+    # kernel up to rules._SHORT_WORD symbols and by numpy past it
+    automaton = fractional_multiplication_rule(MulSpec(3, 2))
+    x = Configuration(Alphabet(6), -1, b"\x00", b"\x01\x05\x03", b"\x00")
+    for i, j, rows in ((-3, 3, 900), (-40, 40, 1200), (0, 0, 1)):
+        got = list(columns(automaton, x, i, j, rows))
+        assert got == trace_oracle(automaton, x, i, j, rows)
+    # the rows of a zero-padded simulation, which uses no kernel of leftex
+    want = simulate_zero_padded(
+        {tuple(w): v for w, v in zip(itertools.product(range(6), repeat=3),
+                                     automaton.rule.table)},
+        1, 1, x, -3, 3, 200)
+    assert [list(row) for row in columns(automaton, x, -3, 3, 201)] == want
 
 
 def test_bounded_columns_switch_to_the_cone(applied):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from leftex.rules import (
     Automaton,
     LocalRule,
     _BLOCK_ENTRIES,
+    _SHORT_WORD,
     _block,
     _block_rows,
     _chunk_digits,
@@ -361,11 +363,17 @@ def test_patch_matches_embedded_configurations(F, data):
 
 
 def test_map_windows_matches_rolling_index_oracle():
-    """Widths 1-4 over 2-6 symbols, on short words and on words around 2048
-    symbols, where a size threshold used to switch kernels."""
+    """Widths 1-4 over 2-6 symbols and the edge tables of the short-word
+    kernel, on short words, on words around _SHORT_WORD symbols, where the
+    kernels switch, and on words around 2048 symbols."""
     rng = random.Random(5)
     cases = [identity_rule(Alphabet(3)).rule, compose(shift_rule(A2), shift_inverse_rule(A2)).rule]
     assert [rule.width for rule in cases] == [1, 1]
+    # binary width 8 and 16 symbols at width 2 (256 entries), a single
+    # symbol (one entry), and 17 symbols at width 2 (289 entries, numpy only)
+    for size, m, n in ((2, 3, 4), (16, 1, 0), (1, 1, 1), (17, 0, 1)):
+        table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+        cases.append(LocalRule(Alphabet(size), m, n, table))
     for size in range(2, 7):
         for width in range(1, 5):
             m = rng.randrange(width)
@@ -373,7 +381,8 @@ def test_map_windows_matches_rolling_index_oracle():
             cases.append(LocalRule(Alphabet(size), m, width - 1 - m, table))
     for rule in cases:
         size = rule.alphabet.size
-        for length in [*range(rule.width, 65), *range(2040, 2061)]:
+        for length in [*range(rule.width, 65), *range(_SHORT_WORD - 2, _SHORT_WORD + 3),
+                       *range(2040, 2061)]:
             samples = bytes(b % size for b in rng.randbytes(length))
             assert map_windows(rule, samples) == map_windows_oracle(rule, samples)
 
@@ -449,6 +458,33 @@ def test_block_tables_are_k_rule_applications(size, m, n, rng):
             row = map_windows_oracle(rule, row)
             want = between[q - 1][v] if q < k else center[v]
             assert row[(k - q) * m] == want
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_short_kernel_matches_the_oracle_on_both_sides_of_the_threshold(data):
+    """Random rules of s^W from 1 to past 256 entries, on words from W
+    symbols to twice _SHORT_WORD."""
+    size = data.draw(st.integers(1, 17))
+    width = data.draw(st.integers(1, max(w for w in range(1, 10) if size**w <= 2**10)))
+    m = data.draw(st.integers(0, width - 1))
+    rng = data.draw(st.randoms(use_true_random=False))
+    rule = LocalRule(Alphabet(size), m, width - 1 - m,
+                     bytes(rng.randrange(size) for _ in range(size**width)))
+    length = data.draw(st.integers(width, 2 * _SHORT_WORD))
+    samples = bytes(rng.randrange(size) for _ in range(length))
+    assert map_windows(rule, samples) == map_windows_oracle(rule, samples)
+
+
+def test_short_kernel_runs_for_short_words_and_small_tables_only():
+    wide = LocalRule(Alphabet(10), 1, 1, bytes(1000))  # the shape of mul:5/2
+    calls = []
+    with mock.patch("leftex.rules._map_short",
+                    side_effect=lambda rule, samples: calls.append(len(samples)) or b""):
+        for rule, length in ((eca(30).rule, _SHORT_WORD), (eca(30).rule, _SHORT_WORD + 1),
+                             (wide, 3), (wide, _SHORT_WORD)):
+            map_windows(rule, bytes(length))
+    assert calls == [_SHORT_WORD]
 
 
 def test_map_windows_rejects_short_input():
