@@ -34,6 +34,7 @@ from .numeric import (
     verify_mul,
 )
 from .properties import (
+    DEFAULT_BOUNDS,
     DEFAULT_BUDGET,
     Counterexample,
     DimsSearch,

@@ -25,13 +25,14 @@ from .dynamics import aperiodicity_scan, limit_point_census, recurrence_scan
 from .errors import LeftexError
 from .numeric import MulSpec, fractional_multiplication_rule, multiplication_rule, verify_mul
 from .properties import (
+    DEFAULT_BOUNDS,
     DEFAULT_BUDGET,
     classify_rapid,
     find_left_expansive_dims,
     is_left_permutive,
     is_left_spreading_eca,
 )
-from .render import RenderSpec, render_to
+from .render import FORMATS, RenderSpec, render_to
 from .rules import Automaton, eca, make_rule, orbit
 from .words import parse_word
 
@@ -152,8 +153,8 @@ def _cmd_atlas(args, *_) -> int:
         automaton = eca(number)
         permutive = is_left_permutive(automaton.rule)
         spreading = is_left_spreading_eca(automaton.rule)
-        found = find_left_expansive_dims(automaton, 2, 2, 4, budget=args.budget)
-        classification = classify_rapid(automaton, (2, 2, 4), budget=args.budget)
+        found = find_left_expansive_dims(automaton, *DEFAULT_BOUNDS, budget=args.budget)
+        classification = classify_rapid(automaton, DEFAULT_BOUNDS, budget=args.budget)
         rows.append({
             "rule": number,
             "permutive": permutive,
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", required=True, metavar="A:B",
                    help="spatial window; write --cols=-8:8 when the left bound is negative")
-    p.add_argument("--format", choices=("ascii", "pbm", "pgm"), default="ascii")
+    p.add_argument("--format", choices=FORMATS, default="ascii")
     p.add_argument("--palette", help="pgm palette, e.g. 0:255,1:0")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_render)
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="rapid left expansivity classification")
     p.add_argument("rule")
-    p.add_argument("--bounds", default="2,2,4", metavar="H,D,W",
+    p.add_argument("--bounds", default=",".join(map(str, DEFAULT_BOUNDS)), metavar="H,D,W",
                    help="nonnegative; H is not searched, since a Yes needs height 0")
     p.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")

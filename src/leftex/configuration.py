@@ -202,13 +202,7 @@ class Configuration:
     # -- pointwise access --------------------------------------------------
 
     def at(self, i: int) -> int:
-        a = self.anchor
-        if i < a:
-            return self.left_period[(i - a) % len(self.left_period)]
-        j = i - a
-        if j < len(self.head):
-            return self.head[j]
-        return self.right_period[(j - len(self.head)) % len(self.right_period)]
+        return self.window(i, i)[0]
 
     def window(self, i: int, j: int) -> bytes:
         """The word x[i] x[i+1] ... x[j] (inclusive ends)."""

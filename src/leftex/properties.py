@@ -113,6 +113,8 @@ from .words import format_word
 
 #: default number of table evaluations a decider call may spend
 DEFAULT_BUDGET = 10**8
+#: default (H, D, W) bounds of the rapid classification's dimension search
+DEFAULT_BOUNDS = (2, 2, 4)
 _BUDGET_CAP = 2**61  # the most a search reads of any budget (see the module docstring)
 
 #: words per chunk of the expansivity decider and the spreading search
@@ -361,23 +363,16 @@ def find_left_expansive_dims(
     searches height-0 rectangles only.  Budget exhaustion never raises; it
     is reported in the result.
 
-    Every cell lies below the top corner (max_h, max_d, max_w), and no cell
-    costs more than the corner.  In _decider_frame, the seed length L, the
-    column c and c+w+(h+d)*n, so L' = min(L, c+w+(h+d)*n) too, are
-    nondecreasing in each of h, d and w, so size**L' is.  _cells(L', h+d,
-    m+n) sums the lengths L' - k*(m+n) of patch rows k = 1 .. h+d, each at
-    least 1 because L' >= (h+d)*(m+n) + 1: a longer L' lengthens every row,
-    and a larger h+d adds rows.  So when the corner is within budget, so is
-    every cell; the corner is decided first, and a False there refutes every
-    cell (see the module docstring), which ends the search with all
-    (max_h+1)*(max_d+1)*max_w cells counted and none listed.  Otherwise the
-    cells are listed and walked in order: an over-budget cell
-    sets budget_exceeded, and every other cell is decided.  cells_checked is
-    the position of the answer in the order, or the number of cells when
-    there is none, so the result is that of deciding every cell in turn.
-    The probe adds a decider run only when the corner is expansive, a proof
-    that exhausts its seed space, and a smaller cell is the answer; when the
-    corner is the answer its verdict is reused.
+    The top corner (max_h, max_d, max_w) is decided first, and a False
+    there refutes every cell (see the module docstring), which ends the
+    search with all (max_h+1)*(max_d+1)*max_w cells counted and none listed.
+    Otherwise the cells are walked in order and each is decided, the
+    corner's verdict being reused for the corner; a cell over budget
+    answers Unknown and sets budget_exceeded.  cells_checked is the position
+    of the answer in the order, or the number of cells when there is none,
+    so the result is that of deciding every cell in turn.  Deciding the
+    corner first adds a decider run only when the corner is expansive, a
+    proof that exhausts its seed space, and a smaller cell is the answer.
     """
     budget = _check_budget(budget)
     if max_h < 0 or max_d < 0 or max_w < 0:
@@ -386,9 +381,8 @@ def find_left_expansive_dims(
     if count == 0:
         return DimsSearch(None, False, 0)
     top = ExpansivityDims(max_h, max_d, max_w)  # the only cell with the largest h+d+w
-    top_fits = _decider_frame(automaton.rule, top)[-1] <= budget
-    top_verdict = is_left_expansive(automaton, top, budget=budget) if top_fits else None
-    if top_fits and top_verdict.status is Verdict.FALSE:
+    top_verdict = is_left_expansive(automaton, top, budget=budget)
+    if top_verdict.status is Verdict.FALSE:
         return DimsSearch(None, False, count)
     cells = sorted(
         (ExpansivityDims(h, d, w)
@@ -397,12 +391,10 @@ def find_left_expansive_dims(
     )
     budget_hit = False
     for checked, dims in enumerate(cells, 1):
-        if not top_fits and _decider_frame(automaton.rule, dims)[-1] > budget:
-            budget_hit = True
-            continue
         verdict = top_verdict if dims == top else is_left_expansive(automaton, dims, budget=budget)
         if verdict.status is Verdict.TRUE:
             return DimsSearch(dims, budget_hit, checked)
+        budget_hit |= verdict.status is Verdict.UNKNOWN
     return DimsSearch(None, budget_hit, count)
 
 
@@ -556,7 +548,7 @@ def _is_fractional_multiplication(trimmed: LocalRule) -> bool:
 
 def classify_rapid(
     automaton: Automaton,
-    search_bounds: tuple[int, int, int] = (2, 2, 4),
+    search_bounds: tuple[int, int, int] = DEFAULT_BOUNDS,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> RapidClassification:

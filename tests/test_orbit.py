@@ -1,14 +1,14 @@
 """The orbit walker and its readers, and how many steps each walk spends.
 
-Every walk that reads less than a whole configuration reads the raw states
-of one walker, rules._states: rules.columns reads a window off each, or
-walks the light cone of its window once that is narrower, and the spreading
-and recurrence scans read a left edge or a tail off each.  rules.orbit
-steps canonical configurations with rules.apply.  Every row any of them maps
-comes from one rules._map_rows call: a rules._step call maps one row, and a
-cone maps k rows per call through the rule's block and its last rows one per
-call.  Counting the rows of those calls pins each consumer to the number of
-images it needs, and none of them computes one image too many.
+Every walk reads the raw states of one walker, rules._states:
+rules.columns reads a window off each, or walks the light cone of its
+window once that is narrower, the spreading and recurrence scans read a
+left edge or a tail off each, and rules.orbit canonicalizes each.  Every
+row any of them maps comes from one rules._map_rows call: a rules._step
+call maps one row, and a cone maps k rows per call through the rule's block
+and its last rows one per call.  Counting the rows of those calls pins each
+consumer to the number of images it needs, and none of them computes one
+image too many.
 """
 
 import contextlib
@@ -51,6 +51,7 @@ from leftex.rules import _states
 
 from oracles import (
     edge_trajectory_oracle,
+    orbit_oracle,
     recurrence_oracle,
     simulate_zero_padded,
     trace_oracle,
@@ -102,6 +103,14 @@ def test_orbit_is_lazy(applied):
     assert next(images) is ONE and not applied
     assert next(images) == first and len(applied) == 1
     assert next(images) == second and len(applied) == 2
+
+
+def test_orbit_checks_the_alphabet_at_its_first_step():
+    x = Configuration.single(Alphabet(3), 2)
+    images = orbit(eca(30), x)
+    assert next(images) is x
+    with pytest.raises(AlphabetMismatch):
+        next(images)
 
 
 def test_columns_are_lazy(applied):
@@ -234,6 +243,40 @@ def test_columns_work_is_linear_in_the_steps(applied):
     list(columns(eca(204), ONE, -3, 3, horizon))
     assert rows_of(applied) == horizon - 1
     assert symbols_of(applied) <= 100 * (horizon - 1)
+
+
+# -- the orbit against the canonical orbit ---------------------------------
+
+
+@st.composite
+def orbit_cases(draw):
+    """A random rule, or the identity eca:204 or the shift eca:170, whose
+    canonical heads stay short while the walker's raw head grows, and a
+    configuration with periodic tails, over enough steps to cross the
+    walker's re-canonicalization threshold several times."""
+    kind = draw(st.sampled_from(["random", "eca:204", "eca:170"]))
+    if kind == "random":
+        size = draw(st.integers(2, 4))
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
+        automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
+    else:
+        automaton, size = eca(int(kind[4:])), 2
+    sym = st.integers(0, size - 1)
+    x = Configuration(Alphabet(size), draw(st.integers(-10, 10)),
+                      draw(st.lists(sym, min_size=1, max_size=5)),
+                      draw(st.lists(sym, max_size=12)),
+                      draw(st.lists(sym, min_size=1, max_size=5)))
+    return automaton, x, draw(st.integers(200, 320))
+
+
+@given(orbit_cases())
+@settings(max_examples=40, deadline=None)
+def test_orbit_matches_the_apply_loop(case):
+    automaton, x, steps = case
+    want = list(itertools.islice(orbit_oracle(automaton, x), steps))
+    assert list(itertools.islice(orbit(automaton, x), steps)) == want
 
 
 # -- bounded column walks against the canonical orbit ----------------------

@@ -116,6 +116,21 @@ def test_make_rule_missing_entry():
         make_rule(A2, 1, 1, table)
 
 
+def test_make_rule_counts_entries_before_allocating():
+    # 2^81 neighborhoods cannot be allocated at all, and 2^25 would take
+    # two 32 MB arrays before the empty table is found to be incomplete
+    with pytest.raises(IncompleteTable):
+        make_rule(A2, 40, 40, {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(IncompleteTable):
+            make_rule(A2, 12, 12, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_make_rule_bad_symbol():
     table = {bytes(k): v for k, v in RULE30.items()}
     table[bytes((1, 1, 1))] = 2
