@@ -36,32 +36,32 @@ the table, _block (one block of every word of its width), and the
 decider's counterexample seed (a block of one word).
 
 One lazy walker, _states, steps along an orbit: it computes the raw state
-of F^(t+1)(x) only when it is asked for, and besides apply(), the public
-single step, it is the only caller of _step.  It canonicalizes again only
-once the raw head is longer than twice the head of the last canonical state
-plus 64, which keeps the work per step within about twice that of a
-canonical orbit and never quadratic in the number of steps.  Every walk
-reads the walker.  orbit() yields canonical configurations, for simulate,
-verify_mul and library callers, by canonicalizing each raw state it is
-asked for.  Walks that read less than a whole configuration skip that:
-columns() yields only the words F^t(x)[i..j], which is all that
-aperiodicity scans, propagation checks, limit-point censuses and rasters
-read, and left edges and recurrences of tails are read off the raw state
-too.  Every column walk is told its row count, so it reads only the light
-cone of its window: row t+r over [i, j] depends only on row t over
-[i-r*m, j+r*n].  Once that cone word is at most k times the word _step
-would map next, columns() cuts it off the state once and maps it down k
-rows per lookup, so the state is neither stepped nor canonicalized again.
-k is 1, one lookup per row, unless the walk is long enough to pay for the
-rule's block (_block): tables over every neighborhood of width 1 + k*(m+n)
-that give the cone k rows down and, under the window, the k-1 rows in
-between (k = 6 for the ECAs).
+of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
+caller of _step.  It canonicalizes again only once the raw head is longer
+than twice the head of the last canonical state plus 64, which keeps the
+work per step within about twice that of a canonical orbit and never
+quadratic in the number of steps.  Every walk that reads less than a whole
+configuration reads the walker: columns() yields only the words
+F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
+limit-point censuses and rasters read, and left edges and recurrences of
+tails are read off the raw state too.  Every column walk is told its row
+count, so it reads only the light cone of its window: row t+r over [i, j]
+depends only on row t over [i-r*m, j+r*n].  Once that cone word is at
+most k times the word _step would map next, columns() cuts it off the state
+once and maps it down k rows per lookup, so the state is neither stepped
+nor canonicalized again.  k is 1, one lookup per row, unless the walk is
+long enough to pay for the rule's block (_block): tables over every
+neighborhood of width 1 + k*(m+n) that give the cone k rows down and, under
+the window, the k-1 rows in between (k = 6 for the ECAs).  orbit()
+yields canonical configurations, for simulate, verify_mul and library
+callers; it steps each canonical image with apply(), which is _step
+followed by canonicalization and never steps a head longer than the
+canonical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -157,8 +157,10 @@ def make_rule(
         raise OutOfRange("memory and anticipation must be nonnegative")
     width = memory + anticipation + 1
     size = alphabet.size
-    if len(table) < size**width:  # before allocating: size**width may not fit in memory
-        raise IncompleteTable(f"table has {len(table)} entries, expected {size**width}")
+    # counted before size**width is computed, let alone allocated: fewer
+    # than 2**width entries cannot cover size**width >= 2**width neighborhoods
+    if size > 1 and width > len(table).bit_length() or len(table) < size**width:
+        raise IncompleteTable(f"table has {len(table)} entries, expected {size}**{width}")
     flat = bytearray(size**width)
     seen = bytearray(size**width)
     for key, value in table.items():
@@ -424,12 +426,11 @@ def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
     F^(t+1)(x) is computed only when it is asked for, so a caller that takes
     k configurations, by zipping with range(k) (range first, so zip stops
     before asking the orbit again) or by breaking out of a loop, spends
-    exactly k-1 applications.  It reads the walker's raw states and
-    canonicalizes each one it yields.
+    exactly k-1 applications.
     """
-    yield x
-    for state in islice(_states(automaton, x), 1, None):
-        yield Configuration._from_trusted(x.alphabet, *state)
+    while True:
+        yield x
+        x = apply(automaton, x)
 
 
 def columns(automaton: Automaton, x: Configuration, i: int, j: int,

@@ -8,10 +8,9 @@ preperiods, digit expansions by one long division, primitive roots by
 searching w+w for w, padded finite simulation, cubic period search,
 rolling-index rule evaluation, block-by-block vacuity tests, symbol-by-symbol
 canonicalization, expansivity searches over every full-length seed, and the
-traces, left edges and tail recurrences read off canonical orbits stepped
-one configuration at a time with rules.apply) without touching the
-library's fast paths, so tests compare two genuinely different routes to
-the same answer.
+traces, left edges and tail recurrences read off canonical orbits, one
+configuration per step) without touching the library's fast paths, so
+tests compare two genuinely different routes to the same answer.
 The one exception is the dimension search that decides every cell: it calls
 the library's decider, which the oracles above check, so that it tests the
 pruning of the search and not the decider again.
@@ -39,7 +38,7 @@ from leftex import (
 )
 from leftex.configuration import _rotl, fractional_part, left_edge
 from leftex.properties import DEFAULT_BUDGET
-from leftex.rules import LocalRule, apply
+from leftex.rules import LocalRule, apply, orbit
 from leftex.words import cyclic_slice, first_mismatch
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
@@ -71,21 +70,11 @@ def expand_oracle(x: Configuration, lo: int, hi: int) -> list[int]:
     ]
 
 
-def orbit_oracle(automaton: Automaton, x: Configuration):
-    """The orbit x, F(x), F^2(x), ... as a lazy generator that steps each
-    canonical configuration with rules.apply, so it shares no loop with the
-    library's orbit walker."""
-    while True:
-        yield x
-        x = apply(automaton, x)
-
-
 def trace_oracle(automaton: Automaton, x: Configuration, i: int, j: int,
                  horizon: int) -> list[bytes]:
     """The rows F^t(x)[i..j] for t < horizon, read pointwise off one
-    canonical configuration per row of orbit_oracle."""
-    return [bytes(expand_oracle(y, i, j))
-            for _, y in zip(range(horizon), orbit_oracle(automaton, x))]
+    canonical configuration per row of rules.orbit."""
+    return [bytes(expand_oracle(y, i, j)) for _, y in zip(range(horizon), orbit(automaton, x))]
 
 
 def edge_trajectory_oracle(automaton: Automaton, x: Configuration,
@@ -93,7 +82,7 @@ def edge_trajectory_oracle(automaton: Automaton, x: Configuration,
     """(t, left edge of F^t(x)) for t = 1 .. horizon off the canonical orbit,
     stopping at the zero configuration."""
     out = []
-    for t, y in zip(range(1, horizon + 1), itertools.islice(orbit_oracle(automaton, x), 1, None)):
+    for t, y in zip(range(1, horizon + 1), itertools.islice(orbit(automaton, x), 1, None)):
         if y.is_zero:
             break
         out.append((t, left_edge(y)))
@@ -105,8 +94,8 @@ def recurrence_oracle(automaton: Automaton, x: Configuration, c: int,
     """All t in [1, horizon] with F^t(x)[c..] == x[c..], compared as one-sided
     sequences cut from canonical configurations."""
     target = fractional_part(x, c)
-    orbit = itertools.islice(orbit_oracle(automaton, x), 1, None)
-    return [t for t, y in zip(range(1, horizon + 1), orbit) if fractional_part(y, c) == target]
+    return [t for t, y in zip(range(1, horizon + 1), itertools.islice(orbit(automaton, x), 1, None))
+            if fractional_part(y, c) == target]
 
 
 def padded_step(table, memory, anticipation, row, pad_left, pad_right):

@@ -6,7 +6,6 @@ import pytest
 
 from leftex import Alphabet, cli, config_to_rational, parse_configuration
 from leftex.cli import build_parser, main
-from leftex.properties import DEFAULT_BOUNDS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -180,11 +179,6 @@ def test_the_parser_main_reuses_leaks_nothing_between_calls(capsys, monkeypatch)
     assert reused == fresh
 
 
-def test_classify_bounds_default_to_the_library_bounds():
-    args = build_parser().parse_args(["classify", "eca:30"])
-    assert tuple(map(int, args.bounds.split(","))) == DEFAULT_BOUNDS
-
-
 def test_render_pbm_to_file(tmp_path, capsys):
     out_file = tmp_path / "r30.pbm"
     code, _, _ = run(
@@ -245,11 +239,13 @@ def test_rule_file_errors(tmp_path, capsys):
 
 
 def test_an_incomplete_table_of_a_huge_width_is_a_usage_error(tmp_path, capsys):
-    # 2^81 neighborhoods: the entries are counted before anything is allocated
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"alphabet": 2, "m": 40, "n": 40, "table": {}}))
-    code, out, err = run(capsys, "classify", str(path))
-    assert (code, out) == (3, "") and err.startswith("error: ") and "Traceback" not in err
+    # 2^81 and 2^(2*10^9+1) neighborhoods: the entries are counted before
+    # anything is allocated, or the count of neighborhoods computed
+    for m in (40, 10**9):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"alphabet": 2, "m": m, "n": m, "table": {}}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (3, "") and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_budgets_beyond_int64_classify_as_unknown(tmp_path, capsys):

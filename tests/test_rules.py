@@ -117,10 +117,12 @@ def test_make_rule_missing_entry():
 
 
 def test_make_rule_counts_entries_before_allocating():
-    # 2^81 neighborhoods cannot be allocated at all, and 2^25 would take
-    # two 32 MB arrays before the empty table is found to be incomplete
-    with pytest.raises(IncompleteTable):
-        make_rule(A2, 40, 40, {})
+    # 2^81 neighborhoods cannot be allocated at all, 2^(2*10^9+1) cannot
+    # even be counted quickly, and 2^25 would take two 32 MB arrays before
+    # the empty table is found to be incomplete
+    for m in (40, 10**9):
+        with pytest.raises(IncompleteTable):
+            make_rule(A2, m, m, {})
     tracemalloc.start()
     try:
         with pytest.raises(IncompleteTable):
