@@ -76,8 +76,9 @@ def load_rule(text: str) -> Automaton:
     except json.JSONDecodeError as exc:
         raise _UsageError(f"rule file {text!r} is not valid JSON: {exc}") from None
     table = doc.get("table") if isinstance(doc, dict) else None
-    if not (isinstance(table, dict) and all(isinstance(v, int) for v in table.values())
-            and all(isinstance(doc.get(k), int) for k in ("alphabet", "m", "n"))):
+    # type, not isinstance: JSON true and false load as bools, an int subclass
+    if not (isinstance(table, dict) and all(type(v) is int for v in table.values())
+            and all(type(doc.get(k)) is int for k in ("alphabet", "m", "n"))):
         raise _UsageError(f"rule file {text!r} must be an object with integer alphabet, m and n "
                           "and a table object of integer outputs")
     alphabet = Alphabet(doc["alphabet"])

@@ -27,27 +27,26 @@ and True still reports all size**L seeds.  The budget is charged for what
 is mapped: size**L' prefixes times the cells below each top row (_cells, at
 least 1).  Every search reads its budget capped at _BUDGET_CAP = 2**61.
 No word is enumerated from an int64 range: a chunk's words are the digits
-of a Python int over one block of low digits (rules._lex_words).  The one
+of a Python int over one block of low digits (rules._patches).  The one
 int64 index left is a prefix number, the first prefix each rectangle keeps
 in the carry, and the prefixes number at most the charge, so every such
 index stays below 2**61, far from 2**63.  The spreading search keeps no
 index array; its counts are Python ints.
 
-Prefixes are enumerated in lexicographic chunks of size**e words, each
-aligned to size**e, where size**e is the power of the alphabet size
-nearest _CHUNK = 1024 on a log scale (rules._chunk_digits): 1024 words for
-2 and 4 symbols, 729 for 3, 1296 for 6, 1000 for 10, and one word for a
-single symbol.  The spreading search reads chunks of the same size, so
-memory stays bounded.  A chunk is the digits of its first prefix's high
-part over a block of every e-symbol low part built once per search, so
-drawing it rewrites a few rows.  The target is measured: on the benchmark's
+Prefixes are enumerated by rules._patches in lexicographic chunks of
+size**e words, each aligned to size**e, where size**e is the power of the
+alphabet size nearest _CHUNK = 1024 on a log scale: 1024 words for 2 and
+4 symbols, 729 for 3, 1296 for 6, 1000 for 10, and one word for a single
+symbol.  The spreading search walks its start words through the same
+generator at the same target, so memory stays bounded.  Drawing a chunk
+rewrites only its high rows.  The target is measured: on the benchmark's
 decide workload, where most random rules stop at an early False, fixed
 chunks of 1024 gave a median op time of 0.85 ms, against 1.13 ms for a
 first chunk of 256 doubling up to 1024 and 1.6 ms for fixed chunks of 2^12
 or 2^14 (2^14 also took 1 MB more memory).
 
-A chunk is a uint8 digit matrix with one prefix per column; its patch rows
-grow by table lookup on the whole matrix at once (rules.lookup_windows).
+A chunk is a uint8 digit matrix with one prefix per column; the generator
+grows its patch rows by table lookup on the whole matrix at once.
 Each prefix is keyed by its rectangle: the n_rows*w symbols, in radix size,
 packed by one integer matrix product into ceil(n_rows*w / k) uint64 words,
 k being the most symbols whose radix value stays below 2**64 (_key_layout).
@@ -102,10 +101,8 @@ from .numeric import MulSpec, fractional_multiplication_rule
 from .rules import (
     Automaton,
     LocalRule,
-    _chunk_digits,
-    _lex_words,
+    _patches,
     _states,
-    lookup_windows,
     shift_rule,
     trim_vacuous,
 )
@@ -251,7 +248,7 @@ def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
     c = max(below * m, dims.h * m + 1)
     read_len = min(seed_len, c + dims.w + below * n)
     charge = rule.alphabet.size**read_len * max(_cells(read_len, below, m + n), 1)
-    starts = range(c, c - (below + 1) * m, -m) if m else (c,) * (below + 1)  # c - k*m
+    starts = [c - k * m for k in range(below + 1)]
     return seed_len, read_len, c, starts, (c - 1) - dims.h * m, charge
 
 
@@ -293,14 +290,10 @@ def is_left_expansive(
             name, Verdict.UNKNOWN, dims, size, 0, seed_space,
             evals_needed=needed, budget=budget,
         )
-    pad, low = seed_len - read_len, min(_chunk_digits(size, _CHUNK), read_len)
+    pad = seed_len - read_len
     weights, key_type = _key_layout(size, n_rows * w)
     runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
-    for high, top in enumerate(_lex_words(size, read_len, low, range(size ** (read_len - low)))):
-        first = high * size**low
-        rows = [top]
-        for _ in range(n_rows - 1):
-            rows.append(lookup_windows(rule, rows[-1]))
+    for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
         keys = np.ascontiguousarray((weights @ rect).T).view(key_type).ravel()
         vals = rows[dims.h][det_index]
@@ -319,11 +312,11 @@ def is_left_expansive(
         if clash.any():
             j = int(clash.argmax())
             ref = int(ref_prefixes[inverse[j]])
-            top_a = top[:, ref - first] if ref >= first else \
-                next(_lex_words(size, read_len, 0, [ref]))[:, 0]
+            top_a = rows[0][:, ref - first] if ref >= first else \
+                next(_patches(rule, read_len, 0, ref, ref + 1, 1))[1][0][:, 0]
             cex = Counterexample(
                 seed_a=top_a.tobytes() + bytes(pad),
-                seed_b=top[:, j].tobytes() + bytes(pad),
+                seed_b=rows[0][:, j].tobytes() + bytes(pad),
                 rectangle=tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
                                 for k in range(n_rows)),
                 value_a=int(ref_vals[inverse[j]]), value_b=int(vals[j]),
@@ -423,17 +416,9 @@ def _left_spreading_search(rule: LocalRule, budget: int) -> tuple[Verdict, int, 
         spent += (last - first) * _cells(t * (m + 2 * n), t, m + n)
         if spent > budget:
             return Verdict.UNKNOWN, t, 0
-        moved, low = 0, min(_chunk_digits(size, _CHUNK), t * n)
-        # the start words are words first .. last-1 of t*(m+2n) symbols, whose
-        # first t*(m+n) are zeros; a block of every t*n-symbol start word
-        # begins with the first ones, led by a zero, which are skipped
-        skip = first if low == t * n else 0
-        for rows in _lex_words(size, t * (m + 2 * n), low,
-                               range(first // size**low, last // size**low)):
-            rows = rows[:, skip:]
-            for _ in range(t):
-                rows = lookup_windows(rule, rows)
-            hits = rows.any(axis=0)
+        moved = 0
+        for _, rows in _patches(rule, t * (m + 2 * n), t, first, last, _CHUNK):
+            hits = rows[-1].any(axis=0)
             moved += int(np.count_nonzero(hits))
             if t > 1 and not hits.all():  # no witness; a No needs every word at t = 1
                 break

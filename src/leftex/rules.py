@@ -22,18 +22,18 @@ tables, block lookups, and many equal-length words at once when they are
 stacked as the columns of a matrix, which is how the expansivity decider
 grows a chunk of seeds.
 
-Every such matrix of words in lexicographic order comes from one
-enumerator, _lex_words: blocks of size**e words that share their high
-symbols, the digits of a Python int, over one block of every e-symbol low
-part, built once with a row fill per symbol; each further block rewrites
-only the high rows.  The block size is the power of the alphabet size
-nearest a target on a log scale (_chunk_digits).  Its callers are the
-expansivity decider's chunks of read prefixes and the spreading search's
-chunks of start words (blocks near 2^10 words), compose(), which maps every
-word of the product width through the inner rule and then the outer one a
+Every such matrix of words in lexicographic order, and every row grown
+from it, comes from one generator, _patches, which yields a range of words
+chunk by chunk with their rows F(words), ..., F^steps(words).  A chunk is a
+block of size**e words that share their high symbols, the digits of a
+Python int, over one block of every e-symbol low part built once, cut to
+the range at either end; size**e is the power of the alphabet size nearest
+a target on a log scale (_chunk_digits).  Its callers are the expansivity
+decider's read prefixes and the spreading search's start words (blocks
+near 2^10 words), compose(), which maps every word of the product width a
 block near 2^14 words at a time so that working memory does not grow with
 the table, _block (one block of every word of its width), and the
-decider's counterexample seed (a block of one word).
+decider's counterexample seed (a range of one word).
 
 One lazy walker, _states, steps along an orbit: it computes the raw state
 of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
@@ -62,7 +62,7 @@ canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -227,29 +227,6 @@ def _chunk_digits(size: int, target: int) -> int:
     return e + (target * target > size ** (2 * e + 1))
 
 
-def _lex_words(size: int, length: int, low: int, highs: Iterable[int]) -> Iterator[np.ndarray]:
-    """For each ``high`` in ``highs``, the size**low words of ``length``
-    symbols whose first length-low symbols spell ``high`` in radix ``size``:
-    words high*size**low .. (high+1)*size**low - 1 of the lexicographic
-    order, one per column, most significant symbol in row 0.
-
-    The low rows, every word of ``low`` symbols, are built once; each
-    block is then the same ``uint8`` array with its high rows rewritten
-    from the digits of a Python int, so a block is valid until the next one
-    is drawn.
-    """
-    words = np.empty((length, size**low), dtype=np.uint8)
-    symbols = np.arange(size, dtype=np.uint8)[:, None]
-    for k in range(low):  # row length-low+k repeats each symbol size**(low-1-k) times
-        words[length - low + k].reshape(size**k, size, -1)[:] = symbols
-    digits = bytearray(length - low)
-    for high in highs:
-        for k in range(length - low - 1, -1, -1):
-            high, digits[k] = divmod(high, size)
-        words[:length - low] = np.frombuffer(digits, dtype=np.uint8)[:, None]
-        yield words
-
-
 def _radix_index(symbols: np.ndarray, size: int, width: int, dtype) -> np.ndarray:
     """The radix index, in ``dtype``, of every length-``width`` window along
     axis 0 of a ``uint8`` symbol array (leftmost symbol most significant).
@@ -296,6 +273,34 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
         _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype))
 
 
+def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
+             chunk: int) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The words first .. last-1 of ``length`` symbols in lexicographic
+    order, in chunks near ``chunk`` words (see the module docstring): for
+    each, the index of its first word and the rows [words, F(words), ...,
+    F^steps(words)], one word per column, most significant symbol in row 0.
+    Every chunk rewrites the high rows of the same ``uint8`` array, so its
+    rows are valid until the next chunk is drawn."""
+    size = rule.alphabet.size
+    low = min(_chunk_digits(size, chunk), length)
+    block = size**low
+    words = np.empty((length, block), dtype=np.uint8)
+    symbols = np.arange(size, dtype=np.uint8)[:, None]
+    for k in range(low):  # row length-low+k repeats each symbol size**(low-1-k) times
+        words[length - low + k].reshape(size**k, size, -1)[:] = symbols
+    digits = bytearray(length - low)
+    for start in range(first - first % block, last, block):
+        high = start // block
+        for k in range(length - low - 1, -1, -1):
+            high, digits[k] = divmod(high, size)
+        words[:length - low] = np.frombuffer(digits, dtype=np.uint8)[:, None]
+        lo, hi = max(first - start, 0), min(last - start, block)
+        rows = [words if hi - lo == block else words[:, lo:hi]]
+        for _ in range(steps):
+            rows.append(lookup_windows(rule, rows[-1]))
+        yield start + lo, rows
+
+
 def _block_rows(rule: LocalRule) -> int:
     """The rows k one block lookup maps: the largest k <= 8 whose
     neighborhood width 1 + k*(m+n) has at most _BLOCK_ENTRIES words, else 1."""
@@ -316,10 +321,9 @@ def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     if block is None:
         size, m, k = rule.alphabet.size, rule.memory, _block_rows(rule)
         width = 1 + k * (m + rule.anticipation)
-        words, centers = next(_lex_words(size, width, width, [0])), []
-        for q in range(1, k + 1):
-            words = lookup_windows(rule, words)
-            centers.append(words[(k - q) * m])  # the neighborhood's center after q rows
+        _, rows = next(_patches(rule, width, k, 0, size**width, size**width))
+        # the neighborhood's center after q rows, for q = 1 .. k
+        centers = [rows[q][(k - q) * m] for q in range(1, k + 1)]
         block = (centers[-1], np.stack(centers[:-1]), np.min_scalar_type(size**width - 1))
         object.__setattr__(rule, "_block_tables", block)
     return block
@@ -526,9 +530,8 @@ def compose(outer: Automaton, inner: Automaton) -> Automaton:
         raise TableTooLarge(
             f"composed table would need {total} entries (guard {DEFAULT_COMPOSE_GUARD})"
         )
-    low = min(_chunk_digits(size, _COMPOSE_CHUNK), width)
-    table = b"".join(lookup_windows(outer.rule, lookup_windows(inner.rule, words))[0].tobytes()
-                     for words in _lex_words(size, width, low, range(size ** (width - low))))
+    table = b"".join(lookup_windows(outer.rule, rows[1])[0].tobytes()
+                     for _, rows in _patches(inner.rule, width, 1, 0, total, _COMPOSE_CHUNK))
     return Automaton(trim_vacuous(LocalRule(outer.alphabet, m, n, table)))
 
 

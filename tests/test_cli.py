@@ -1,10 +1,11 @@
 import argparse
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from leftex import Alphabet, cli, config_to_rational, parse_configuration
+from leftex import Alphabet, RenderSpec, cli, config_to_rational, eca, parse_configuration, render_to
 from leftex.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -190,6 +191,37 @@ def test_render_pbm_to_file(tmp_path, capsys):
     assert out_file.read_bytes() == golden.read_bytes()
 
 
+def test_render_pgm_palette_matches_the_library(tmp_path, capsys):
+    out_file = tmp_path / "r30.pgm"
+    code, _, _ = run(
+        capsys, "render", "eca:30", "[L:0] 1 [R:0] @0", "--rows", "8", "--cols=-8:8",
+        "--format", "pgm", "--palette", "0:255,1:0", "--out", str(out_file),
+    )
+    assert code == 0
+    expected = io.StringIO()
+    render_to(expected, eca(30), parse_configuration("[L:0] 1 [R:0] @0", Alphabet(2)),
+              RenderSpec(8, -8, 8, "pgm", {0: 255, 1: 0}))
+    assert out_file.read_text() == expected.getvalue()
+    assert expected.getvalue().startswith("P2\n17 8\n255\n255 ")
+
+
+def test_malformed_render_and_classify_arguments_are_usage_errors(capsys):
+    for argv in (("render", "eca:30", "[L:0] 1 [R:0] @0", "--rows", "2", "--cols=0:1",
+                  "--format", "pgm", "--palette", "0:255,1"),
+                 ("render", "eca:30", "[L:0] 1 [R:0] @0", "--rows", "2", "--cols", "5"),
+                 ("classify", "eca:30", "--bounds", "1,2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and err.startswith("usage error: "), argv
+
+
+def test_limits_json_written_to_a_file(tmp_path, capsys):
+    out_file = tmp_path / "limits.json"
+    code, out, _ = run(capsys, "limits", "eca:204", "[L:0] 1 [R:0] @0", "--T", "20",
+                       "--n-max", "3", "--json", "--out", str(out_file))
+    assert (code, out) == (0, "")
+    assert out_file.read_text() == '{"horizon": 20, "census": {"1": 1, "2": 1, "3": 1}}\n'
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "simulate", "eca:30", "[L:0 1 [R:0] @0", "2")
     assert code == 3 and "column" in err
@@ -236,6 +268,20 @@ def test_rule_file_errors(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "simulate", str(path), "[L:0] 1 [R:0] @0", "1")
         assert (code, out) == (3, "") and str(path) in err, doc
+
+
+def test_booleans_in_a_rule_file_are_usage_errors(tmp_path, capsys):
+    # JSON true and false are not integers, though Python's bool is an int
+    rule90 = {f"{a}{b}{c}": (a + c) % 2 for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+    path = tmp_path / "bools.json"
+    for doc in ({"alphabet": True, "m": 0, "n": 0, "table": {"0": 0}},
+                {"alphabet": 2, "m": True, "n": 1, "table": rule90},
+                {"alphabet": 2, "m": 1, "n": True, "table": rule90},
+                {"alphabet": 2, "m": 1, "n": 1, "table": {k: bool(v) for k, v in rule90.items()}}):
+        path.write_text(json.dumps(doc))
+        for argv in (("classify", str(path)), ("simulate", str(path), "[L:0] 0 [R:0] @0", "1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "") and str(path) in err, (doc, argv[0])
 
 
 def test_an_incomplete_table_of_a_huge_width_is_a_usage_error(tmp_path, capsys):
@@ -334,3 +380,17 @@ def test_atlas_counts_and_determinism(capsys):
     assert by_rule[30][3] == "0;1;2" and by_rule[30][4] == "Yes"
     assert by_rule[90][4] == "Yes"
     assert by_rule[204][4] == "No"
+
+
+@pytest.mark.slow
+def test_atlas_json_rows_are_the_csv_rows(capsys):
+    code, out, _ = run(capsys, "atlas", "--json")
+    assert code == 0 and out.endswith("\n") and out.count("\n") == 1
+    code, csv, _ = run(capsys, "atlas")
+    assert code == 0
+    header, *lines = csv.splitlines()
+    assert [{"rule": str(row["rule"]), "permutive": str(int(row["permutive"])),
+             "spreading": str(int(row["spreading"])),
+             "dims": ";".join(map(str, row["dims"])) if row["dims"] else "",
+             "rapid": row["rapid"]} for row in json.loads(out)] == \
+        [dict(zip(header.split(","), line.split(","))) for line in lines]

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +31,7 @@ from leftex.rules import (
     _block,
     _block_rows,
     _chunk_digits,
-    _lex_words,
+    _patches,
     _radix_index,
     map_windows,
 )
@@ -419,22 +420,42 @@ def test_radix_index_matches_horner(size, width, extra, count, matrix, rng):
     assert got.tolist() == radix_index_oracle(symbols, size, width)
 
 
-@given(st.integers(1, 16), st.data())
+@given(st.integers(1, 16), st.integers(0, 1), st.integers(0, 1), st.data(),
+       st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_lex_words_match_the_divmod_oracle(size, data):
-    """Every aligned block of every low-symbol count, drawn in order, is the
-    oracle's run of words; so is one block far into a long word's order."""
+def test_patches_match_the_divmod_oracle(size, m, n, data, rng):
+    """Any range of words at any chunk target comes out in order as the
+    oracle's run of words, in chunks of at most the power of the alphabet
+    size nearest the target, each reporting the index of its first word,
+    every chunk after the first starting on a multiple of that power, and
+    each chunk's rows the rule's patch rows of its words; a one-word range
+    far into a long word's order is the oracle's word."""
+    rule = LocalRule(Alphabet(size), m, n,
+                     bytes(rng.randrange(size) for _ in range(size ** (m + n + 1))))
     length = data.draw(st.integers(1, max(k for k in range(1, 15) if size**k <= 2**14)))
-    low = data.draw(st.integers(0, length))
-    highs = range(size ** (length - low))
-    blocks = [words.copy() for words in _lex_words(size, length, low, highs)]
-    assert len(blocks) == len(highs)
-    assert np.array_equal(np.concatenate(blocks, axis=1),
-                          lex_words_oracle(0, size**length, size, length))
+    first = data.draw(st.integers(0, size**length - 1))
+    last = data.draw(st.integers(first + 1, size**length))
+    chunk = data.draw(st.integers(1, 2**15))
+    steps = data.draw(st.integers(0, (length - 1) // (m + n) if m + n else 3))
+    block = size**_chunk_digits(size, chunk)
+    chunks = [(start, [row.copy() for row in rows])
+              for start, rows in _patches(rule, length, steps, first, last, chunk)]
+    assert [start for start, _ in chunks] == \
+        list(itertools.accumulate((rows[0].shape[1] for _, rows in chunks[:-1]), initial=first))
+    assert all(rows[0].shape[1] <= block for _, rows in chunks)
+    assert all(start % block == 0 for start, _ in chunks[1:])
+    assert np.array_equal(np.concatenate([rows[0] for _, rows in chunks], axis=1),
+                          lex_words_oracle(first, last - first, size, length))
+    for _, rows in chunks:
+        assert len(rows) == steps + 1
+        for col in (0, -1):
+            seed = rows[0][:, col].tobytes()
+            assert [row[:, col].tobytes() for row in rows] == \
+                list(patch(Automaton(rule), seed, steps + 1).rows)
     long = data.draw(st.integers(length, 40))
-    high = data.draw(st.integers(0, 2**62 // size**low - 1)) % size ** (long - low)
-    assert np.array_equal(next(_lex_words(size, long, low, [high])),
-                          lex_words_oracle(high * size**low, size**low, size, long))
+    far = data.draw(st.integers(0, min(size**long, 2**62) - 1))
+    [(start, rows)] = _patches(rule, long, 0, far, far + 1, chunk)
+    assert start == far and np.array_equal(rows[0], lex_words_oracle(far, 1, size, long))
 
 
 def test_chunks_are_the_nearest_power_of_the_alphabet_size():
