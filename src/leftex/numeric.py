@@ -18,7 +18,8 @@ powers B**(2**j) are ever needed, about log2 of the limb count, and they are
 squared up in one bounded cache.  The preperiod and period lengths are
 computed arithmetically (valuations of the denominator at the primes of the
 base, the multiplicative order of the base) instead of by scanning for a
-repeated remainder.
+repeated remainder, so a period of more than _MAX_PERIOD digits is refused
+with OutOfRange before any of it is allocated.
 
 A denominator den = m * c, m made of the primes of the base and c coprime
 to it, splits the expansion in two.  The preperiod is one integer division,
@@ -129,6 +130,9 @@ def _int_digits(v: int, base: int) -> bytes:
     return _int_to_digits(v, base, count).lstrip(b"\x00")
 
 
+#: the longest period rational_to_config expands; a longer one raises
+#: OutOfRange before a digit of it is allocated
+_MAX_PERIOD = 10**7
 #: denominators below this have int64 products of two residues
 _TABLE_LIMIT = 2**31
 #: remainders computed per block of the table, bounding its temporaries
@@ -250,7 +254,8 @@ def multiplicative_order(base: int, modulus: int) -> int:
 
 
 def rational_to_config(value: RationalLike, base: int) -> Configuration:
-    """The base-``base`` digit configuration of a positive rational."""
+    """The base-``base`` digit configuration of a positive rational; a period
+    of more than _MAX_PERIOD digits raises OutOfRange."""
     if not isinstance(base, int) or base < 2:
         raise BadBase(f"base must be an integer >= 2, got {base!r}")
     if base > 256:
@@ -267,7 +272,11 @@ def rational_to_config(value: RationalLike, base: int) -> Configuration:
     pre, coprime = _period_split(den, base)
     head_value, a = divmod(base**pre // (den // coprime) * rem, coprime)
     head = int_digits + _int_to_digits(head_value, base, pre)
-    period = _expansion_digits(a, coprime, base, multiplicative_order(base, coprime))
+    order = multiplicative_order(base, coprime)
+    if order > _MAX_PERIOD:
+        raise OutOfRange(f"the period of {xi} in base {base} has {order} digits, "
+                         f"more than {_MAX_PERIOD}")
+    period = _expansion_digits(a, coprime, base, order)
     return Configuration._from_trusted(Alphabet(base), -len(int_digits), b"\x00", head, period)
 
 

@@ -33,26 +33,34 @@ in the carry, and the prefixes number at most the charge, so every such
 index stays below 2**61, far from 2**63.  The spreading search keeps no
 index array; its counts are Python ints.
 
-Prefixes are enumerated by rules._patches in lexicographic chunks of
-size**e words, each aligned to size**e, where size**e is the power of the
-alphabet size nearest _CHUNK = 1024 on a log scale: 1024 words for 2 and
-4 symbols, 729 for 3, 1296 for 6, 1000 for 10, and one word for a single
-symbol.  The spreading search walks its start words through the same
-generator at the same target, so memory stays bounded.  Drawing a chunk
-rewrites only its high rows.  The target is measured: on the benchmark's
-decide workload, where most random rules stop at an early False, fixed
-chunks of 1024 gave a median op time of 0.85 ms, against 1.13 ms for a
-first chunk of 256 doubling up to 1024 and 1.6 ms for fixed chunks of 2^12
-or 2^14 (2^14 also took 1 MB more memory).
+Prefixes are enumerated by rules._patches in lexicographic chunks, each
+an aligned block of size**e words.  The first chunk's size**e is the power
+of the alphabet size nearest _CHUNK = 1024 on a log scale: 1024 words for
+2 and 4 symbols, 729 for 3, 1296 for 6, 1000 for 10, and one word for a
+single symbol.  e then rises by one whenever the next chunk starts on a
+multiple of size**(e+1), up to the power nearest rules._COMPOSE_CHUNK =
+2**14: binary chunks run 1024, 1024, 2048, ..., 16384.  A conflict ends
+the search at once, so a chunk only grows after a conflict-free one.
+Early refutations read the small chunks, and long proofs pay a chunk's
+fixed costs on fewer, larger chunks: mul:7/5 at (1,1,1), whose chunks
+grow from 35**2 to 35**3 words, proves in 1.4-1.7 s instead of 4.5-5.0 s.
+The spreading search walks its start words through the same generator at
+the same target, so memory stays bounded by the cap.  Drawing a chunk
+rewrites only its high rows.  The first chunk's size is measured: on the
+benchmark's decide workload, where most random rules stop at an early
+False, fixed chunks of 1024 gave a median op time of 0.85 ms, against
+1.13 ms for a first chunk of 256 doubling up to 1024 and 1.6 ms for fixed
+chunks of 2^12 or 2^14 (2^14 also took 1 MB more memory).
 
 A chunk is a uint8 digit matrix with one prefix per column; the generator
 grows its patch rows by table lookup on the whole matrix at once.
 Each prefix is keyed by its rectangle: the n_rows*w symbols, in radix size,
 packed by one integer matrix product into ceil(n_rows*w / k) uint64 words,
-k being the most symbols whose radix value stays below 2**64 (_key_layout).
-One word is a uint64 key, and more are a void view of the same words.  The
-keys are exact, not hashes: equal keys are equal rectangles.  np.unique
-finds the first occurrence of every key in the chunk.  The rectangles met
+k being the most symbols whose radix value stays below 2**64 (_key_layout,
+built once per size and rectangle).  One word is a uint64 key, and more
+are a void view of the same words.  The keys are exact, not hashes: equal
+keys are equal rectangles.  One stable sort of the chunk's keys finds the
+first occurrence of every key (_first_occurrences).  The rectangles met
 in earlier chunks are carried as sorted runs of (key, determined value,
 first prefix), each key in exactly one run.  A chunk looks its keys up in
 every run with searchsorted, and its new keys become a run, merged into the
@@ -90,6 +98,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -252,12 +261,13 @@ def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
     return seed_len, read_len, c, starts, (c - 1) - dims.h * m, charge
 
 
+@lru_cache(maxsize=64)
 def _key_layout(size: int, symbols: int) -> tuple[np.ndarray, np.dtype]:
     """How the decider packs a rectangle of ``symbols`` symbols, in radix
     ``size``, into uint64 words of k symbols each, k the most whose radix
-    value stays below 2**64: the (words, symbols) matrix of radix weights
-    that maps a rectangle column to its words, and the key dtype, uint64
-    for one word and a void over the words' bytes for more."""
+    value stays below 2**64: the read-only (words, symbols) matrix of radix
+    weights that maps a rectangle column to its words, and the key dtype,
+    uint64 for one word and a void over the words' bytes for more."""
     per_word = symbols
     while size**per_word > 2**64:
         per_word -= 1
@@ -266,8 +276,23 @@ def _key_layout(size: int, symbols: int) -> tuple[np.ndarray, np.dtype]:
     weights = np.zeros((word[-1] + 1, symbols), dtype=np.uint64)
     weights[word, i] = np.uint64(size) ** (
         np.minimum(word * per_word + per_word, symbols) - 1 - i).astype(np.uint64)
+    weights.flags.writeable = False
     key = np.dtype(np.uint64) if len(weights) == 1 else np.dtype((np.void, 8 * len(weights)))
     return weights, key
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(keys, return_index=True, return_inverse=True) without its
+    wrapper layers: the sorted distinct keys, the index of each one's first
+    occurrence, and each key's position among them, from one stable sort."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    flag = np.empty(len(keys), dtype=bool)
+    flag[:1] = True
+    flag[1:] = ordered[1:] != ordered[:-1]  # `!=`: not_equal has no void loop
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = flag.cumsum() - 1
+    return ordered[flag], order[flag], inverse
 
 
 def is_left_expansive(
@@ -295,9 +320,11 @@ def is_left_expansive(
     runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
     for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
-        keys = np.ascontiguousarray((weights @ rect).T).view(key_type).ravel()
+        packed = weights @ rect
+        keys = packed[0] if len(packed) == 1 else \
+            np.ascontiguousarray(packed.T).view(key_type).ravel()
         vals = rows[dims.h][det_index]
-        uniq, where, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        uniq, where, inverse = _first_occurrences(keys)
         # each key's reference: its entry in an earlier run, else its first
         # prefix in this chunk
         ref_vals, ref_prefixes = vals[where], where + first

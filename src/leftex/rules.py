@@ -24,16 +24,20 @@ grows a chunk of seeds.
 
 Every such matrix of words in lexicographic order, and every row grown
 from it, comes from one generator, _patches, which yields a range of words
-chunk by chunk with their rows F(words), ..., F^steps(words).  A chunk is a
-block of size**e words that share their high symbols, the digits of a
-Python int, over one block of every e-symbol low part built once, cut to
-the range at either end; size**e is the power of the alphabet size nearest
-a target on a log scale (_chunk_digits).  Its callers are the expansivity
-decider's read prefixes and the spreading search's start words (blocks
-near 2^10 words), compose(), which maps every word of the product width a
-block near 2^14 words at a time so that working memory does not grow with
-the table, _block (one block of every word of its width), and the
-decider's counterexample seed (a range of one word).
+chunk by chunk with their rows F(words), ..., F^steps(words).  A chunk is
+an aligned block of size**e words that share their high symbols, the
+digits of a Python int, over one block of every e-symbol low part, built
+once per e, cut to the range at either end.  The first size**e is the
+power of the alphabet size nearest a target on a log scale
+(_chunk_digits); e rises by one whenever the next chunk starts on a
+multiple of size**(e+1), until size**e is the power nearest
+_COMPOSE_CHUNK, so a long walk pays a chunk's fixed costs on few chunks
+while a short one stays short.  Its callers are the expansivity decider's
+read prefixes and the spreading search's start words (blocks from near
+2^10 words), compose(), which maps every word of the product width a block
+near 2^14 words at a time so that working memory does not grow with the
+table, _block (one block of every word of its width), and the decider's
+counterexample seed (a range of one word).
 
 One lazy walker, _states, steps along an orbit: it computes the raw state
 of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
@@ -81,7 +85,8 @@ from .words import WordLike, cyclic_slice, word
 #: entries allowed in a composed rule table before compose() refuses
 DEFAULT_COMPOSE_GUARD = 10**7
 #: table entries compose() tabulates per pass, bounding its working memory:
-#: it maps blocks of the power of the alphabet size nearest this
+#: it maps blocks of the power of the alphabet size nearest this, which is
+#: also the size the chunks of _patches grow to
 _COMPOSE_CHUNK = 2**14
 #: neighborhoods a rule's block of column-walk rows may tabulate (see _block)
 _BLOCK_ENTRIES = 2**13
@@ -276,20 +281,24 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
 def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
              chunk: int) -> Iterator[tuple[int, list[np.ndarray]]]:
     """The words first .. last-1 of ``length`` symbols in lexicographic
-    order, in chunks near ``chunk`` words (see the module docstring): for
-    each, the index of its first word and the rows [words, F(words), ...,
-    F^steps(words)], one word per column, most significant symbol in row 0.
-    Every chunk rewrites the high rows of the same ``uint8`` array, so its
-    rows are valid until the next chunk is drawn."""
+    order, in aligned chunks that start near ``chunk`` words and grow up to
+    near _COMPOSE_CHUNK (see the module docstring): for each, the index of
+    its first word and the rows [words, F(words), ..., F^steps(words)], one
+    word per column, most significant symbol in row 0.  Every chunk of one
+    size rewrites the high rows of the same ``uint8`` array, so its rows are
+    valid until the next chunk is drawn."""
     size = rule.alphabet.size
     low = min(_chunk_digits(size, chunk), length)
-    block = size**low
-    words = np.empty((length, block), dtype=np.uint8)
+    top = min(_chunk_digits(size, _COMPOSE_CHUNK), length)
     symbols = np.arange(size, dtype=np.uint8)[:, None]
-    for k in range(low):  # row length-low+k repeats each symbol size**(low-1-k) times
-        words[length - low + k].reshape(size**k, size, -1)[:] = symbols
-    digits = bytearray(length - low)
-    for start in range(first - first % block, last, block):
+    start, words = first - first % size**low, None
+    while start < last:
+        block = size**low
+        if words is None:  # every low part of ``low`` symbols, built once per size
+            words = np.empty((length, block), dtype=np.uint8)
+            for k in range(low):  # row length-low+k repeats each symbol size**(low-1-k) times
+                words[length - low + k].reshape(size**k, size, -1)[:] = symbols
+            digits = bytearray(length - low)
         high = start // block
         for k in range(length - low - 1, -1, -1):
             high, digits[k] = divmod(high, size)
@@ -299,6 +308,9 @@ def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
         for _ in range(steps):
             rows.append(lookup_windows(rule, rows[-1]))
         yield start + lo, rows
+        start += block
+        if low < top and start % (block * size) == 0:
+            low, words = low + 1, None
 
 
 def _block_rows(rule: LocalRule) -> int:

@@ -2,14 +2,15 @@
 
 Everything here recomputes expected values from first principles (pointwise
 indexing, schoolbook long division, Horner and divmod digit conversion,
-lexicographic words as the divmod digits of an index range,
-the geometric-series value of a periodic tail, one-factor-at-a-time
-preperiods, digit expansions by one long division, primitive roots by
-searching w+w for w, padded finite simulation, cubic period search,
-rolling-index rule evaluation, block-by-block vacuity tests, symbol-by-symbol
-canonicalization, expansivity searches over every full-length seed, and the
-traces, left edges and tail recurrences read off canonical orbits, one
-configuration per step) without touching the library's fast paths, so
+lexicographic words as the divmod digits of an index range, first
+occurrences of keys by numpy's own unique, the geometric-series value of a
+periodic tail, one-factor-at-a-time preperiods, digit expansions by one
+long division, primitive roots by searching w+w for w, padded finite
+simulation, cubic period search, rolling-index rule evaluation,
+block-by-block vacuity tests, symbol-by-symbol canonicalization,
+expansivity searches over every full-length seed, and the traces, left
+edges and tail recurrences read off canonical orbits, one configuration
+per step) without touching the library's fast paths, so
 tests compare two genuinely different routes to the same answer.
 The one exception is the dimension search that decides every cell: it calls
 the library's decider, which the oracles above check, so that it tests the
@@ -264,6 +265,12 @@ def lex_words_oracle(first: int, count: int, size: int, length: int) -> np.ndarr
     for k in range(length - 1, -1, -1):
         index, digits[k] = np.divmod(index, size)
     return digits
+
+
+def first_occurrences_oracle(keys: np.ndarray) -> tuple:
+    """numpy's own unique: the sorted distinct keys, the index of each
+    one's first occurrence and each key's position among them."""
+    return np.unique(keys, return_index=True, return_inverse=True)
 
 
 def radix_index_oracle(symbols, size: int, width: int) -> list:

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import random
+import signal
 import time
 import tracemalloc
 from fractions import Fraction
@@ -192,6 +193,37 @@ def test_long_period_round_trip_is_fast():
     value = config_to_rational(x, 10)
     assert time.perf_counter() - start < 0.15
     assert value == xi
+
+
+def test_a_period_over_the_cap_raises_before_it_is_allocated():
+    """The base-10 period of 1/(10**9 + 7) has 10**9 + 6 digits and the
+    base-6 one 5*10**8 + 3, so both the expansion and verify_mul's first
+    configuration raise OutOfRange as soon as the order is known.  A timer
+    interrupts the call after 1 s, long before an expansion that ignored
+    the cap had filled much of its gigabyte."""
+    def too_slow(signum, frame):
+        raise TimeoutError("no OutOfRange within 1 s")
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for call in (lambda: rational_to_config(Fraction(1, 10**9 + 7), 10),
+                     lambda: verify_mul(MulSpec(3, 2), Fraction(1, 10**9 + 7), 1)):
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                with pytest.raises(OutOfRange, match="digits, more than 10000000"):
+                    call()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_period_cap_admits_its_own_length(monkeypatch):
+    """A period of exactly _MAX_PERIOD digits is expanded; one more raises."""
+    monkeypatch.setattr(numeric, "_MAX_PERIOD", 6)
+    assert rational_to_config(Fraction(1, 7), 10).right_period == bytes([1, 4, 2, 8, 5, 7])
+    monkeypatch.setattr(numeric, "_MAX_PERIOD", 5)
+    with pytest.raises(OutOfRange):
+        rational_to_config(Fraction(1, 7), 10)
 
 
 def test_rejected_candidates_cost_a_short_prefix(monkeypatch):

@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
@@ -28,12 +29,13 @@ from leftex import (
     rational_to_config,
     shift_rule,
 )
-from leftex import properties
+from leftex import properties, rules
 from leftex.errors import BadDims, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
 from oracles import (
     chunked_left_expansive_oracle,
     decider_charge_oracle,
+    first_occurrences_oracle,
     left_edge_moves_oracle,
     left_expansive_oracle,
     linear_dims_search_oracle,
@@ -292,6 +294,37 @@ def test_two_word_keys_tell_rectangles_apart_by_their_last_word():
     assert verdict.seeds_checked == verdict.seed_space == 2**25
 
 
+@given(st.sampled_from([1, 2]), st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_occurrences_match_numpys_unique(words, distinct, data):
+    """The decider's one stable sort gives np.unique's sorted keys, first
+    occurrences and inverse, on uint64 keys and on the two-word void keys
+    of _key_layout(2, 66), from one key to many copies of a few."""
+    weights, key_type = properties._key_layout(2, {1: 64, 2: 66}[words])
+    assert len(weights) == words
+    word = st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1])
+    pool = data.draw(st.lists(st.lists(word, min_size=words, max_size=words),
+                              min_size=distinct, max_size=distinct))
+    picks = data.draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=300))
+    packed = np.array([pool[i] for i in picks], dtype=np.uint64)
+    keys = packed[:, 0].copy() if words == 1 else packed.view(key_type).ravel()
+    assert keys.dtype == key_type
+    for got, want in zip(properties._first_occurrences(keys), first_occurrences_oracle(keys)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_key_layouts_are_cached_and_read_only():
+    """A layout is built once per (size, symbols): repeated calls return
+    the same objects, and its weights cannot be written."""
+    layout = properties._key_layout(2, 66)
+    assert properties._key_layout(2, 66) is layout
+    weights, key_type = layout
+    assert weights.shape == (2, 66) and key_type.itemsize == 16
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1
+
+
 def test_single_symbol_alphabet_is_expansive_with_one_seed():
     """Over one symbol every rectangle determines its cell, and the one seed
     is read in one chunk of one word."""
@@ -358,9 +391,14 @@ def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index
 
 def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
     """Verdict JSON, seeds_checked and counterexamples included, is the same
-    whether the decider's chunks are the powers of the alphabet size
-    nearest 1, 7 or 1024 prefixes: 1, 8 or 1024 for 2 symbols and 1, 9 or
-    729 for 3."""
+    whether the decider's first chunk is the power of the alphabet size
+    nearest 1, 7 or 1024 prefixes (1, 8 or 1024 for 2 symbols and 1, 9 or
+    729 for 3), growing from there, or fixed chunks of 1024 prefixes that
+    never grow.  Two queries read past the first chunks: a binary rule
+    whose first conflict, prefix 3968 against prefix 1920, lies in the
+    first grown chunk, prefixes 2048-4095 at 1024, and mul:3/2 at (2,1,1),
+    a True proof over 6**7 prefixes whose chunks grow from 1296 to the cap,
+    7776."""
     rng = random.Random(15)
     queries = [(eca(k), ExpansivityDims(1, 1, 2)) for k in range(256)]
     queries.append((MUL32, ExpansivityDims(1, 1, 1)))  # 7 776 prefixes, True
@@ -374,13 +412,21 @@ def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
             automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
         dims = rng.choice([(0, 1, 2), (1, 0, 2), (1, 1, 1)])
         queries.append((automaton, ExpansivityDims(*dims)))
-    verdicts = {}
-    for chunk in (1, 7, 2**10):
+    queries.append((Automaton(LocalRule(A2, 1, 2, bytes.fromhex("01010101000001000001000001000100"))),
+                    ExpansivityDims(2, 2, 3)))
+    queries.append((MUL32, ExpansivityDims(2, 1, 1)))
+    verdicts = []
+    for chunk, cap in ((1, rules._COMPOSE_CHUNK), (7, rules._COMPOSE_CHUNK),
+                       (2**10, rules._COMPOSE_CHUNK), (2**10, 2**10)):
         monkeypatch.setattr(properties, "_CHUNK", chunk)
-        verdicts[chunk] = [is_left_expansive(a, dims).to_json_dict() for a, dims in queries]
-    assert verdicts[1] == verdicts[7] == verdicts[2**10]
-    assert verdicts[1][256]["status"] == "True"
-    assert {v["status"] for v in verdicts[1][-20:]} == {"True", "False"}
+        monkeypatch.setattr(rules, "_COMPOSE_CHUNK", cap)
+        verdicts.append([is_left_expansive(a, dims).to_json_dict() for a, dims in queries])
+    first = verdicts[0]
+    assert all(v == first for v in verdicts[1:])
+    assert first[256]["status"] == "True"
+    assert {v["status"] for v in first[-22:-2]} == {"True", "False"}
+    assert first[-2]["status"] == "False" and first[-2]["seeds_checked"] == 3968 * 2**5 + 1
+    assert first[-1]["status"] == "True" and first[-1]["seeds_checked"] == 6**8
 
 
 def test_budget_verdicts_match_the_oracle():

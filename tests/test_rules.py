@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +26,7 @@ from leftex.rules import (
     Automaton,
     LocalRule,
     _BLOCK_ENTRIES,
+    _COMPOSE_CHUNK,
     _SHORT_WORD,
     _block,
     _block_rows,
@@ -425,11 +425,16 @@ def test_radix_index_matches_horner(size, width, extra, count, matrix, rng):
 @settings(max_examples=200, deadline=None)
 def test_patches_match_the_divmod_oracle(size, m, n, data, rng):
     """Any range of words at any chunk target comes out in order as the
-    oracle's run of words, in chunks of at most the power of the alphabet
-    size nearest the target, each reporting the index of its first word,
-    every chunk after the first starting on a multiple of that power, and
-    each chunk's rows the rule's patch rows of its words; a one-word range
-    far into a long word's order is the oracle's word."""
+    oracle's run of words, each chunk reporting the index of its first
+    word, and each chunk's rows the rule's patch rows of its words; a
+    one-word range far into a long word's order is the oracle's word.
+
+    The chunks are aligned blocks of size**e words cut to the range at
+    either end: e starts at the digits of the power of the alphabet size
+    nearest the target and rises by one after a block whose end is a
+    multiple of size**(e+1), until it reaches the digits nearest
+    _COMPOSE_CHUNK, and never past the word length; a target above that
+    cap never grows."""
     rule = LocalRule(Alphabet(size), m, n,
                      bytes(rng.randrange(size) for _ in range(size ** (m + n + 1))))
     length = data.draw(st.integers(1, max(k for k in range(1, 15) if size**k <= 2**14)))
@@ -437,13 +442,18 @@ def test_patches_match_the_divmod_oracle(size, m, n, data, rng):
     last = data.draw(st.integers(first + 1, size**length))
     chunk = data.draw(st.integers(1, 2**15))
     steps = data.draw(st.integers(0, (length - 1) // (m + n) if m + n else 3))
-    block = size**_chunk_digits(size, chunk)
     chunks = [(start, [row.copy() for row in rows])
               for start, rows in _patches(rule, length, steps, first, last, chunk)]
-    assert [start for start, _ in chunks] == \
-        list(itertools.accumulate((rows[0].shape[1] for _, rows in chunks[:-1]), initial=first))
-    assert all(rows[0].shape[1] <= block for _, rows in chunks)
-    assert all(start % block == 0 for start, _ in chunks[1:])
+    e = min(_chunk_digits(size, chunk), length)
+    top = min(_chunk_digits(size, _COMPOSE_CHUNK), length)
+    block_start = first - first % size**e
+    for start, rows in chunks:
+        assert start == max(block_start, first)
+        assert rows[0].shape[1] == min(block_start + size**e, last) - start
+        block_start += size**e
+        if e < top and block_start % size ** (e + 1) == 0:
+            e += 1
+    assert block_start >= last
     assert np.array_equal(np.concatenate([rows[0] for _, rows in chunks], axis=1),
                           lex_words_oracle(first, last - first, size, length))
     for _, rows in chunks:
@@ -472,6 +482,26 @@ def test_chunks_are_the_nearest_power_of_the_alphabet_size():
             e = _chunk_digits(size, target)
             assert all(distance(e) <= distance(f) for f in range(16))
             assert all(distance(e) < distance(f) for f in range(e))
+
+
+def test_chunks_grow_from_the_target_to_the_cap():
+    """At the decider's target of 2**10 words, binary chunks double from
+    the second chunk on, one growth per aligned start, up to 2**14 words;
+    3-symbol chunks of 3**6 words triple after every size-1 chunks of one
+    size, up to 3**9; a range cut at both ends keeps the schedule of its
+    aligned blocks; a target at the cap never grows."""
+    def sizes(size, length, first, last, chunk=2**10):
+        rule = LocalRule(Alphabet(size), 0, 0, bytes(range(size)))
+        return [(start, rows[0].shape[1])
+                for start, rows in _patches(rule, length, 0, first, last, chunk)]
+    assert [n for _, n in sizes(2, 17, 0, 2**17)] == \
+        [2**10, 2**10, 2**11, 2**12, 2**13] + [2**14] * 7
+    assert [n for _, n in sizes(3, 11, 0, 3**11)] == \
+        [3**6] * 3 + [3**7] * 2 + [3**8] * 2 + [3**9] * 8
+    assert sizes(2, 16, 1500, 40000) == [(1500, 548), (2048, 2048), (4096, 4096),
+                                         (8192, 8192), (16384, 16384), (32768, 7232)]
+    assert [n for _, n in sizes(2, 16, 0, 2**16, 2**14)] == [2**14] * 4
+    assert [n for _, n in sizes(2, 12, 0, 2**12)] == [2**10, 2**10, 2**11]
 
 
 @given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
