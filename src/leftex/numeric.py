@@ -131,8 +131,9 @@ def _int_digits(v: int, base: int) -> bytes:
 
 
 #: the longest period rational_to_config expands; a longer one raises
-#: OutOfRange before a digit of it is allocated
-_MAX_PERIOD = 10**7
+#: OutOfRange before a digit of it is allocated.  10**8 digits take about
+#: 2 s and 0.5 GB; the memory grows in proportion to the period
+_MAX_PERIOD = 10**8
 #: denominators below this have int64 products of two residues
 _TABLE_LIMIT = 2**31
 #: remainders computed per block of the table, bounding its temporaries

@@ -320,9 +320,7 @@ def is_left_expansive(
     runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
     for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
-        packed = weights @ rect
-        keys = packed[0] if len(packed) == 1 else \
-            np.ascontiguousarray(packed.T).view(key_type).ravel()
+        keys = np.ascontiguousarray((weights @ rect).T).view(key_type).ravel()
         vals = rows[dims.h][det_index]
         uniq, where, inverse = _first_occurrences(keys)
         # each key's reference: its entry in an earlier run, else its first

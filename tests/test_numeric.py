@@ -209,7 +209,7 @@ def test_a_period_over_the_cap_raises_before_it_is_allocated():
                      lambda: verify_mul(MulSpec(3, 2), Fraction(1, 10**9 + 7), 1)):
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             try:
-                with pytest.raises(OutOfRange, match="digits, more than 10000000"):
+                with pytest.raises(OutOfRange, match="digits, more than 100000000"):
                     call()
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)

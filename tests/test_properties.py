@@ -266,21 +266,27 @@ def test_read_prefix_matches_full_length_oracle(query):
         chunked_left_expansive_oracle(automaton, dims).to_json_dict()
 
 
-#: binary (1,0) rules f(a, b) = a or b and a xor b
+#: binary (1,0) rules f(a, b) = a or b, a xor b and a and b
 OR10 = Automaton(LocalRule(A2, 1, 0, bytes([0, 1, 1, 1])))
 XOR10 = Automaton(LocalRule(A2, 1, 0, bytes([0, 1, 1, 0])))
+AND10 = Automaton(LocalRule(A2, 1, 0, bytes([0, 0, 0, 1])))
 
 
 def test_two_word_keys_match_the_full_length_oracle():
     """A rectangle of 6 rows of 11 binary symbols packs into two uint64
-    words, of 64 and 2 symbols.  The first conflict, read prefix 3072 of
-    2**16 against prefix 1024, is found in the older of two runs of such
-    keys (chunks 0-1 merged, then chunk 2) and is the full-length oracle's."""
-    dims = ExpansivityDims(4, 1, 11)
+    words, of 64 and 2 symbols.  OR10's first conflict at (4,1,11), read
+    prefix 3072 of 2**16 against prefix 1024, is found in the one run
+    carried into the grown chunk 2048-4095 (chunks 0 and 1 merged).
+    AND10's at (2,3,11), prefix 14336 against prefix 0, is found in the
+    older of the two runs carried into chunk 8192-16383, of 3072 and 1024
+    keys, as it is with fixed chunks of 1024.  Both are the full-length
+    oracle's."""
     assert properties._key_layout(2, 66)[1].itemsize == 16
-    verdict = is_left_expansive(OR10, dims)
-    assert verdict.status is Verdict.FALSE and verdict.seeds_checked == 196609
-    assert verdict == chunked_left_expansive_oracle(OR10, dims)
+    for automaton, dims, checked in ((OR10, ExpansivityDims(4, 1, 11), 3072 * 2**6 + 1),
+                                     (AND10, ExpansivityDims(2, 3, 11), 14336 * 2**6 + 1)):
+        verdict = is_left_expansive(automaton, dims)
+        assert verdict.status is Verdict.FALSE and verdict.seeds_checked == checked
+        assert verdict == chunked_left_expansive_oracle(automaton, dims)
 
 
 def test_two_word_keys_tell_rectangles_apart_by_their_last_word():
@@ -342,9 +348,10 @@ def seed_index(seed, size):
     return value
 
 
-# the decider reads prefixes in chunks of 1024 for 2 symbols and 729 for 3;
-# the comments give seed_a and the conflict as read-prefix indices, which are
-# what the decider chunks
+# the decider reads prefixes in chunks of 1024 for 2 symbols and 729 for 3
+# that grow at aligned starts: 1024, 1024, 2048, 4096, ... and 729 x3,
+# 2187 x2, ...; the comments give seed_a and the conflict as read-prefix
+# indices, which are what the decider chunks
 @pytest.mark.parametrize("size, m, n, table, dims, index_a, index_b", [
     # prefix (0, 128): chunk 0 only
     (2, 0, 2, b"\x00\x00\x01\x01\x01\x00\x01\x00", (1, 2, 1), 0, 8192),
@@ -368,8 +375,9 @@ def seed_index(seed, size):
     # prefix (756, 1233): both in chunk 1, 1 column padded
     (3, 1, 1, bytes([2, 0, 0, 0, 2, 2, 0, 0, 1, 1, 2, 2, 2, 0, 0, 1, 1, 0, 0, 1, 1, 1,
                      1, 1, 2, 2, 2]), (2, 2, 1), 2268, 3699),
-    # prefix (256, 2304): chunk 0 -> chunk 2, whose carry holds two runs, of
-    # 65 keys from chunk 0 and 29 from chunk 1; the key is in the older one
+    # prefix (256, 2304): chunk 0 -> chunk 2, prefixes 2048-4095, whose carry
+    # holds two runs, of 65 keys from chunk 0 and 29 from chunk 1; the key is
+    # in the older one
     (2, 1, 2, bytes.fromhex("01010101010100010100000000010000"), (2, 1, 3), 4096, 36864),
 ])
 def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index_a, index_b):
@@ -391,14 +399,15 @@ def test_conflicts_across_chunks_match_the_oracle(size, m, n, table, dims, index
 
 def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
     """Verdict JSON, seeds_checked and counterexamples included, is the same
-    whether the decider's first chunk is the power of the alphabet size
+    whether the decider's chunks are fixed at the power of the alphabet size
     nearest 1, 7 or 1024 prefixes (1, 8 or 1024 for 2 symbols and 1, 9 or
-    729 for 3), growing from there, or fixed chunks of 1024 prefixes that
-    never grow.  Two queries read past the first chunks: a binary rule
-    whose first conflict, prefix 3968 against prefix 1920, lies in the
-    first grown chunk, prefixes 2048-4095 at 1024, and mul:3/2 at (2,1,1),
-    a True proof over 6**7 prefixes whose chunks grow from 1296 to the cap,
-    7776."""
+    729 for 3) or start there and grow to the cap.  Fixed chunks of 1 and
+    8 or 9 push the carried-run lookups and merges through thousands of
+    chunks.  A binary rule's first conflict, prefix 3968 against prefix
+    1920, lies in the first grown chunk, prefixes 2048-4095 at 1024.
+    mul:3/2 at (2,1,1) is a True proof over 6**7 prefixes whose chunks grow
+    from 1296 to the cap, 7776; fixed chunks of 1 or 6 would make it 6**7
+    or 6**6 chunks, so it runs in the other four settings."""
     rng = random.Random(15)
     queries = [(eca(k), ExpansivityDims(1, 1, 2)) for k in range(256)]
     queries.append((MUL32, ExpansivityDims(1, 1, 1)))  # 7 776 prefixes, True
@@ -414,15 +423,17 @@ def test_certificates_do_not_depend_on_the_chunk_size(monkeypatch):
         queries.append((automaton, ExpansivityDims(*dims)))
     queries.append((Automaton(LocalRule(A2, 1, 2, bytes.fromhex("01010101000001000001000001000100"))),
                     ExpansivityDims(2, 2, 3)))
-    queries.append((MUL32, ExpansivityDims(2, 1, 1)))
+    proof = (MUL32, ExpansivityDims(2, 1, 1))
+    cap = rules._COMPOSE_CHUNK
     verdicts = []
-    for chunk, cap in ((1, rules._COMPOSE_CHUNK), (7, rules._COMPOSE_CHUNK),
-                       (2**10, rules._COMPOSE_CHUNK), (2**10, 2**10)):
+    for chunk, top in ((1, 1), (7, 7), (2**10, 2**10), (1, cap), (7, cap), (2**10, cap)):
         monkeypatch.setattr(properties, "_CHUNK", chunk)
-        monkeypatch.setattr(rules, "_COMPOSE_CHUNK", cap)
-        verdicts.append([is_left_expansive(a, dims).to_json_dict() for a, dims in queries])
-    first = verdicts[0]
-    assert all(v == first for v in verdicts[1:])
+        monkeypatch.setattr(rules, "_COMPOSE_CHUNK", top)
+        run = queries + [proof] if top == cap or chunk == 2**10 else queries
+        verdicts.append([is_left_expansive(a, dims).to_json_dict() for a, dims in run])
+    first = verdicts[-1]
+    assert [len(v) for v in verdicts] == [len(queries)] * 2 + [len(queries) + 1] * 4
+    assert all(v == first[:len(v)] for v in verdicts)
     assert first[256]["status"] == "True"
     assert {v["status"] for v in first[-22:-2]} == {"True", "False"}
     assert first[-2]["status"] == "False" and first[-2]["seeds_checked"] == 3968 * 2**5 + 1
