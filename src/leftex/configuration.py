@@ -34,6 +34,7 @@ import re
 from .errors import (
     EmptyInterval,
     NotNumberLike,
+    OutOfRange,
     ParseError,
     SymbolOutOfRange,
 )
@@ -280,12 +281,16 @@ class OneSidedSeq:
         return seq
 
     def at(self, i: int) -> int:
+        if i < 0:
+            raise OutOfRange(f"one-sided sequences start at index 0, got {i}")
         if i < len(self.head):
             return self.head[i]
         return self.period[(i - len(self.head)) % len(self.period)]
 
     def prefix(self, count: int) -> bytes:
         """The word made of the first ``count`` entries."""
+        if count < 0:
+            raise OutOfRange(f"a prefix has a nonnegative length, got {count}")
         if count <= len(self.head):
             return self.head[:count]
         return self.head + cyclic_slice(self.period, 0, count - len(self.head))

@@ -162,7 +162,8 @@ def limit_point_census(
 
     The tail window operationalizes "occurs at arbitrarily large times"; the
     census can suggest an abundance of limit points but a finite run can
-    never certify infinitude, so only the counts are returned.
+    never certify infinitude, so only the counts are returned.  Only the
+    distinct n_max-words are kept: their n-prefixes are the n-prefixes seen.
     """
     if horizon < 0:
         raise OutOfRange("horizon must be nonnegative")
@@ -172,12 +173,9 @@ def limit_point_census(
     if lengths[0] < 1:
         raise OutOfRange("prefix lengths must be at least 1")
     n_max = lengths[-1]
-    seen: dict[int, set[bytes]] = {n: set() for n in lengths}
-    for t, w in enumerate(columns(automaton, x, c, c + n_max - 1, horizon + 1)):
-        if 2 * t >= horizon:
-            for n in lengths:
-                seen[n].add(w[:n])
-    return {n: len(s) for n, s in seen.items()}
+    seen = {w for t, w in enumerate(columns(automaton, x, c, c + n_max - 1, horizon + 1))
+            if 2 * t >= horizon}
+    return {n: len({w[:n] for w in seen}) for n in lengths}
 
 
 def propagation_check(
@@ -201,12 +199,10 @@ def propagation_check(
             f"horizon {horizon} < preperiod {c} + height {dims.h} + 2*period {2 * p}"
         )
     rows = list(columns(automaton, x, i - 1, i + dims.w - 1, horizon))
-    base = [row[1:] for row in rows]
-    if any(base[t] != base[t + p] for t in range(c, horizon - p)):
+    if any(rows[t][1:] != rows[t + p][1:] for t in range(c, horizon - p)):
         raise OutOfRange("certificate does not hold on the base trace")
-    shifted = [row[:dims.w] for row in rows]
-    start = c + dims.h
-    return all(shifted[t] == shifted[t + p] for t in range(start, horizon - p))
+    w = dims.w  # row t is F^t(x)[i-1 .. i+w-1]: [1:] is the base trace, [:w] the propagated one
+    return all(rows[t][:w] == rows[t + p][:w] for t in range(c + dims.h, horizon - p))
 
 
 # -- bound calculators -----------------------------------------------------------

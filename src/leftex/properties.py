@@ -384,13 +384,16 @@ def find_left_expansive_dims(
     The top corner (max_h, max_d, max_w) is decided first, and a False
     there refutes every cell (see the module docstring), which ends the
     search with all (max_h+1)*(max_d+1)*max_w cells counted and none listed.
-    Otherwise the cells are walked in order and each is decided, the
-    corner's verdict being reused for the corner; a cell over budget
-    answers Unknown and sets budget_exceeded.  cells_checked is the position
-    of the answer in the order, or the number of cells when there is none,
-    so the result is that of deciding every cell in turn.  Deciding the
-    corner first adds a decider run only when the corner is expansive, a
-    proof that exhausts its seed space, and a smaller cell is the answer.
+    Otherwise the cells are listed lazily, level h+d+w by level, and each is
+    decided, the corner's verdict being reused for the corner; a cell over
+    budget answers Unknown and sets budget_exceeded.  The charge is monotone
+    in each coordinate and every cell above a level contains a cell of that
+    level, so once every cell of a level is over budget, so is every later
+    cell, and the search stops there.  cells_checked is the position of the
+    answer in the order, or the number of cells when there is none, so the
+    result is that of deciding every cell in turn.  Deciding the corner
+    first adds a decider run only when the corner is expansive, a proof that
+    exhausts its seed space, and a smaller cell is the answer.
     """
     budget = _check_budget(budget)
     if max_h < 0 or max_d < 0 or max_w < 0:
@@ -402,17 +405,21 @@ def find_left_expansive_dims(
     top_verdict = is_left_expansive(automaton, top, budget=budget)
     if top_verdict.status is Verdict.FALSE:
         return DimsSearch(None, False, count)
-    cells = sorted(
-        (ExpansivityDims(h, d, w)
-         for h in range(max_h + 1) for d in range(max_d + 1) for w in range(1, max_w + 1)),
-        key=lambda dims: (dims.h + dims.d + dims.w, dims.h, dims.d),
-    )
-    budget_hit = False
-    for checked, dims in enumerate(cells, 1):
-        verdict = top_verdict if dims == top else is_left_expansive(automaton, dims, budget=budget)
-        if verdict.status is Verdict.TRUE:
-            return DimsSearch(dims, budget_hit, checked)
-        budget_hit |= verdict.status is Verdict.UNKNOWN
+    budget_hit, checked = False, 0
+    for level in range(1, max_h + max_d + max_w + 1):
+        fits = False  # some cell of this level is within budget
+        for h in range(min(max_h, level - 1) + 1):
+            for d in range(max(0, level - h - max_w), min(max_d, level - 1 - h) + 1):
+                dims = ExpansivityDims(h, d, level - h - d)
+                checked += 1
+                verdict = top_verdict if dims == top else \
+                    is_left_expansive(automaton, dims, budget=budget)
+                if verdict.status is Verdict.TRUE:
+                    return DimsSearch(dims, budget_hit, checked)
+                budget_hit |= verdict.status is Verdict.UNKNOWN
+                fits |= verdict.status is Verdict.FALSE
+        if not fits:
+            break
     return DimsSearch(None, budget_hit, count)
 
 

@@ -44,6 +44,8 @@ class RenderSpec:
             raise EmptyInterval(f"empty column window [{self.col_lo}, {self.col_hi}]")
         if self.format not in FORMATS:
             raise OutOfRange(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.palette is not None and self.format != "pgm":
+            raise OutOfRange(f"a palette applies to pgm only, not to {self.format}")
 
 
 def default_palette(alphabet_size: int) -> dict[int, int]:
@@ -85,16 +87,14 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
     if spec.format == "pgm":
         labels = [str(level) for level in _gray_map(size, spec.palette)]
         out.write(f"P2\n{width} {spec.rows}\n255\n")
+        line = lambda row: " ".join(map(labels.__getitem__, row))
     elif spec.format == "pbm":
         chars = b"0" + b"1" * 255
         out.write(f"P1\n{width} {spec.rows}\n")
+        line = lambda row: " ".join(row.translate(chars).decode("ascii"))
     else:
         chars = "".join(_ascii_char(s, size) for s in range(256)).encode("ascii")
+        line = lambda row: row.translate(chars).decode("ascii")
     for row in rows:
-        if spec.format == "pgm":
-            out.write(" ".join(map(labels.__getitem__, row)))
-        elif spec.format == "pbm":
-            out.write(" ".join(row.translate(chars).decode("ascii")))
-        else:
-            out.write(row.translate(chars).decode("ascii"))
+        out.write(line(row))
         out.write("\n")

@@ -15,10 +15,6 @@ from .errors import ParseError
 
 WordLike = Union[bytes, bytearray, str, Iterable[int]]
 
-_DIGITS, _SYMBOLS = b"0123456789", bytes(range(10))
-_DIGIT_TO_SYMBOL = bytes.maketrans(_DIGITS, _SYMBOLS)
-_SYMBOL_TO_DIGIT = bytes.maketrans(_SYMBOLS, _DIGITS)
-
 
 def word(symbols: WordLike) -> bytes:
     """Coerce ``symbols`` to a word.
@@ -29,8 +25,6 @@ def word(symbols: WordLike) -> bytes:
     """
     if isinstance(symbols, bytes):
         return symbols
-    if isinstance(symbols, bytearray):
-        return bytes(symbols)
     if isinstance(symbols, str):
         return parse_word(symbols)
     return bytes(symbols)
@@ -44,8 +38,6 @@ def parse_word(text: str, alphabet_size: int | None = None) -> bytes:
     it; otherwise a comma in the text selects it.  Without this, a lone
     two-digit symbol like ``"11"`` would be ambiguous.  A ParseError names
     the column, in ``text`` as given, of the bad symbol's first character.
-    A body of ASCII digits only, one per symbol, is read at C speed; any
-    other body, a bad one included, takes the loop that finds the column.
     """
     body = text.strip()
     if not body:
@@ -53,8 +45,6 @@ def parse_word(text: str, alphabet_size: int | None = None) -> bytes:
     column = len(text) - len(text.lstrip()) + 1
     if (alphabet_size or 0) > 10 or ("," in body and alphabet_size is None):
         parts, sep = body.split(","), 1
-    elif body.isascii() and body.isdigit():
-        return body.encode("ascii").translate(_DIGIT_TO_SYMBOL)
     else:
         parts, sep = list(body), 0
     out = bytearray()
@@ -71,11 +61,7 @@ def parse_word(text: str, alphabet_size: int | None = None) -> bytes:
 
 def format_word(w: bytes, alphabet_size: int) -> str:
     """Render a word as digits; comma-separated once digits would be ambiguous."""
-    if alphabet_size <= 10:
-        if not w.translate(None, _SYMBOLS):
-            return w.translate(_SYMBOL_TO_DIGIT).decode("ascii")
-        return "".join(str(s) for s in w)  # out-of-range symbols, named in an error
-    return ",".join(str(s) for s in w)
+    return ("," if alphabet_size > 10 else "").join(map(str, w))
 
 
 def _factorize(v: int) -> dict[int, int]:

@@ -214,6 +214,13 @@ def test_malformed_render_and_classify_arguments_are_usage_errors(capsys):
         assert (code, out) == (3, "") and err.startswith("usage error: "), argv
 
 
+def test_a_palette_outside_pgm_is_refused(capsys):
+    for fmt in ("ascii", "pbm"):
+        code, out, err = run(capsys, "render", "eca:30", "[L:0] 1 [R:0] @0", "--rows", "2",
+                             "--cols=-1:1", "--format", fmt, "--palette", "0:999,1:0")
+        assert (code, out) == (3, "") and "pgm only" in err, fmt
+
+
 def test_limits_json_written_to_a_file(tmp_path, capsys):
     out_file = tmp_path / "limits.json"
     code, out, _ = run(capsys, "limits", "eca:204", "[L:0] 1 [R:0] @0", "--T", "20",

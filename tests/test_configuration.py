@@ -18,6 +18,7 @@ from leftex.configuration import _canonical_parts
 from leftex.errors import (
     EmptyInterval,
     NotNumberLike,
+    OutOfRange,
     ParseError,
     SymbolOutOfRange,
 )
@@ -241,6 +242,11 @@ def test_fractional_part_matches_window(x, c):
     s = fractional_part(x, c)
     assert s.prefix(12) == x.window(c, c + 11)
     assert s.at(0) == x.window(c, c)[0]
+    # the index set is 0, 1, 2, ...: a negative index never wraps into the head
+    with pytest.raises(OutOfRange):
+        s.at(-1)
+    with pytest.raises(OutOfRange):
+        s.prefix(-1)
 
 
 def test_seq_equal_examples():
@@ -249,6 +255,11 @@ def test_seq_equal_examples():
     # same function, different raw spellings
     assert OneSidedSeq(A2, b"", b"\x00\x01") == OneSidedSeq(A2, b"\x00", b"\x01\x00")
     assert OneSidedSeq(A2, b"", b"\x00") != OneSidedSeq(A2, b"\x01", b"\x00")
+    b = OneSidedSeq(Alphabet(3), b"\x02\x02", b"\x01")
+    assert (b.at(0), b.prefix(0), b.prefix(3)) == (2, b"", b"\x02\x02\x01")
+    for call in (lambda: b.at(-1), lambda: b.prefix(-1)):
+        with pytest.raises(OutOfRange):
+            call()
 
 
 def test_seq_equal_alphabet_mismatch():

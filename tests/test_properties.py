@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -553,12 +554,13 @@ def test_find_dims_matches_linear_scan_on_random_rules(query):
         linear_dims_search_oracle(automaton, *bounds, budget=budget)
 
 
-@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3),
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3),
        st.integers(0, 3), st.integers(0, 3), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_no_cell_costs_more_than_its_corner(size, m, n, max_h, max_d, max_w):
     """The decider's charge is monotone in the cell, which lets the
-    dimension search skip every cell's charge once the corner fits."""
+    dimension search skip every cell's charge once the corner fits, and
+    stop at the first level whose every cell is over budget."""
     rule = LocalRule(Alphabet(size), m, n, bytes(size ** (m + n + 1)))
     corner = properties._decider_frame(rule, ExpansivityDims(max_h, max_d, max_w))[-1]
     for h in range(max_h + 1):
@@ -590,7 +592,7 @@ def test_find_dims_edge_bounds():
 
 def test_find_dims_lists_cells_only_past_a_corner_that_does_not_refute(monkeypatch):
     """A refuted search counts its 36 cells without listing them; a proved
-    one lists all 36 and stops at the sixth, (0,1,2)."""
+    one lists the cells up to the sixth, (0,1,2), and no further."""
     built = []
 
     class Counted(ExpansivityDims):
@@ -604,7 +606,20 @@ def test_find_dims_lists_cells_only_past_a_corner_that_does_not_refute(monkeypat
     built.clear()
     found = find_left_expansive_dims(eca(30), 2, 2, 4)
     assert (found.dims.h, found.dims.d, found.dims.w, found.cells_checked) == (0, 1, 2, 6)
-    assert len(built) == 1 + 36
+    assert built == [(2, 2, 4), (0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 0, 1),
+                     (0, 0, 3), (0, 1, 2)]
+
+
+def test_find_dims_stops_at_the_first_level_over_budget():
+    """Every cell above a level contains one of its cells, so once a whole
+    level is over budget the rest is too: the search reports the count of
+    all 3*10**6 cells without listing them (it ran past 60 s at 10**5)."""
+    start = time.perf_counter()
+    assert find_left_expansive_dims(eca(110), 0, 2, 10**6, budget=10**4) == \
+        DimsSearch(None, True, 3 * 10**6)
+    assert time.perf_counter() - start < 2.0
+    assert find_left_expansive_dims(eca(110), 0, 2, 12, budget=10**4) == \
+        linear_dims_search_oracle(eca(110), 0, 2, 12, budget=10**4)
 
 
 def test_refuting_probe_at_the_top_corner_settles_the_search(monkeypatch):

@@ -24,6 +24,9 @@ def test_render_spec_validation():
         RenderSpec(0, 0, 4)
     with pytest.raises(OutOfRange):
         RenderSpec(3, 0, 4, "png")
+    for fmt in ("ascii", "pbm"):  # a palette was silently ignored outside pgm
+        with pytest.raises(OutOfRange):
+            RenderSpec(3, 0, 4, fmt, {0: 255, 1: 0})
 
 
 def test_pbm_exact_bytes_for_rule0():
