@@ -24,7 +24,7 @@ def test_render_spec_validation():
         RenderSpec(0, 0, 4)
     with pytest.raises(OutOfRange):
         RenderSpec(3, 0, 4, "png")
-    for fmt in ("ascii", "pbm"):  # a palette was silently ignored outside pgm
+    for fmt in ("ascii", "pbm"):  # a palette applies to pgm only
         with pytest.raises(OutOfRange):
             RenderSpec(3, 0, 4, fmt, {0: 255, 1: 0})
 
