@@ -7,10 +7,11 @@ gray palette, evenly spaced by default.  Rows are streamed from
 rules.columns, given the row count, so memory stays bounded by one raster
 row plus one stepped state (at most about twice the size of a canonical
 configuration) or, once columns maps the light cone of the remaining rows
-instead, that cone: at most 8 times the last stepped state and at most
-width + rows*(m+n) symbols.  A long walk adds the rule's block tables, at
-most 8 * rules._BLOCK_ENTRIES bytes.  Each row is formatted by one
-bytes.translate (PBM, ASCII) or one join over per-symbol gray labels (PGM).
+instead, that cone: no wider than the last stepped state's input and at
+most width + rows*(m+n) symbols.  A long walk adds the rule's block tables,
+at most 8 * min(2^10 * the rule's table, 10^7) bytes (rules._block_rows).
+Each row is formatted by one bytes.translate (PBM, ASCII) or one join over
+per-symbol gray labels (PGM).
 """
 
 from __future__ import annotations

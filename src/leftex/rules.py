@@ -36,37 +36,38 @@ while a short one stays short.  Its callers are the expansivity decider's
 read prefixes and the spreading search's start words (blocks from near
 2^10 words), compose(), which maps every word of the product width a block
 near 2^14 words at a time so that working memory does not grow with the
-table, _block (one block of every word of its width), and the decider's
-counterexample seed (a range of one word).
+table, _block (every word of its width, in the same blocks), and the
+decider's counterexample seed (a range of one word).
 
-One lazy walker, _states, steps along an orbit: it computes the raw state
-of F^(t+1)(x) only when it is asked for, and besides apply() it is the only
-caller of _step.  It canonicalizes again only once the raw head is longer
+One lazy walker, _walk, steps along an orbit: it computes its next raw
+state only when it is asked for, and besides apply() it is the only caller
+of _step.  It canonicalizes again only once the raw head is longer
 than twice the head of the last canonical state plus 64, which keeps the
 work per step within about twice that of a canonical orbit and never
 quadratic in the number of steps.  Every walk that reads less than a whole
 configuration reads the walker: columns() yields only the words
 F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
 limit-point censuses and rasters read, and left edges and recurrences of
-tails are read off the raw state too.  Every column walk is told its row
+tails are read off its raw states (_states) too.  A long column walk maps
+k rows per lookup from its first row, through the rule's block (_block):
+tables over every neighborhood of width 1 + k*(m+n) that give the center
+of F^k and, under the window, the k-1 rows in between (k = 6 for the
+ECAs, 2 for mul:3/2 and mul:5/2).  Every column walk is told its row
 count, so it reads only the light cone of its window: row t+r over [i, j]
-depends only on row t over [i-r*m, j+r*n].  Once that cone word is at
-most k times the word _step would map next, columns() cuts it off the state
-once and maps it down k rows per lookup, so the state is neither stepped
-nor canonicalized again.  k is 1, one lookup per row, unless the walk is
-long enough to pay for the rule's block (_block): tables over every
-neighborhood of width 1 + k*(m+n) that give the cone k rows down and, under
-the window, the k-1 rows in between (k = 6 for the ECAs).  orbit()
-yields canonical configurations, for simulate, verify_mul and library
-callers; it steps each canonical image with apply(), which is _step
-followed by canonicalization and never steps a head longer than the
-canonical one.
+depends only on row t over [i-r*m, j+r*n].  Once that cone word is no
+wider than the word the next step would map, columns() cuts it off the
+state once and maps it down k rows per lookup, so the state is neither
+stepped nor canonicalized again.  orbit() yields canonical configurations,
+for simulate, verify_mul and library callers; it steps each canonical
+image with apply(), which is _step followed by canonicalization and never
+steps a head longer than the canonical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from operator import itemgetter
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -88,8 +89,9 @@ DEFAULT_COMPOSE_GUARD = 10**7
 #: it maps blocks of the power of the alphabet size nearest this, which is
 #: also the size the chunks of _patches grow to
 _COMPOSE_CHUNK = 2**14
-#: neighborhoods a rule's block of column-walk rows may tabulate (see _block)
-_BLOCK_ENTRIES = 2**13
+#: a rule's block (see _block_rows) has at most this many times as many
+#: entries as the rule's own table
+_BLOCK_GROWTH = 2**10
 #: longest word _map_short maps; numpy maps longer ones.  On a 2-core VM
 #: (Python 3.11, numpy 2.4) _map_short takes 1.7-2.7 us at 20-100 symbols
 #: against numpy's 6.8-12.9 us, and the two cross at about 1000-1500 symbols
@@ -315,9 +317,12 @@ def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
 
 def _block_rows(rule: LocalRule) -> int:
     """The rows k one block lookup maps: the largest k <= 8 whose
-    neighborhood width 1 + k*(m+n) has at most _BLOCK_ENTRIES words, else 1."""
+    neighborhood width 1 + k*(m+n) has at most _BLOCK_GROWTH times as many
+    words as the rule's table and at most DEFAULT_COMPOSE_GUARD, else 1
+    (k = 6 for the ECAs, 2 for mul:3/2 and mul:5/2)."""
     size, span = rule.alphabet.size, rule.memory + rule.anticipation
-    return max((k for k in range(2, 9) if size ** (1 + k * span) <= _BLOCK_ENTRIES), default=1)
+    bound = min(_BLOCK_GROWTH * len(rule.table), DEFAULT_COMPOSE_GUARD)
+    return max((k for k in range(2, 9) if size ** (1 + k * span) <= bound), default=1)
 
 
 def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
@@ -326,17 +331,21 @@ def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
     pickles ignore it): over every word of width W = 1 + k*(m+n) in radix
     order, the center symbol of F^k, the center symbols of F^1 .. F^(k-1)
     as the rows of a (k-1, s^W) table, and the radix-index dtype for W.
-    compose() builds its table the same way, but the block is not trimmed:
-    a cone walk relies on its width.
+    compose() builds its table the same way, in chunks of about
+    _COMPOSE_CHUNK words, but the block is not trimmed: a column walk
+    relies on its width.
     """
     block = getattr(rule, "_block_tables", None)
     if block is None:
         size, m, k = rule.alphabet.size, rule.memory, _block_rows(rule)
         width = 1 + k * (m + rule.anticipation)
-        _, rows = next(_patches(rule, width, k, 0, size**width, size**width))
-        # the neighborhood's center after q rows, for q = 1 .. k
-        centers = [rows[q][(k - q) * m] for q in range(1, k + 1)]
-        block = (centers[-1], np.stack(centers[:-1]), np.min_scalar_type(size**width - 1))
+        total = size**width
+        # row q-1: the neighborhood's center after q rows, for q = 1 .. k
+        centers = np.empty((k, total), dtype=np.uint8)
+        for start, rows in _patches(rule, width, k, 0, total, _COMPOSE_CHUNK):
+            for q in range(1, k + 1):
+                centers[q - 1, start:start + rows[q].shape[1]] = rows[q][(k - q) * m]
+        block = (centers[-1], centers[:-1], np.min_scalar_type(total - 1))
         object.__setattr__(rule, "_block_tables", block)
     return block
 
@@ -356,10 +365,10 @@ def _map_short(rule: LocalRule, symbols: bytes) -> bytes:
 
 
 def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
-              width: int = 0) -> tuple[bytes, np.ndarray]:
+              width: int = 0) -> tuple[bytes, Sequence[bytes]]:
     """Map a word k rows down with one lookup: the word k rows down, and
     rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the rule's own
-    table) or _block_rows(rule) (its block).  Every row an orbit or a cone
+    table) or _block_rows(rule) (its block).  Every row an orbit or a column
     walk maps comes from here.  One row of a short word under a table of at
     most 256 entries is _map_short's; numpy maps every other.
     """
@@ -370,46 +379,64 @@ def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
     center, between, dtype = _block(rule)
     idx = _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
                        1 + k * (rule.memory + rule.anticipation), dtype)
-    return center.take(idx).tobytes(), between.take(idx[lo:lo + width], axis=1)
+    rows = between.take(idx[lo:lo + width], axis=1).tobytes()
+    return center.take(idx).tobytes(), [rows[q:q + width] for q in range(0, len(rows), width)]
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
-    ``_step`` (so behind ``apply`` and every orbit walk) and ``patch``, one
-    row of ``_map_rows``.
+    every one-row ``_step`` (so behind ``apply`` and every orbit walk) and
+    ``patch``, one row of ``_map_rows``.
     """
     if len(samples) < rule.width:
         raise SeedTooShort(f"need at least {rule.width} symbols, got {len(samples)}")
     return _map_rows(rule, samples)[0]
 
 
-def _step(rule: LocalRule, anchor: int, lp: bytes, head: bytes,
-          rp: bytes) -> tuple[int, bytes, bytes, bytes]:
-    """The exact image of (anchor, left period, head, right period), laid
-    out the same way but not canonicalized.
+def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1, i: int = 0,
+          j: int = 0) -> tuple[tuple[int, bytes, bytes, bytes], Sequence[bytes]]:
+    """The exact image of the raw state (anchor, left period, head, right
+    period) k rows down, laid out the same way but not canonicalized, and
+    the k-1 rows in between over the cells [i, j].
 
-    The image left tail repeats with the input's left period for all
-    i <= anchor-1-n (the whole input window then sits inside the left
-    periodic region), and symmetrically on the right with m, so evaluating
-    one period of each tail at those safe offsets is enough.  The periods
-    keep their lengths and the head grows by m+n symbols.
+    F^k is a rule of memory k*m and anticipation k*n (for k > 1 the center
+    of the rule's block).  The image left tail repeats with the input's
+    left period for all cells up to anchor-1-k*n (the whole input window
+    then sits inside the left periodic region), and symmetrically on the
+    right, so evaluating one period of each tail at those safe offsets is
+    enough.  The periods keep their lengths and the head grows by k*(m+n)
+    symbols.  A window outside the cells the image spans steps one row.
     """
+    anchor, lp, head, rp = state
     m, n = rule.memory, rule.anticipation
     L, R = len(lp), len(rp)
-    out = map_windows(rule, cyclic_slice(lp, -m - n, L + m + n) + head
-                      + cyclic_slice(rp, 0, R + m + n))
-    cut = L + len(head) + m + n
-    return anchor - n, out[:L], out[L:cut], out[cut:]
+    if k > 1:
+        lo = i - anchor + L + k * n  # the window's offset in the image
+        if lo < 0 or lo + j - i >= L + len(head) + R + k * (m + n):
+            k = 1
+    span = k * (m + n)
+    samples = cyclic_slice(lp, -span, L + span) + head + cyclic_slice(rp, 0, R + span)
+    if k == 1:
+        out, between = map_windows(rule, samples), ()
+    else:
+        out, between = _map_rows(rule, samples, k, lo, j - i + 1)
+    cut = L + len(head) + span
+    return (anchor - k * n, out[:L], out[L:cut], out[cut:]), between
+
+
+def _parts(automaton: Automaton, x: Configuration) -> tuple[int, bytes, bytes, bytes]:
+    """x's raw (anchor, left period, head, right period) state, once its
+    alphabet is checked against the automaton's."""
+    if automaton.alphabet != x.alphabet:
+        raise AlphabetMismatch("automaton and configuration alphabets differ")
+    return x.anchor, x.left_period, x.head, x.right_period
 
 
 def apply(automaton: Automaton, x: Configuration) -> Configuration:
     """Exact image configuration F(x)."""
-    if automaton.alphabet != x.alphabet:
-        raise AlphabetMismatch("automaton and configuration alphabets differ")
-    return Configuration._from_trusted(
-        x.alphabet, *_step(automaton.rule, x.anchor, x.left_period, x.head, x.right_period))
+    return Configuration._from_trusted(x.alphabet, *_step(automaton.rule, _parts(automaton, x))[0])
 
 
 def _states(automaton: Automaton,
@@ -421,18 +448,20 @@ def _states(automaton: Automaton,
     The alphabets are checked at the call, so every walk over the wrong
     alphabet raises before it yields anything.
     """
-    if automaton.alphabet != x.alphabet:
-        raise AlphabetMismatch("automaton and configuration alphabets differ")
-    return _walk(automaton.rule, (x.anchor, x.left_period, x.head, x.right_period))
+    return map(itemgetter(0), _walk(automaton.rule, _parts(automaton, x)))
 
 
-def _walk(rule: LocalRule, state: tuple[int, bytes, bytes, bytes]
-          ) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+def _walk(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1, i: int = 0,
+          j: int = 0) -> Iterator[tuple[tuple[int, bytes, bytes, bytes], Sequence[bytes]]]:
+    """The raw states of the orbit of ``state``, each stepped k rows down
+    from the last (one row where [i, j] is outside the cells _step maps),
+    and with each the rows in between over [i, j]."""
+    between = ()
     while True:
         limit = 2 * len(state[2]) + 64
         while len(state[2]) <= limit:
-            yield state
-            state = _step(rule, *state)
+            yield state, between
+            state, between = _step(rule, state, k, i, j)
         state = _canonical_parts(*state)
 
 
@@ -453,50 +482,55 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
             rows: int) -> Iterator[bytes]:
     """The column words F^t(x)[i..j] for t = 0 .. rows-1 as a lazy
     generator, read straight off the walker's raw states, with no
-    Configuration per row.  Once the light cone of the remaining rows is at
-    most k times as wide as the state it walks, k being the rows the walk
-    maps per lookup, the generator walks the cone instead (see the module
-    docstring).  A caller that takes r words has r-1 rows mapped, and at
-    most k-1 more: the rest of the lookup its last word came from.  No row
-    past rows-1 is mapped.
+    Configuration per row.  The walk maps k rows per lookup from its first
+    row, and once the light cone of the remaining rows is no wider than the
+    word the walker would map next, it walks the cone instead (see the
+    module docstring).  A caller that takes r words has r-1 rows mapped,
+    and at most k-1 more: the rest of the lookup its last word came from.
+    No row past rows-1 is mapped.
     """
     if i > j:
         raise EmptyInterval(f"empty interval [{i}, {j}]")
     if rows < 0:
         raise OutOfRange("rows must be nonnegative")
-    return _cone_columns(automaton.rule, _states(automaton, x), i, j, rows)
+    return _cone_columns(automaton.rule, _parts(automaton, x), i, j, rows)
 
 
-def _cone_columns(rule: LocalRule, states: Iterator[tuple[int, bytes, bytes, bytes]],
+def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],
                   i: int, j: int, rows: int) -> Iterator[bytes]:
-    """The first ``rows`` words F^t(x)[i..j] off the walker's ``states``.
+    """The first ``rows`` words F^t(x)[i..j] of the orbit of ``state``.
 
-    With r rows left after row t, those rows read only row t over
-    [i - r*m, j + r*n].  As soon as that cone is at most k times the word
-    _step would map next, it is cut once and mapped down, k rows per lookup
-    and its last r mod k rows one at a time; row t+q is its slice at offset
-    (r-q)*m.  k = _block_rows(rule) when the symbols the rows would map one
-    at a time, about r * (cone + width) / 2, are at least the
-    k * s^W * (W+1) / 2 that building the block maps, else 1, so short walks
-    never build it.
+    The walker steps the state k rows per lookup.  With r rows left after
+    row t, those rows read only row t over [i - r*m, j + r*n].  As soon as
+    that cone is no wider than the word the next k-row step maps,
+    L + H + R + 2k(m+n), or fewer than k rows are left, the cone is cut
+    once and mapped down, k rows per lookup and its last r mod k rows one
+    at a time; row t+q is its slice at offset (r-q)*m.  k = _block_rows(rule)
+    when the symbols the rows would map one at a time, about
+    r * (cone + width) / 2 from row 0, are at least the k * s^W * (W+1) / 2
+    that building the block maps, else 1, so short walks never build it.
     """
+    if not rows:
+        return
     m, n = rule.memory, rule.anticipation
-    size, width, k_block = rule.alphabet.size, j - i + 1, _block_rows(rule)
-    block_width = 1 + k_block * (m + n)
-    block_cost = k_block * size**block_width * (block_width + 1)
-    for left, state in zip(range(rows - 1, -1, -1), states):
+    size, width, k = rule.alphabet.size, j - i + 1, _block_rows(rule)
+    block_width = 1 + k * (m + n)
+    if (rows - 1) * (2 * width + (rows - 1) * (m + n)) < \
+            k * size**block_width * (block_width + 1):
+        k = 1
+    left = rows  # rows not yet taken, the first state's included
+    for state, between in _walk(rule, state, k, i, j):
+        yield from between
+        left -= len(between) + 1
         _, lp, head, rp = state
-        cone = width + left * (m + n)
-        k = k_block if left * (cone + width) >= block_cost else 1
-        if cone <= k * (len(lp) + len(head) + len(rp) + 2 * (m + n)):
+        if left < k or width + left * (m + n) <= len(lp) + len(head) + len(rp) + 2 * k * (m + n):
             word = _window(*state, i - left * m, j + left * n)
             yield word[left * m:left * m + width]
             while left:
                 step = k if left >= k else 1
                 left -= step
                 word, between = _map_rows(rule, word, step, left * m, width)
-                for row in between:
-                    yield row.tobytes()
+                yield from between
                 yield word[left * m:left * m + width]
             return
         yield _window(*state, i, j)

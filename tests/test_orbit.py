@@ -5,10 +5,11 @@ of one walker, rules._states: rules.columns reads a window off each, or
 walks the light cone of its window once that is narrower, and the spreading
 and recurrence scans read a left edge or a tail off each.  rules.orbit
 steps canonical configurations with rules.apply.  Every row any of them maps
-comes from one rules._map_rows call: a rules._step call maps one row, and a
-cone maps k rows per call through the rule's block and its last rows one per
-call.  Counting the rows of those calls pins each consumer to the number of
-images it needs, and none of them computes one image too many.
+comes from one rules._map_rows call: a rules._step call maps one row, or k
+rows through the rule's block in a long column walk, and a cone maps k rows
+per call and its last rows one per call.  Counting the rows of those calls
+pins each consumer to the number of images it needs, and none of them
+computes one image too many.
 """
 
 import contextlib
@@ -65,7 +66,8 @@ TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
 def counting_steps():
     """Yield a list that grows by (rows, symbols) for each word mapped by
     rules._map_rows, the one call behind every row: rules._step (so
-    rules.apply and the orbit walker) and each lookup of a column cone."""
+    rules.apply and the orbit walker, one row or a block of rows) and each
+    lookup of a column cone."""
     mapped = []
     real = leftex.rules._map_rows
 
@@ -284,13 +286,17 @@ def test_walker_states_match_the_canonical_orbit(case):
 
 @st.composite
 def cone_cases(draw):
-    """A random rule, m+n = 0 included, a raw configuration, a window that
+    """A random rule, m+n = 0 included, over 2 or 3 symbols, or a (1,1)
+    rule over 10 symbols like mul:5/2, a raw configuration, a window that
     may be far from the head or wider than the whole state, and a row count
     from 0 up to past the walker's re-canonicalizations, up to enough rows
-    that the cone is mapped through the rule's block, with a tail of single
-    rows."""
-    size = draw(st.integers(2, 3))
-    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    that the walk is mapped through the rule's block, with single rows
+    where the window leaves the stepped state and in the cone's tail."""
+    size = draw(st.sampled_from([2, 3, 10]))
+    if size == 10:
+        m, n = 1, 1
+    else:
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     rng = random.Random(draw(st.integers(0, 2**32)))
     table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
     automaton = Automaton(LocalRule(Alphabet(size), m, n, table))
@@ -323,7 +329,8 @@ def test_bounded_columns_match_the_canonical_orbit(case):
     (30, 500, 520, 3),     # far right of the head
     (204, -3, 3, 300),     # a head that re-canonicalizes before the switch
     (0, -1, 1, 1),         # one row, no step
-    (30, -3, 3, 1003),     # six rows per lookup from t = 141, then three single rows
+    (30, -3, 3, 1003),     # six rows per lookup from t = 0, the cone's from t = 498
+    (30, -3, 3, 1006),     # the same, then three single rows
 ])
 def test_bounded_columns_take_exactly_their_rows(applied, rule, i, j, rows):
     want = trace_oracle(eca(rule), ONE, i, j, rows)
@@ -348,28 +355,55 @@ def test_mul_3_2_columns_match_the_canonical_orbit():
     assert [list(row) for row in columns(automaton, x, -3, 3, 201)] == want
 
 
+def test_mul_5_2_columns_match_the_canonical_orbit(applied):
+    # mul:5/2 has a 1000-entry table, so every row is a numpy lookup, and a
+    # long walk maps two rows per lookup through its block of 10^5 words
+    automaton = fractional_multiplication_rule(MulSpec(5, 2))
+    x = Configuration(Alphabet(10), -1, b"\x00", b"\x01\x05\x03", b"\x00")
+    for i, j, rows in ((-3, 3, 900), (-40, 40, 1200), (0, 0, 1)):
+        got = list(columns(automaton, x, i, j, rows))
+        assert got == trace_oracle(automaton, x, i, j, rows)
+    # a window left of the head, which the integer part reaches near t = 1000:
+    # the walk steps single rows while the window is outside the cells a
+    # two-row step maps, and two rows per lookup once it is inside
+    applied.clear()
+    got = list(columns(automaton, x, -400, -390, 1200))
+    assert got == trace_oracle(automaton, x, -400, -390, 1200)
+    assert applied[0][0] == 1 and {k for k, _ in applied} == {1, 2}
+    # the rows of a zero-padded simulation, which uses no kernel of leftex
+    want = simulate_zero_padded(
+        {tuple(w): v for w, v in zip(itertools.product(range(10), repeat=3),
+                                     automaton.rule.table)},
+        1, 1, x, -3, 3, 200)
+    assert [list(row) for row in columns(automaton, x, -3, 3, 201)] == want
+
+
 def test_bounded_columns_switch_to_the_cone(applied):
     # rows over one column from a single 1: rule 30 maps six rows per block
-    # lookup, so the walk steps the state only until the cone of the
-    # remaining rows is at most six times the word the stepped state maps;
-    # from there on it maps the cone six rows per lookup and the last
-    # left mod 6 rows (none for 2000 rows, two for 2003) one at a time
+    # lookup from the first row.  Its raw state at t is its canonical one,
+    # 1 + 2t head symbols between two one-symbol periods, so the six-row step
+    # maps 27 + 2t symbols.  The walk steps the state until the cone of the
+    # remaining rows is no wider than that; from there on it maps the cone
+    # six rows per lookup and the last left mod 6 rows one at a time
     span = 2
-    for rows, tail_rows in ((2000, 0), (2003, 2)):
-        states = [state for _, state in zip(range(rows), _states(eca(30), ONE))]
-        stepped = [len(lp) + len(head) + len(rp) + 2 * span for _, lp, head, rp in states]
-        switch = next(t for t in range(rows) if 1 + (rows - 1 - t) * span <= 6 * stepped[t])
+    for rows, switch, tail_rows in ((2000, 996, 1), (2003, 996, 4), (1999, 996, 0)):
         left = rows - 1 - switch
+        assert switch % 6 == 0 and left >= 6
+        # the first multiple of six where the cone fits, and not the one before
+        assert 1 + left * span <= 27 + switch * span
+        assert 1 + (left + 6) * span > 27 + (switch - 6) * span
+        walk = [27 + t * span for t in range(0, switch, 6)]
         cones = [1 + r * span for r in range(left, left % 6, -6)]
         tail = [1 + r * span for r in range(left % 6, 0, -1)]
+        states = [state for _, state in zip(range(rows), _states(eca(30), ONE))]
         applied.clear()
         assert list(columns(eca(30), ONE, 0, 0, rows)) == \
             [_window(*state, 0, 0) for state in states]
-        assert applied == ([(1, stepped[t]) for t in range(switch)] + [(6, c) for c in cones]
+        assert applied == ([(6, w) for w in walk] + [(6, c) for c in cones]
                            + [(1, c) for c in tail])
-        assert 250 < switch < 300 and len(tail) == tail_rows
-        # about a seventh of the symbols the walker maps for the same rows
-        assert symbols_of(applied) < sum(stepped) * 0.15
+        assert len(tail) == tail_rows
+        # under a tenth of the symbols a one-row walker maps for the same rows
+        assert symbols_of(applied) < 0.1 * sum(3 + 2 * span + t * span for t in range(rows - 1))
 
 
 def test_negative_row_count_is_out_of_range():

@@ -60,8 +60,8 @@ def test_default_palette_even_spacing():
 def test_pgm_uses_palette():
     got = render(eca(30), ONE, RenderSpec(1, -1, 1, "pgm"))
     assert got == b"P2\n3 1\n255\n0 255 0\n"
-    custom = render(eca(30), ONE, RenderSpec(1, -1, 1, "pgm"), )
-    assert custom == got
+    custom = render(eca(30), ONE, RenderSpec(1, -1, 1, "pgm", {0: 7, 1: 99}))
+    assert custom == b"P2\n3 1\n255\n7 99 7\n"
 
 
 def test_pgm_palette_incomplete():

@@ -11,10 +11,12 @@ import hypothesis.strategies as st
 from leftex import (
     Alphabet,
     Configuration,
+    MulSpec,
     apply,
     columns,
     compose,
     eca,
+    fractional_multiplication_rule,
     identity_rule,
     make_rule,
     patch,
@@ -24,8 +26,9 @@ from leftex import (
 )
 from leftex.rules import (
     Automaton,
+    DEFAULT_COMPOSE_GUARD,
     LocalRule,
-    _BLOCK_ENTRIES,
+    _BLOCK_GROWTH,
     _COMPOSE_CHUNK,
     _SHORT_WORD,
     _block,
@@ -504,17 +507,25 @@ def test_chunks_grow_from_the_target_to_the_cap():
     assert [n for _, n in sizes(2, 12, 0, 2**12)] == [2**10, 2**10, 2**11]
 
 
-@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 2), st.randoms(use_true_random=False))
+@given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_block_tables_are_k_rule_applications(size, m, n, rng):
+def test_block_tables_are_k_rule_applications(data):
     """For a sample of neighborhoods, the block's F^k table and its rows
-    1..k-1 are the center of k rolling-index applications of the rule."""
-    table = bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))
-    rule = LocalRule(Alphabet(size), m, n, table)
+    1..k-1 are the center of k rolling-index applications of the rule, and
+    k is the most rows the bound allows.  Tables have up to 1000 entries
+    over up to 10 symbols, whose blocks of up to 10^5 words are built in
+    several chunks."""
+    size = data.draw(st.integers(2, 10))
+    span = data.draw(st.integers(0, max(s for s in range(5) if size ** (s + 1) <= 1000)))
+    m = data.draw(st.integers(0, span))
+    rng = data.draw(st.randoms(use_true_random=False))
+    table = bytes(rng.randrange(size) for _ in range(size ** (span + 1)))
+    rule = LocalRule(Alphabet(size), m, span - m, table)
     k = _block_rows(rule)
-    width = 1 + k * (m + n)
-    assert size**width <= _BLOCK_ENTRIES or k == 1
-    assert k == 8 or k == 1 or size ** (width + m + n) > _BLOCK_ENTRIES
+    bound = min(_BLOCK_GROWTH * len(table), DEFAULT_COMPOSE_GUARD)
+    width = 1 + k * span
+    assert k == 1 or size**width <= bound
+    assert k == 8 or size ** (width + span) > bound
     if k == 1:
         return
     center, between, dtype = _block(rule)
@@ -526,6 +537,30 @@ def test_block_tables_are_k_rule_applications(size, m, n, rng):
             row = map_windows_oracle(rule, row)
             want = between[q - 1][v] if q < k else center[v]
             assert row[(k - q) * m] == want
+
+
+def test_block_rows_of_the_paper_rules():
+    assert _block_rows(eca(30).rule) == 6
+    for p in (3, 5):
+        assert _block_rows(fractional_multiplication_rule(MulSpec(p, 2)).rule) == 2
+    # two rows of a (0,1) rule over 256 symbols would tabulate 256^3 > 10^7 words
+    assert _block_rows(LocalRule(Alphabet(256), 0, 1, bytes(256 * 256))) == 1
+
+
+def test_a_block_is_built_in_chunks():
+    """mul:5/2's block maps 10^5 words of 5 symbols two rows down, in chunks
+    of 10^4 words: the build peaks under 1 MB, where mapping every word at
+    once would take its 8-byte gather indices alone, 2.4 MB."""
+    mul = fractional_multiplication_rule(MulSpec(5, 2)).rule
+    rule = LocalRule(mul.alphabet, mul.memory, mul.anticipation, mul.table)  # no block yet
+    tracemalloc.start()
+    try:
+        center, between, _ = _block(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert center.shape == (10**5,) and between.shape == (1, 10**5)
+    assert peak < 2**20
 
 
 @given(st.data())
