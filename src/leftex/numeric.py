@@ -33,10 +33,13 @@ more runs long division in the limb radix, one big-integer step per limb.
 
 A period of p digits is worth W/(base**p - 1), but forming W converts all
 p digits.  ``_period_fraction`` instead reads a small denominator off a
-prefix of O(sqrt(p)) digits and proves the value exactly, with one modular
-power and one long division; only other periods pay for W.  This makes
-valuing a configuration cheap enough that ``verify_mul`` checks every image
-by its value alone, with no second route through ``rational_to_config``.
+prefix of O(sqrt(p)) digits and proves the value exactly with one modular
+power and, for c < 2**31, no digit generated: the period read as int64
+limbs must equal the limbs (B * s_j) // c of a/c, B a power of the base
+and s_j = a * B**j mod c from the same table of powers.  Only other
+periods pay for W.  This makes valuing a configuration cheap enough that
+``verify_mul`` expands its start once and checks every image by its value
+alone, with no second route through ``rational_to_config``.
 """
 
 from __future__ import annotations
@@ -193,6 +196,37 @@ def _expansion_digits(remainder: int, den: int, base: int, count: int) -> bytes:
     return out[:count].tobytes()
 
 
+def _matches_expansion(remainder: int, den: int, base: int, w: bytes) -> bool:
+    """Whether w (digits below base) is the first len(w) digits of
+    remainder/den, given base**len(w) == 1 (mod den).
+
+    For den < 2**31 no digit is generated.  With B = base**k, k the most
+    with B * den < 2**63, group j of k digits is (B * s_j) // den for
+    s_j = remainder * B**j mod den, and each limb of w, read as an int64
+    one table block of digits at a time, must equal it.  The expansion
+    repeats every len(w) digits, so the last partial limb is padded with
+    w's own first digits.  Larger denominators compare a long division.
+    """
+    p = len(w)
+    if den >= _TABLE_LIMIT:
+        return _expansion_digits(remainder, den, base, p) == w
+    k = 1
+    while base ** (k + 1) * den < 2**63:
+        k += 1
+    radix, full = base**k, p // k
+    want = _mod_powers(remainder, radix % den, -(-p // k), den)
+    want *= radix
+    want //= den
+    place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    limbs = np.frombuffer(w, dtype=np.uint8, count=full * k).reshape(full, k)
+    tail = w[full * k:]
+    if tail and _digits_to_int(tail + cyclic_slice(w, 0, k - len(tail)), base) != want[-1]:
+        return False
+    step = max(1, _TABLE_BLOCK // k)
+    return all(np.array_equal(limbs[j:j + step].astype(np.int64) @ place,
+                              want[j:min(j + step, full)]) for j in range(0, full, step))
+
+
 def _valuation(n: int, p: int) -> tuple[int, int]:
     """(v, n // p**v) for the largest v with p**v dividing n > 0.
 
@@ -292,7 +326,7 @@ def _period_fraction(w: bytes, base: int) -> Fraction:
     make it equal to W/(base**p - 1), W the value of w.  Otherwise (large
     denominators, or the all-(base-1) word, worth 1) W/(base**p - 1) is
     formed directly.  A longer prefix often yields the candidate just
-    rejected again, and that one is not re-expanded.
+    rejected again, and that one is not checked again.
     """
     p = len(w)
     n, rejected = 16, None
@@ -301,7 +335,7 @@ def _period_fraction(w: bytes, base: int) -> Fraction:
         guess = Fraction(_digits_to_int(w[:n], base), scale).limit_denominator(isqrt(scale) // 2)
         a, c = guess.numerator, guess.denominator
         if guess != rejected and a < c and pow(base, p, c) == 1 % c \
-                and _expansion_digits(a, c, base, p) == w:
+                and _matches_expansion(a, c, base, w):
             return guess
         rejected = guess
         n *= 4
@@ -401,11 +435,12 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
         raise OutOfRange("steps must be at least 1")
     xi = Fraction(value)
     base = spec.base
+    x = rational_to_config(xi, base)
     for automaton, factor in (
         (multiplication_rule(spec), Fraction(spec.p)),
         (fractional_multiplication_rule(spec), Fraction(spec.p, spec.q)),
     ):
-        images = orbit(automaton, rational_to_config(xi, base))
+        images = orbit(automaton, x)
         next(images)  # the start configuration itself
         expected = xi
         for _, y in zip(range(steps), images):

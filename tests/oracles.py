@@ -5,8 +5,9 @@ indexing, schoolbook long division, Horner and divmod digit conversion,
 lexicographic words as the divmod digits of an index range, first
 occurrences of keys by numpy's own unique, the geometric-series value of a
 periodic tail, one-factor-at-a-time preperiods, digit expansions by one
-long division, primitive roots by searching w+w for w, padded finite
-simulation, cubic period search, rolling-index rule evaluation,
+long division and period proofs by comparing with it, primitive roots by
+searching w+w for w, padded finite simulation, cubic period search,
+rolling-index rule evaluation,
 block-by-block vacuity tests, symbol-by-symbol canonicalization,
 expansivity searches over every full-length seed, and the traces, left
 edges and tail recurrences read off canonical orbits, one configuration
@@ -138,6 +139,12 @@ def long_division_digits(num: int, den: int, base: int, count: int) -> list[int]
         d, r = divmod(r * base, den)
         out.append(d)
     return out
+
+
+def expansion_matches_oracle(remainder: int, den: int, base: int, w: bytes) -> bool:
+    """Whether w is the first len(w) digits of remainder/den, by expanding
+    them with schoolbook long division and comparing."""
+    return bytes(long_division_digits(remainder, den, base, len(w))) == w
 
 
 def digits_to_int_oracle(w: bytes, base: int) -> int:

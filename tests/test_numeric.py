@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from leftex import (
@@ -39,7 +39,9 @@ from leftex.numeric import (
     _expansion_digits,
     _int_digits,
     _int_to_digits,
+    _matches_expansion,
     _pack_width,
+    _period_fraction,
     _period_split,
     _square,
 )
@@ -49,6 +51,7 @@ from oracles import (
     config_to_rational_oracle,
     coprime_part_oracle,
     digits_to_int_oracle,
+    expansion_matches_oracle,
     int_to_digits_oracle,
     long_division_digits,
     preperiod_oracle,
@@ -230,46 +233,46 @@ def test_rejected_candidates_cost_a_short_prefix(monkeypatch):
     """A random period has a reduced denominator near 10^p, so every
     candidate read from a prefix is rejected by the modular check: the
     digits converted come to p for the closed form plus at most
-    8*sqrt(p) + 64 for the prefixes, and nothing is re-expanded."""
+    8*sqrt(p) + 64 for the prefixes, and no candidate reaches the proof."""
     rng = random.Random(20000)
     p = 20000
     x = Configuration(Alphabet(10), 0, b"\x00", b"", bytes(rng.randrange(10) for _ in range(p)))
     assert len(x.right_period) == p  # primitive
     want = config_to_rational_oracle(x, 10)
-    converted, expanded = [], []
+    converted, proved = [], []
 
     def counting_digits_to_int(w, base):
         converted.append(len(w))
         return _digits_to_int(w, base)
 
-    def counting_expansion_digits(remainder, den, base, count):
-        expanded.append(count)
-        return _expansion_digits(remainder, den, base, count)
+    def counting_matches_expansion(remainder, den, base, w):
+        proved.append(len(w))
+        return _matches_expansion(remainder, den, base, w)
 
     monkeypatch.setattr(numeric, "_digits_to_int", counting_digits_to_int)
-    monkeypatch.setattr(numeric, "_expansion_digits", counting_expansion_digits)
+    monkeypatch.setattr(numeric, "_matches_expansion", counting_matches_expansion)
     assert config_to_rational(x, 10) == want
     assert max(converted) == p and converted.count(p) == 1
     assert sum(converted) - p <= 8 * math.sqrt(p) + 64
-    assert expanded == []
+    assert proved == []
 
 
-def test_a_rejected_candidate_is_expanded_once(monkeypatch):
+def test_a_rejected_candidate_is_checked_once(monkeypatch):
     """The 1/7 period repeated to 6*10^5 digits with its last digit changed
-    yields 1/7 from every prefix; that candidate is expanded and rejected
-    once, not once per prefix length."""
+    yields 1/7 from every prefix; that candidate is checked against the
+    period and rejected once, not once per prefix length."""
     w = bytes([1, 4, 2, 8, 5, 7]) * 100000
     x = Configuration(Alphabet(10), 0, b"\x00", b"", w[:-1] + b"\x08")
     want = config_to_rational_oracle(x, 10)
-    expanded = []
+    proved = []
 
-    def counting_expansion_digits(remainder, den, base, count):
-        expanded.append((remainder, den, base, count))
-        return _expansion_digits(remainder, den, base, count)
+    def counting_matches_expansion(remainder, den, base, w):
+        proved.append((remainder, den, base, len(w)))
+        return _matches_expansion(remainder, den, base, w)
 
-    monkeypatch.setattr(numeric, "_expansion_digits", counting_expansion_digits)
+    monkeypatch.setattr(numeric, "_matches_expansion", counting_matches_expansion)
     assert config_to_rational(x, 10) == want
-    assert expanded == [(1, 7, 10, 600000)]
+    assert proved == [(1, 7, 10, 600000)]
 
 
 def test_multiplicative_order_against_naive():
@@ -375,6 +378,44 @@ def test_long_period_expansion_memory_is_bounded():
     assert len(digits) == c - 1
     for i in (0, 1, 65535, 65536, 2**21 + 7, c - 2):
         assert digits[i] == pow(10, i, c) * 10 // c
+
+
+@given(st.sampled_from([2, 6, 10, 15, 28, 256]), table_dens, st.data())
+@settings(max_examples=200, deadline=None)
+def test_period_proof_matches_expanding_and_comparing(base, den, data):
+    """The limb-by-limb proof gives long division's verdict on the true
+    period of a/c and on it with one digit changed at either end or on
+    either side of the first limb edge.  p is a multiple of the order, so
+    base**p == 1 (mod c) as the proof requires."""
+    c = coprime_part_oracle(den, base)
+    order = multiplicative_order(base, c)
+    assume(order <= 10**5)
+    p = order * data.draw(st.integers(1, max(1, 3 * 10**4 // order)))
+    a = data.draw(st.integers(0, c - 1))
+    w = bytearray(long_division_digits(a, c, base, p))
+    # the proof's limb width below 2**31: the most k with base**k * c < 2**63
+    k = next(k for k in range(1, 64) if base ** (k + 1) * c >= 2**63)
+    at = data.draw(st.sampled_from([None, 0, k - 1, k, p - 1]))
+    if at is not None:
+        w[at % p] = (w[at % p] + data.draw(st.integers(1, base - 1))) % base
+    w = bytes(w)
+    assert _matches_expansion(a, c, base, w) == expansion_matches_oracle(a, c, base, w) == (at is None)
+
+
+def test_long_period_proof_memory_is_under_a_byte_a_digit():
+    """Proving the 4000062-digit base-10 period of 1/4000063 reads it as
+    limbs one table block at a time, with no copy of it and no second
+    expansion, which peaked at about two bytes a digit."""
+    c = 4_000_063
+    w = _expansion_digits(1, c, 10, c - 1)
+    tracemalloc.start()
+    try:
+        value = _period_fraction(w, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(1, c)
+    assert peak < 4 * 10**6
 
 
 @st.composite
@@ -517,6 +558,21 @@ def test_multiplication_moves_values():
 def test_verify_mul_examples():
     assert verify_mul(MulSpec(3, 2), 1, 10)
     assert verify_mul(MulSpec(5, 2), Fraction(7, 4), 6)
+
+
+def test_verify_mul_expands_one_start_configuration(monkeypatch):
+    """Both automata walk from one start configuration, and every image is
+    valued without a second expansion: 8 steps from 1/1000003 in base 6
+    expand its 500001-digit period once."""
+    expanded = []
+
+    def counting_expansion_digits(remainder, den, base, count):
+        expanded.append(count)
+        return _expansion_digits(remainder, den, base, count)
+
+    monkeypatch.setattr(numeric, "_expansion_digits", counting_expansion_digits)
+    assert verify_mul(MulSpec(3, 2), Fraction(1, 1000003), 8)
+    assert expanded == [500001]
 
 
 def test_verify_mul_spot_checks_match_direct_real_comparison():
