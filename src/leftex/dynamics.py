@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .configuration import Configuration, _fractional_part
+from .configuration import Configuration, _fractional_part, _window
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
 from .rules import Automaton, _states, columns
@@ -139,15 +139,28 @@ def recurrence_scan(
     automaton: Automaton, x: Configuration, c: int, horizon: int
 ) -> list[int]:
     """All t in [1, horizon] at which the one-sided sequence from index c
-    returns exactly (as an infinite object) to its initial value.  Each
-    tail is read off a raw state of the orbit walker and canonicalized as a
-    OneSidedSeq, with no Configuration per step."""
+    returns exactly (as an infinite object) to its initial value.
+
+    x's own tail is canonicalized once, as (head h, period p).  The tail of
+    a raw state (anchor, lp, head, rp) of the orbit walker is periodic with
+    period len(rp) from index P = anchor + len(head) - c on, so by Fine and
+    Wilf the two tails are equal iff they agree on their first
+    max(len(h), P) + len(p) + len(rp) symbols: one comparison of bytes per
+    step, after a shorter one on the first len(h) + len(p) symbols rejects
+    most steps, with no object built per step."""
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
     states = _states(automaton, x)
     target = _fractional_part(x.alphabet, *next(states), c)  # x's own tail
-    return [t for t, state in zip(range(1, horizon + 1), states)
-            if _fractional_part(x.alphabet, *state, c) == target]
+    h, p = len(target.head), len(target.period)
+    short = target.head + target.period
+    out = []
+    for t, state in zip(range(1, horizon + 1), states):
+        if _window(*state, c, c + h + p - 1) == short:
+            n = max(h, state[0] + len(state[2]) - c) + p + len(state[3])
+            if _window(*state, c, c + n - 1) == target.prefix(n):
+                out.append(t)
+    return out
 
 
 def limit_point_census(

@@ -472,15 +472,18 @@ def _edge_trajectory(automaton: Automaton, x: Configuration, horizon: int):
     """(t, left edge of F^t(x)) for t = 1 .. horizon, read off the raw states
     of the orbit walker, stopping at the zero configuration, where the orbit
     stays.  The rule is quiescent and x number-like, so every state's left
-    period is 0 and its edge is the first nonzero symbol of the head, else
-    of the right period."""
+    period is 0 and its edge is the first nonzero symbol of the head, else,
+    when the head is all zeros, of the right period."""
     states = _states(automaton, x)
     next(states)  # x itself
     for t, (anchor, _, head, rp) in zip(range(1, horizon + 1), states):
-        rest = (head + rp).lstrip(b"\x00")
-        if not rest:
-            return
-        yield t, anchor + len(head) + len(rp) - len(rest)
+        edge = anchor + len(head) - len(head.lstrip(b"\x00"))
+        if edge == anchor + len(head):
+            rest = rp.lstrip(b"\x00")
+            if not rest:
+                return
+            edge += len(rp) - len(rest)
+        yield t, edge
 
 
 def left_spreading_witnesses(
@@ -524,9 +527,11 @@ def estimate_spreading_speed(
     per_sample: list[Optional[Fraction]] = []
     for x in samples:
         base = left_edge(x)
-        ratios = (Fraction(base - edge, t)
-                  for t, edge in _edge_trajectory(automaton, x, horizon) if 2 * t >= horizon)
-        per_sample.append(max(ratios, default=None))
+        best = None  # the largest (base - edge, t) seen, compared as (base - edge) / t
+        for t, edge in _edge_trajectory(automaton, x, horizon):
+            if 2 * t >= horizon and (best is None or (base - edge) * best[1] > best[0] * t):
+                best = base - edge, t
+        per_sample.append(None if best is None else Fraction(*best))
     rates = [r for r in per_sample if r is not None]
     estimate = max(rates) if rates else Fraction(0)
     return SpeedEstimate(len(per_sample), horizon, tuple(per_sample), estimate)

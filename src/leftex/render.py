@@ -10,8 +10,9 @@ configuration) or, once columns maps the light cone of the remaining rows
 instead, that cone: no wider than the last stepped state's input and at
 most width + rows*(m+n) symbols.  A long walk adds the rule's block tables,
 at most 8 * min(2^10 * the rule's table, 10^7) bytes (rules._block_rows).
-Each row is formatted by one bytes.translate (PBM, ASCII) or one join over
-per-symbol gray labels (PGM).
+Each row is formatted by one bytes.translate (ASCII), one bytes.translate
+written into every other byte of a copy of a blank row (PBM), or one join
+over per-symbol gray labels (PGM).
 """
 
 from __future__ import annotations
@@ -91,8 +92,13 @@ def render_to(out: IO[str], automaton: Automaton, x: Configuration, spec: Render
         line = lambda row: " ".join(map(labels.__getitem__, row))
     elif spec.format == "pbm":
         chars = b"0" + b"1" * 255
+        blank = b" " * (2 * width - 1)
         out.write(f"P1\n{width} {spec.rows}\n")
-        line = lambda row: " ".join(row.translate(chars).decode("ascii"))
+
+        def line(row: bytes) -> str:
+            text = bytearray(blank)
+            text[::2] = row.translate(chars)
+            return text.decode("ascii")
     else:
         chars = "".join(_ascii_char(s, size) for s in range(256)).encode("ascii")
         line = lambda row: row.translate(chars).decode("ascii")

@@ -100,6 +100,12 @@ def recurrence_oracle(automaton: Automaton, x: Configuration, c: int,
             if fractional_part(y, c) == target]
 
 
+def pbm_row_oracle(row: bytes) -> str:
+    """One PBM (P1) raster line: every symbol thresholded to 0 or 1, one
+    space between them."""
+    return " ".join(row.translate(b"0" + b"1" * 255).decode("ascii"))
+
+
 def padded_step(table, memory, anticipation, row, pad_left, pad_right):
     """One CA step on an explicit finite row with known constant surroundings."""
     out = []

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 import leftex.rules
@@ -52,6 +52,7 @@ from leftex.rules import _states
 
 from oracles import (
     edge_trajectory_oracle,
+    raw_configurations,
     recurrence_oracle,
     simulate_zero_padded,
     trace_oracle,
@@ -476,6 +477,25 @@ def test_orbit_consumers_match_the_canonical_orbit(case, data):
     assert recurrence_scan(automaton, x, c, horizon) == recurrence_oracle(automaton, x, c, horizon)
 
 
+#: a (0,1) rule over 3 symbols under which a single 1 turns into a 2 and the
+#: 2 into a 1 one cell to its left: the left edge moves one cell every two steps
+HALF = Automaton(LocalRule(Alphabet(3), 0, 1, bytes([0, 0, 1, 2, 2, 1, 0, 0, 1])))
+
+
+@pytest.mark.parametrize("automaton, x, horizon, rate, ties", [
+    (eca(0), ONE, 6, None, 0),          # zero at t = 1, before horizon/2: no ratio
+    (eca(240), ONE, 6, Fraction(-1), 4),  # the edge moves right: every ratio is -1
+    (HALF, Configuration.single(Alphabet(3), 1), 6, Fraction(1, 2), 2),  # 2/4 and 3/6
+])
+def test_speed_edge_cases_match_the_canonical_orbit(automaton, x, horizon, rate, ties):
+    edges = edge_trajectory_oracle(automaton, x, horizon)
+    ratios = [Fraction(x.anchor - edge, t) for t, edge in edges if 2 * t >= horizon]
+    assert max(ratios, default=None) == rate and ratios.count(rate) == ties
+    speed = estimate_spreading_speed(automaton, [x], horizon)
+    assert speed.per_sample == (rate,)
+    assert speed.estimate == (Fraction(0) if rate is None else rate)
+
+
 @st.composite
 def recurring_cases(draw):
     """A symbol permutation after a one-cell shift to the right, and a
@@ -496,4 +516,41 @@ def recurring_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_recurrences_past_recanonicalization_match_the_canonical_orbit(case, c):
     automaton, x, horizon = case
+    assert recurrence_scan(automaton, x, c, horizon) == recurrence_oracle(automaton, x, c, horizon)
+
+
+@st.composite
+def raw_recurring_cases(draw):
+    """A configuration that is not number-like and whose left and right
+    periods differ, under a rule that maps one cell of its neighbourhood
+    through a map g of the symbols (a permutation or not), so tails recur
+    whenever a power of g fixes them while the raw head grows by m+n cells a
+    step and the raw right period need not be the tail's primitive period; a
+    start c left of the anchor, inside the head or past its end; and a
+    horizon past the walker's first re-canonicalization."""
+    x = draw(raw_configurations())
+    assume(not x.is_number_like and x.left_period != x.right_period)
+    size = x.alphabet.size
+    m, n = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+    read = draw(st.integers(0, m + n))  # the cell g reads, counted from the left
+    g = draw(st.one_of(st.permutations(range(size)),
+                       st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+    table = bytes(g[w // size ** (m + n - read) % size] for w in range(size ** (m + n + 1)))
+    automaton = Automaton(LocalRule(x.alphabet, m, n, table))
+    end = x.anchor + len(x.head)
+    c = draw(st.one_of(st.integers(x.anchor - 6, x.anchor - 1),
+                       st.integers(x.anchor, max(x.anchor, end - 1)),
+                       st.integers(end, end + 6)))
+    return automaton, x, c, draw(st.integers(80, 250))
+
+
+@given(raw_recurring_cases())
+@settings(max_examples=100, deadline=None)
+# x AND its left neighbour: the right period 01 turns into 00, which the
+# first re-canonicalization shortens to 0; leaving len(p) out of the
+# comparison's length reads a false return at t = 65
+@example((Automaton(LocalRule(A2, 1, 0, bytes([0, 0, 0, 1]))),
+          Configuration(A2, 2, b"\x01", b"", b"\x00\x01"), 1, 90))
+def test_recurrences_of_raw_configurations_match_the_canonical_orbit(case):
+    automaton, x, c, horizon = case
     assert recurrence_scan(automaton, x, c, horizon) == recurrence_oracle(automaton, x, c, horizon)

@@ -1,10 +1,20 @@
 import io
+from fractions import Fraction
 
 import pytest
 
-from leftex import Alphabet, Configuration, MulSpec, eca, fractional_multiplication_rule, rational_to_config
+from leftex import (
+    Alphabet,
+    Configuration,
+    MulSpec,
+    columns,
+    eca,
+    fractional_multiplication_rule,
+    rational_to_config,
+)
 from leftex.render import RenderSpec, default_palette, render_to
 from leftex.errors import AlphabetMismatch, EmptyInterval, OutOfRange, PaletteIncomplete
+from oracles import pbm_row_oracle
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -40,6 +50,21 @@ def test_pbm_thresholds_nonbinary_symbols():
     lines = render(mul, x, RenderSpec(2, -2, 2, "pbm")).decode().splitlines()
     # t=1 holds digits 1 and 3: both render as 1
     assert lines[3] == "0 1 1 0 0"
+
+
+@pytest.mark.parametrize("automaton, x", [
+    (eca(30), Configuration(A2, -3, b"\x01\x01\x00", b"\x01\x00\x00\x01", b"\x00\x01")),
+    # base-6 digits 0..5 of 13/11, thresholded
+    (fractional_multiplication_rule(MulSpec(3, 2)), rational_to_config(Fraction(13, 11), 6)),
+])
+def test_pbm_rows_match_the_joined_formatter(automaton, x):
+    rows = 3
+    for width in range(1, 601):
+        lo = -(width // 2)
+        words = list(columns(automaton, x, lo, lo + width - 1, rows))
+        want = f"P1\n{width} {rows}\n" + "".join(pbm_row_oracle(w) + "\n" for w in words)
+        assert render(automaton, x, RenderSpec(rows, lo, lo + width - 1, "pbm")) == want.encode()
+    assert max(words[-1]) == automaton.alphabet.size - 1  # the widest rows hold every symbol
 
 
 def test_ascii_binary_and_base6():
