@@ -27,10 +27,11 @@ and True still reports all size**L seeds.  The budget is charged for what
 is mapped: size**L' prefixes times the cells below each top row (_cells, at
 least 1).  Every search reads its budget capped at _BUDGET_CAP = 2**61.
 No word is enumerated from an int64 range: a chunk's words are the digits
-of a Python int over one block of low digits (rules._patches).  The one
-int64 index left is a prefix number, the first prefix each rectangle keeps
-in the carry, and the prefixes number at most the charge, so every such
-index stays below 2**61, far from 2**63.  The spreading search keeps no
+of a Python int over one block of low digits (rules._patches), which the
+first and early chunks copy from a bounded cache instead of rebuilding it
+on every call.  The one int64 index left is a prefix number, the first
+prefix each rectangle keeps in the carry, and the prefixes number at most
+the charge, so every such index stays below 2**61, far from 2**63.  The spreading search keeps no
 index array; its counts are Python ints.
 
 Prefixes are enumerated by rules._patches in lexicographic chunks, each
@@ -53,7 +54,8 @@ False, fixed chunks of 1024 gave a median op time of 0.85 ms, against
 chunks of 2^12 or 2^14 (2^14 also took 1 MB more memory).
 
 A chunk is a uint8 digit matrix with one prefix per column; the generator
-grows its patch rows by table lookup on the whole matrix at once.
+grows its patch rows by table lookup on the whole matrix at once, gathered
+by bytes.translate when the table has at most 256 entries.
 Each prefix is keyed by its rectangle: the n_rows*w symbols, in radix size,
 packed by one integer matrix product into ceil(n_rows*w / k) uint64 words,
 k being the most symbols whose radix value stays below 2**64 (_key_layout,
@@ -70,7 +72,8 @@ is copied O(log K) times: the carry costs O(K log K) in all, where
 inserting each chunk's keys into one sorted table copies the whole table
 per chunk.  The first prefix whose value differs from its key's reference
 is the first conflict of the one-at-a-time search, so certificates do not
-depend on the chunking.
+depend on the chunking.  The conflicting rectangle is cut from one copy of
+its column of the chunk's rectangle matrix.
 
 Left expansivity is monotone in the rectangle.  A pair of diagrams that
 agree on an (h', d', w') rectangle and differ in the cell to its left also
@@ -339,11 +342,11 @@ def is_left_expansive(
             ref = int(ref_prefixes[inverse[j]])
             top_a = rows[0][:, ref - first] if ref >= first else \
                 next(_patches(rule, read_len, 0, ref, ref + 1, 1))[1][0][:, 0]
+            column = rect[:, j].tobytes()  # the rectangle's rows, w symbols each
             cex = Counterexample(
                 seed_a=top_a.tobytes() + bytes(pad),
                 seed_b=rows[0][:, j].tobytes() + bytes(pad),
-                rectangle=tuple(rows[k][starts[k]:starts[k] + w, j].tobytes()
-                                for k in range(n_rows)),
+                rectangle=tuple(column[k:k + w] for k in range(0, n_rows * w, w)),
                 value_a=int(ref_vals[inverse[j]]), value_b=int(vals[j]),
                 rect_col=c, det_col=c - 1, ref_row=dims.h,
             )

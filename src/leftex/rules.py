@@ -20,19 +20,24 @@ about 5 us a call.  Every other evaluation is a numpy lookup
 (lookup_windows, over the index of _radix_index): longer words, larger
 tables, block lookups, and many equal-length words at once when they are
 stacked as the columns of a matrix, which is how the expansivity decider
-grows a chunk of seeds.
+grows a chunk of seeds.  Under a table of at most 256 entries the index is
+uint8 and its bytes are gathered by bytes.translate; a larger table is
+gathered by numpy's take.
 
 Every such matrix of words in lexicographic order, and every row grown
 from it, comes from one generator, _patches, which yields a range of words
 chunk by chunk with their rows F(words), ..., F^steps(words).  A chunk is
 an aligned block of size**e words that share their high symbols, the
-digits of a Python int, over one block of every e-symbol low part, built
-once per e, cut to the range at either end.  The first size**e is the
-power of the alphabet size nearest a target on a log scale
-(_chunk_digits); e rises by one whenever the next chunk starts on a
-multiple of size**(e+1), until size**e is the power nearest
-_COMPOSE_CHUNK, so a long walk pays a chunk's fixed costs on few chunks
-while a short one stays short.  Its callers are the expansivity decider's
+digits of a Python int, over one block of every e-symbol low part, cut to
+the range at either end.  A low block of at most _RESIDENT_LOW words (the
+decider's and the spreading search's first and early chunks) is copied
+from a read-only block kept in a bounded cache (_low_words), so a call
+that reads one chunk does not rebuild it; a larger one is built in place
+once per e and walk.  The first size**e is the power of the alphabet size
+nearest a target on a log scale (_chunk_digits); e rises by one whenever
+the next chunk starts on a multiple of size**(e+1), until size**e is the
+power nearest _COMPOSE_CHUNK, so a long walk pays a chunk's fixed costs
+on few chunks while a short one stays short.  Its callers are the expansivity decider's
 read prefixes and the spreading search's start words (blocks from near
 2^10 words), compose(), which maps every word of the product width a block
 near 2^14 words at a time so that working memory does not grow with the
@@ -66,6 +71,7 @@ steps a head longer than the canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -92,6 +98,11 @@ _COMPOSE_CHUNK = 2**14
 #: a rule's block (see _block_rows) has at most this many times as many
 #: entries as the rule's own table
 _BLOCK_GROWTH = 2**10
+#: the most words in a block of low digits that _patches keeps resident
+#: (_low_words): the decider's and the spreading search's first and early
+#: chunks, not the grown ones nor the blocks near _COMPOSE_CHUNK words that
+#: compose() and _block map
+_RESIDENT_LOW = 2**12
 #: longest word _map_short maps; numpy maps longer ones.  On a 2-core VM
 #: (Python 3.11, numpy 2.4) _map_short takes 1.7-2.7 us at 20-100 symbols
 #: against numpy's 6.8-12.9 us, and the two cross at about 1000-1500 symbols
@@ -223,6 +234,7 @@ def identity_rule(alphabet: Alphabet) -> Automaton:
 # -- bulk rule application ----------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _chunk_digits(size: int, target: int) -> int:
     """The e for which size**e is the power of size nearest ``target`` on a
     log scale (the lower one on a tie); 0, one word, for a single symbol."""
@@ -274,10 +286,35 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     ``count`` words column-wise and is mapped in one pass.  The result has
     m+n fewer rows and the table's ``uint8`` dtype.  The radix index is
     accumulated in the narrowest unsigned type that holds every table
-    index; ``take`` widens it to ``intp`` once for the gather.
+    index.  A table of at most 256 entries (the rule's _translation) has a
+    ``uint8`` index, gathered by one bytes.translate over its bytes into a
+    read-only array; a larger table is gathered by ``take``, which widens
+    the index to ``intp``.
     """
-    return rule._table_array.take(
-        _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype))
+    idx = _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype)
+    if rule._translation is None:
+        return rule._table_array.take(idx)
+    return np.frombuffer(idx.tobytes().translate(rule._translation),
+                         dtype=np.uint8).reshape(idx.shape)
+
+
+def _fill_low(out: np.ndarray, size: int) -> np.ndarray:
+    """Write every word of len(out) symbols, in lexicographic order, into
+    the columns of the (len(out), size**len(out)) ``uint8`` array ``out``."""
+    symbols = np.arange(size, dtype=np.uint8)[:, None]
+    for k in range(len(out)):  # row k repeats each symbol size**(len(out)-1-k) times
+        out[k].reshape(size**k, size, -1)[:] = symbols
+    return out
+
+
+@lru_cache(maxsize=16)
+def _low_words(size: int, digits: int) -> np.ndarray:
+    """The read-only block of every word of ``digits`` symbols, one per
+    column, that _patches keeps resident for blocks of at most
+    _RESIDENT_LOW words (see the module docstring)."""
+    block = _fill_low(np.empty((digits, size**digits), dtype=np.uint8), size)
+    block.flags.writeable = False
+    return block
 
 
 def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
@@ -292,14 +329,15 @@ def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
     size = rule.alphabet.size
     low = min(_chunk_digits(size, chunk), length)
     top = min(_chunk_digits(size, _COMPOSE_CHUNK), length)
-    symbols = np.arange(size, dtype=np.uint8)[:, None]
     start, words = first - first % size**low, None
     while start < last:
         block = size**low
-        if words is None:  # every low part of ``low`` symbols, built once per size
+        if words is None:  # every low part of ``low`` symbols, once per size
             words = np.empty((length, block), dtype=np.uint8)
-            for k in range(low):  # row length-low+k repeats each symbol size**(low-1-k) times
-                words[length - low + k].reshape(size**k, size, -1)[:] = symbols
+            if block <= _RESIDENT_LOW:
+                words[length - low:] = _low_words(size, low)
+            else:
+                _fill_low(words[length - low:], size)
             digits = bytearray(length - low)
         high = start // block
         for k in range(length - low - 1, -1, -1):
@@ -370,12 +408,17 @@ def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
     rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the rule's own
     table) or _block_rows(rule) (its block).  Every row an orbit or a column
     walk maps comes from here.  One row of a short word under a table of at
-    most 256 entries is _map_short's; numpy maps every other.
+    most 256 entries is _map_short's, and of a longer word the translated
+    bytes of its uint8 radix index (lookup_windows' gather, without the
+    array around it); numpy's take maps every other.
     """
     if k == 1:
-        if rule._translation is not None and len(symbols) <= _SHORT_WORD:
+        if rule._translation is None:
+            return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
+        if len(symbols) <= _SHORT_WORD:
             return _map_short(rule, symbols), ()
-        return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
+        return _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
+                            rule.width, np.uint8).tobytes().translate(rule._translation), ()
     center, between, dtype = _block(rule)
     idx = _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
                        1 + k * (rule.memory + rule.anticipation), dtype)

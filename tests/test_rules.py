@@ -30,14 +30,18 @@ from leftex.rules import (
     LocalRule,
     _BLOCK_GROWTH,
     _COMPOSE_CHUNK,
+    _RESIDENT_LOW,
     _SHORT_WORD,
     _block,
     _block_rows,
     _chunk_digits,
+    _low_words,
     _patches,
     _radix_index,
+    lookup_windows,
     map_windows,
 )
+from leftex.properties import ExpansivityDims, is_left_expansive
 from leftex.errors import (
     AlphabetMismatch,
     EmptyInterval,
@@ -406,6 +410,56 @@ def test_map_windows_matches_rolling_index_oracle():
                        *range(2040, 2061)]:
             samples = bytes(b % size for b in rng.randbytes(length))
             assert map_windows(rule, samples) == map_windows_oracle(rule, samples)
+
+
+def test_lookup_windows_matches_the_oracle_on_matrices():
+    """Both gathers on word matrices, column by column: bytes.translate for
+    tables of 1, 8, 216 and 256 entries (a single symbol, an ECA, 6 symbols
+    at width 3, binary width 8 and 256 symbols at width 1), ``take`` for
+    larger tables (289 to 1000 entries), on contiguous matrices and on the
+    column-cut views that _patches yields at the ends of a range."""
+    rng = random.Random(23)
+    small = [(1, 1, 1), (2, 1, 1), (6, 1, 1), (2, 3, 4), (256, 0, 0)]
+    large = [(2, 4, 4), (17, 0, 1), (3, 2, 3), (10, 1, 1)]
+    for size, m, n in small + large:
+        rule = LocalRule(Alphabet(size), m, n,
+                         bytes(rng.randrange(size) for _ in range(size ** (m + n + 1))))
+        assert (rule._translation is not None) == ((size, m, n) in small)
+        for length, count in ((rule.width, 1), (rule.width + 3, 7), (20, 1024)):
+            words = np.frombuffer(bytes(b % size for b in rng.randbytes(length * count)),
+                                  dtype=np.uint8).reshape(length, count)
+            for lo, hi in ((0, count), (count // 3, count), (0, count - count // 4),
+                           (count // 5, count // 2 + 1)):
+                view = words[:, lo:hi]
+                got = lookup_windows(rule, view)
+                assert got.dtype == np.uint8 and got.shape == (length - rule.width + 1, hi - lo)
+                for col in range(hi - lo):
+                    assert got[:, col].tobytes() == \
+                        map_windows_oracle(rule, view[:, col].tobytes())
+
+
+def test_low_blocks_are_resident_read_only_and_bounded():
+    """A resident block of low digits is the low rows of the oracle's words,
+    read-only, and the same object on every call; the blocks compose() and
+    _block build, above _RESIDENT_LOW words, leave nothing resident, while
+    the decider's first chunks do stay."""
+    for size, digits in ((1, 0), (2, 1), (2, 10), (2, 12), (3, 6), (4, 5), (16, 3)):
+        block = _low_words(size, digits)
+        assert np.array_equal(block, lex_words_oracle(0, size**digits, size, digits + 2)[2:])
+        with pytest.raises(ValueError):
+            block[:, 0] = 1
+        assert _low_words(size, digits) is block
+    mul32 = fractional_multiplication_rule(MulSpec(3, 2))
+    twice = compose(eca(30), eca(30))
+    four_times = compose(twice, twice)
+    _low_words.cache_clear()
+    for rule in (compose(mul32, mul32), compose(four_times, twice)):  # 6**5 and 2**13 words
+        assert len(rule.rule.table) > _RESIDENT_LOW
+    _block(LocalRule(A2, 1, 1, eca(30).rule.table))  # a fresh rule: 2**13 words
+    assert _low_words.cache_info().currsize == 0
+    is_left_expansive(eca(30), ExpansivityDims(2, 2, 4))
+    assert 0 < _low_words.cache_info().currsize <= _low_words.cache_info().maxsize
+    assert 2**_chunk_digits(2, 2**10) <= _RESIDENT_LOW < 2**_chunk_digits(2, _COMPOSE_CHUNK)
 
 
 @given(st.integers(2, 4), st.integers(1, 17), st.integers(0, 40), st.integers(1, 5),
