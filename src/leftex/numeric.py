@@ -34,12 +34,15 @@ more runs long division in the limb radix, one big-integer step per limb.
 A period of p digits is worth W/(base**p - 1), but forming W converts all
 p digits.  ``_period_fraction`` instead reads a small denominator off a
 prefix of O(sqrt(p)) digits and proves the value exactly with one modular
-power and, for c < 2**31, no digit generated: the period read as int64
-limbs must equal the limbs (B * s_j) // c of a/c, B a power of the base
-and s_j = a * B**j mod c from the same table of powers.  Only other
-periods pay for W.  This makes valuing a configuration cheap enough that
-``verify_mul`` expands its start once and checks every image by its value
-alone, with no second route through ``rational_to_config``.
+power and, for c < 2**31, no digit generated.  The proof is one kernel,
+``_matches_expansions``, for a batch of periods w_t of one length over one
+c: each w_t read as int64 limbs must equal the limbs (B * s_tj) // c of
+a_t/c, B a power of the base and s_tj = a_t * B**j mod c from one table
+of powers.  Only other periods pay for W.  ``verify_mul`` needs no
+denominator search: it expands its start once, walks both automata over
+raw states, and since it knows what each image is worth, it knows what
+the image's tail must be worth, and proves the tails of one c and length
+together, a table block of digits at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 
 from .configuration import Alphabet, Configuration
 from .errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive, OutOfRange
-from .rules import Automaton, LocalRule, compose, orbit, shift_inverse_rule
+from .rules import Automaton, LocalRule, _states, compose, shift_inverse_rule
 from .words import _factorize, cyclic_slice
 
 RationalLike = Union[int, Fraction]
@@ -139,7 +142,8 @@ def _int_digits(v: int, base: int) -> bytes:
 _MAX_PERIOD = 10**8
 #: denominators below this have int64 products of two residues
 _TABLE_LIMIT = 2**31
-#: remainders computed per block of the table, bounding its temporaries
+#: remainders computed per block of the table, bounding its temporaries; also
+#: the count of held tail digits at which verify_mul proves them
 _TABLE_BLOCK = 2**16
 
 
@@ -196,35 +200,53 @@ def _expansion_digits(remainder: int, den: int, base: int, count: int) -> bytes:
     return out[:count].tobytes()
 
 
-def _matches_expansion(remainder: int, den: int, base: int, w: bytes) -> bool:
-    """Whether w (digits below base) is the first len(w) digits of
-    remainder/den, given base**len(w) == 1 (mod den).
+def _matches_expansions(remainders: list[int], den: int, base: int, words: list[bytes]) -> bool:
+    """Whether every word w_t (digits below base, all of one length p) is
+    the first p digits of remainders[t]/den, given base**p == 1 (mod den).
 
     For den < 2**31 no digit is generated.  With B = base**k, k the most
-    with B * den < 2**63, group j of k digits is (B * s_j) // den for
-    s_j = remainder * B**j mod den, and each limb of w, read as an int64
-    one table block of digits at a time, must equal it.  The expansion
-    repeats every len(w) digits, so the last partial limb is padded with
-    w's own first digits.  Larger denominators compare a long division.
+    with B * den < 2**63, limb j of word t, its k digits read as an int64,
+    must equal (B * s_tj) // den for s_tj = a_t * B**j mod den.  The powers
+    of B are built once for the batch into one (T, limbs) int64 block of
+    products congruent to the s_tj, which is reduced, and its digits
+    compared by one matrix product over every word, a table block at a
+    time.  The expansion repeats every p digits, so the
+    last partial limb is padded with each word's own first digits.  The
+    batch is joined into one buffer, which copies nothing for a batch of
+    one.  Larger denominators compare a long division word by word.
     """
-    p = len(w)
+    p, count = len(words[0]), len(words)
     if den >= _TABLE_LIMIT:
-        return _expansion_digits(remainder, den, base, p) == w
+        return all(_expansion_digits(a, den, base, p) == w for a, w in zip(remainders, words))
     k = 1
     while base ** (k + 1) * den < 2**63:
         k += 1
-    radix, full = base**k, p // k
-    want = _mod_powers(remainder, radix % den, -(-p // k), den)
-    want *= radix
-    want //= den
+    radix, full, limbs = base**k, p // k, -(-p // k)
+    # s_tj = a_t * radix**j mod den, laid out as _mod_powers lays out one
+    # run: each word's row starts times one row of about sqrt(limbs) powers
+    width = isqrt(limbs)
+    starts = np.multiply.outer(np.array(remainders, dtype=np.int64),
+                               _mod_powers(1, pow(radix, width, den), -(-limbs // width), den))
+    starts %= den
+    products = np.multiply.outer(starts, _mod_powers(1, radix % den, width, den)).reshape(count, -1)
+
+    def want(j: int, stop: int) -> np.ndarray:
+        block = products[:, j:stop]
+        block = block - block // den * den  # % den, by numpy's fast division by a scalar
+        block *= radix
+        block //= den
+        return block
+
     place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    limbs = np.frombuffer(w, dtype=np.uint8, count=full * k).reshape(full, k)
-    tail = w[full * k:]
-    if tail and _digits_to_int(tail + cyclic_slice(w, 0, k - len(tail)), base) != want[-1]:
-        return False
-    step = max(1, _TABLE_BLOCK // k)
-    return all(np.array_equal(limbs[j:j + step].astype(np.int64) @ place,
-                              want[j:min(j + step, full)]) for j in range(0, full, step))
+    digits = np.frombuffer(b"".join(words), dtype=np.uint8).reshape(count, p)
+    if full < limbs:
+        last = digits[:, np.arange(full * k, full * k + k) % p].astype(np.int64) @ place
+        if not np.array_equal(last, want(full, limbs)[:, 0]):
+            return False
+    step = max(1, _TABLE_BLOCK // (k * count))
+    return all(np.array_equal(
+        digits[:, j * k:min(j + step, full) * k].reshape(count, -1, k).astype(np.int64) @ place,
+        want(j, min(j + step, full))) for j in range(0, full, step))
 
 
 def _valuation(n: int, p: int) -> tuple[int, int]:
@@ -335,18 +357,31 @@ def _period_fraction(w: bytes, base: int) -> Fraction:
         guess = Fraction(_digits_to_int(w[:n], base), scale).limit_denominator(isqrt(scale) // 2)
         a, c = guess.numerator, guess.denominator
         if guess != rejected and a < c and pow(base, p, c) == 1 % c \
-                and _matches_expansion(a, c, base, w):
+                and _matches_expansions([a], c, base, [w]):
             return guess
         rejected = guess
         n *= 4
     return Fraction(_digits_to_int(w, base), base**p - 1)
 
 
+def _split(anchor: int, head: bytes, rp: bytes) -> tuple[bytes, int, bytes]:
+    """(word, h, tail) of the parts of a configuration with a zero left tail:
+    the digits from the anchor to the last one before the tail, which start
+    at index max(anchor + len(head), 0), the count h of fractional digits
+    among them, and one period of the tail from there.  The value is
+    (word + 0.tail tail ...) / base**h.  A head that ends left of the units
+    digit is followed by the period out to index -1."""
+    tail_start = anchor + len(head)
+    h = max(tail_start, 0)
+    word = head + cyclic_slice(rp, 0, h - tail_start)
+    return word, h, cyclic_slice(rp, h - tail_start, len(rp))
+
+
 def config_to_rational(x: Configuration, base: int) -> Fraction:
     """Exact value of a number-like digit configuration.
 
-    The integer digits and the fractional digits before the periodic tail
-    are converted to integers; the tail, read from the first fractional
+    The digits before the periodic tail are one integer, over base**h for
+    their h fractional digits; the tail, read from the first fractional
     position, is valued by ``_period_fraction``, so e.g. the all-nines
     tail in base 10 evaluates to exactly 1.
     """
@@ -354,17 +389,8 @@ def config_to_rational(x: Configuration, base: int) -> Fraction:
         raise AlphabetMismatch(f"configuration is over {x.alphabet.size} symbols, not base {base}")
     if not x.is_number_like:
         raise NotNumberLike("value of a configuration requires a zero left tail and x != 0")
-    ipart = 0
-    if x.anchor < 0:
-        ipart = _digits_to_int(x.window(x.anchor, -1), base)
-    tail_start = x.anchor + len(x.head)
-    split = max(tail_start, 0)
-    frac_head = x.window(0, split - 1) if split > 0 else b""
-    plen = len(x.right_period)
-    phase = (split - tail_start) % plen
-    period_value = _period_fraction(cyclic_slice(x.right_period, phase, plen), base)
-    frac = _digits_to_int(frac_head, base) + period_value
-    return ipart + frac / base ** len(frac_head)
+    word, h, tail = _split(x.anchor, x.head, x.right_period)
+    return (_digits_to_int(word, base) + _period_fraction(tail, base)) / base**h
 
 
 # -- multiplication automata ----------------------------------------------------
@@ -426,25 +452,59 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
 
     True iff for all 1 <= t <= steps the integer automaton maps the digit
     configuration of xi to a configuration whose value is exactly p^t * xi,
-    and the fractional automaton to one worth exactly (p/q)^t * xi.  Each
-    image is valued by ``config_to_rational``, which also accepts an image
-    ending in an infinite tail of base-1 digits; an image that is not
+    and the fractional automaton to one worth exactly (p/q)^t * xi.  An
+    image may end in an infinite tail of base-1 digits; one that is not
     number-like has no value, so it fails the check.
+
+    Each image is a raw state of the orbit walker, and its right tail must
+    be worth r = expected * base**h - H, H the digits before the tail and h
+    their count of fractional digits (``_split``).  A nonzero left tail,
+    r outside [0, 1], or a p-digit tail with base**p != 1 modulo r's
+    denominator c fails at once; r = 0 or 1 is an all-zero or all-(base-1)
+    tail.  The other tails wait until they add up to one table block of
+    digits, or the walk ends, and are then proved by one
+    ``_matches_expansions`` call per (c, p).
     """
     if steps < 1:
         raise OutOfRange("steps must be at least 1")
     xi = Fraction(value)
     base = spec.base
     x = rational_to_config(xi, base)
+    groups: dict[tuple[int, int], tuple[list[int], list[bytes]]] = {}
+    pending = 0
+
+    def prove() -> bool:
+        return all(_matches_expansions(remainders, c, base, words)
+                   for (c, _), (remainders, words) in groups.items())
+
     for automaton, factor in (
         (multiplication_rule(spec), Fraction(spec.p)),
         (fractional_multiplication_rule(spec), Fraction(spec.p, spec.q)),
     ):
-        images = orbit(automaton, x)
-        next(images)  # the start configuration itself
+        states = _states(automaton, x)
+        next(states)  # the start configuration itself
         expected = xi
-        for _, y in zip(range(steps), images):
+        for _, (anchor, lp, head, rp) in zip(range(steps), states):
             expected *= factor
-            if not y.is_number_like or config_to_rational(y, base) != expected:
+            if lp.strip(b"\x00"):
                 return False
-    return True
+            word, h, tail = _split(anchor, head, rp)
+            r = expected * base**h - _digits_to_int(word, base)
+            if not 0 <= r <= 1:
+                return False
+            if r.denominator == 1:
+                if tail.strip(bytes([base - 1 if r else 0])):
+                    return False
+                continue
+            if pow(base, len(tail), r.denominator) != 1:
+                return False
+            remainders, words = groups.setdefault((r.denominator, len(tail)), ([], []))
+            remainders.append(r.numerator)
+            words.append(tail)
+            pending += len(tail)
+            if pending >= _TABLE_BLOCK:
+                if not prove():
+                    return False
+                groups.clear()
+                pending = 0
+    return prove()

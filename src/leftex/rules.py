@@ -53,7 +53,8 @@ quadratic in the number of steps.  Every walk that reads less than a whole
 configuration reads the walker: columns() yields only the words
 F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
 limit-point censuses and rasters read, and left edges and recurrences of
-tails are read off its raw states (_states) too.  A long column walk maps
+tails are read off its raw states (_states) too, as are verify_mul's
+images, which need no canonical form to be valued.  A long column walk maps
 k rows per lookup from its first row, through the rule's block (_block):
 tables over every neighborhood of width 1 + k*(m+n) that give the center
 of F^k and, under the window, the k-1 rows in between (k = 6 for the
@@ -63,7 +64,7 @@ depends only on row t over [i-r*m, j+r*n].  Once that cone word is no
 wider than the word the next step would map, columns() cuts it off the
 state once and maps it down k rows per lookup, so the state is neither
 stepped nor canonicalized again.  orbit() yields canonical configurations,
-for simulate, verify_mul and library callers; it steps each canonical
+for simulate and library callers; it steps each canonical
 image with apply(), which is _step followed by canonicalization and never
 steps a head longer than the canonical one.
 """

@@ -13,9 +13,13 @@ expansivity searches over every full-length seed, and the traces, left
 edges and tail recurrences read off canonical orbits, one configuration
 per step) without touching the library's fast paths, so
 tests compare two genuinely different routes to the same answer.
-The one exception is the dimension search that decides every cell: it calls
-the library's decider, which the oracles above check, so that it tests the
-pruning of the search and not the decider again.
+There are two exceptions.  The dimension search that decides every cell
+calls the library's decider, which the oracles above check, so that it
+tests the pruning of the search and not the decider again.  The
+multiplication check steps canonical configurations and values each image
+with the library's config_to_rational, which the closed form above checks,
+so that it tests verify_mul's tail proofs over raw states and not the
+valuing again.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ from leftex import (
     ExpansivityDims,
     PropertyVerdict,
     Verdict,
+    config_to_rational,
+    fractional_multiplication_rule,
     is_left_expansive,
+    multiplication_rule,
+    rational_to_config,
 )
 from leftex.configuration import _rotl, fractional_part, left_edge
 from leftex.properties import DEFAULT_BUDGET
@@ -151,6 +159,28 @@ def expansion_matches_oracle(remainder: int, den: int, base: int, w: bytes) -> b
     """Whether w is the first len(w) digits of remainder/den, by expanding
     them with schoolbook long division and comparing."""
     return bytes(long_division_digits(remainder, den, base, len(w))) == w
+
+
+def verify_mul_oracle(spec, value, steps: int, automata=None) -> bool:
+    """verify_mul by stepping canonical configurations with rules.orbit and
+    valuing each image with config_to_rational, which finds the value's
+    denominator from the digits and knows nothing of the expected value.
+    ``automata`` is (integer automaton, fractional automaton), the library's
+    two rules for ``spec`` by default."""
+    xi = Fraction(value)
+    base = spec.base
+    if automata is None:
+        automata = (multiplication_rule(spec), fractional_multiplication_rule(spec))
+    x = rational_to_config(xi, base)
+    for automaton, factor in zip(automata, (Fraction(spec.p), Fraction(spec.p, spec.q))):
+        images = orbit(automaton, x)
+        next(images)  # the start configuration itself
+        expected = xi
+        for _, y in zip(range(steps), images):
+            expected *= factor
+            if not y.is_number_like or config_to_rational(y, base) != expected:
+                return False
+    return True
 
 
 def digits_to_int_oracle(w: bytes, base: int) -> int:

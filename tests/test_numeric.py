@@ -6,6 +6,7 @@ import signal
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,7 +40,7 @@ from leftex.numeric import (
     _expansion_digits,
     _int_digits,
     _int_to_digits,
-    _matches_expansion,
+    _matches_expansions,
     _pack_width,
     _period_fraction,
     _period_split,
@@ -57,6 +58,7 @@ from oracles import (
     preperiod_oracle,
     rational_to_config_oracle,
     small_rationals,
+    verify_mul_oracle,
 )
 
 
@@ -245,12 +247,12 @@ def test_rejected_candidates_cost_a_short_prefix(monkeypatch):
         converted.append(len(w))
         return _digits_to_int(w, base)
 
-    def counting_matches_expansion(remainder, den, base, w):
-        proved.append(len(w))
-        return _matches_expansion(remainder, den, base, w)
+    def counting_matches_expansions(remainders, den, base, words):
+        proved.append([len(w) for w in words])
+        return _matches_expansions(remainders, den, base, words)
 
     monkeypatch.setattr(numeric, "_digits_to_int", counting_digits_to_int)
-    monkeypatch.setattr(numeric, "_matches_expansion", counting_matches_expansion)
+    monkeypatch.setattr(numeric, "_matches_expansions", counting_matches_expansions)
     assert config_to_rational(x, 10) == want
     assert max(converted) == p and converted.count(p) == 1
     assert sum(converted) - p <= 8 * math.sqrt(p) + 64
@@ -266,13 +268,13 @@ def test_a_rejected_candidate_is_checked_once(monkeypatch):
     want = config_to_rational_oracle(x, 10)
     proved = []
 
-    def counting_matches_expansion(remainder, den, base, w):
-        proved.append((remainder, den, base, len(w)))
-        return _matches_expansion(remainder, den, base, w)
+    def counting_matches_expansions(remainders, den, base, words):
+        proved.append((remainders, den, base, [len(w) for w in words]))
+        return _matches_expansions(remainders, den, base, words)
 
-    monkeypatch.setattr(numeric, "_matches_expansion", counting_matches_expansion)
+    monkeypatch.setattr(numeric, "_matches_expansions", counting_matches_expansions)
     assert config_to_rational(x, 10) == want
-    assert proved == [(1, 7, 10, 600000)]
+    assert proved == [([1], 7, 10, [600000])]
 
 
 def test_multiplicative_order_against_naive():
@@ -399,7 +401,54 @@ def test_period_proof_matches_expanding_and_comparing(base, den, data):
     if at is not None:
         w[at % p] = (w[at % p] + data.draw(st.integers(1, base - 1))) % base
     w = bytes(w)
-    assert _matches_expansion(a, c, base, w) == expansion_matches_oracle(a, c, base, w) == (at is None)
+    assert _matches_expansions([a], c, base, [w]) == expansion_matches_oracle(a, c, base, w) \
+        == (at is None)
+
+
+@given(st.sampled_from([2, 6, 10, 15, 28, 256]), table_dens, st.integers(1, 5),
+       st.sampled_from([1, 50, numeric._TABLE_BLOCK]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_batched_period_proof_matches_expanding_each_word(base, den, count, block, data):
+    """A batch of periods of a/c for several a is proved exactly when long
+    division confirms every word; one digit changed in one member, at
+    either end or on either side of the first limb edge, makes the batch
+    False.  Small table blocks split the batch's limbs into many blocks."""
+    c = coprime_part_oracle(den, base)
+    order = multiplicative_order(base, c)
+    assume(order <= 10**4)
+    p = order * data.draw(st.integers(1, max(1, 6000 // order)))
+    remainders = [data.draw(st.integers(0, c - 1)) for _ in range(count)]
+    words = [bytearray(long_division_digits(a, c, base, p)) for a in remainders]
+    k = next(k for k in range(1, 64) if base ** (k + 1) * c >= 2**63)
+    wrong = data.draw(st.sampled_from([None, *range(count)]))
+    if wrong is not None:
+        at = data.draw(st.sampled_from([0, k - 1, k, p - 1])) % p
+        words[wrong][at] = (words[wrong][at] + data.draw(st.integers(1, base - 1))) % base
+    words = [bytes(w) for w in words]
+    with mock.patch.object(numeric, "_TABLE_BLOCK", block):
+        got = _matches_expansions(remainders, c, base, words)
+    assert got == all(expansion_matches_oracle(a, c, base, w) for a, w in zip(remainders, words)) \
+        == (wrong is None)
+
+
+@pytest.mark.parametrize("base, c, p", [
+    (10, 7, 6),  # shorter than one limb: the padded limb repeats the word
+    (10, 7, 6 * 7),  # 42 digits, not a multiple of the 18-digit limb
+    (10, 10**12 - 1, 24),  # c >= 2**31: long division, word by word
+    (256, 2**32 + 1, 8),  # 256**4 == -1 (mod 2**32 + 1), so the order is 8
+])
+def test_batched_period_proof_on_partial_limbs_and_large_denominators(base, c, p):
+    assert pow(base, p, c) == 1
+    remainders = [1, c // 3, c - 1]
+    words = [bytes(long_division_digits(a, c, base, p)) for a in remainders]
+    assert _matches_expansions(remainders, c, base, words)
+    for i in range(len(words)):
+        for at in (0, p - 1):
+            bad = bytearray(words[i])
+            bad[at] = (bad[at] + 1) % base
+            batch = words[:i] + [bytes(bad)] + words[i + 1:]
+            assert not _matches_expansions(remainders, c, base, batch)
+            assert not expansion_matches_oracle(remainders[i], c, base, bytes(bad))
 
 
 def test_long_period_proof_memory_is_under_a_byte_a_digit():
@@ -586,6 +635,93 @@ def test_verify_mul_spot_checks_match_direct_real_comparison():
             expected *= Fraction(3, 2)
             assert config_to_rational(x, 6) == expected
         assert verify_mul(spec, xi, 5)
+
+
+MUL_SPECS = [MulSpec(p, q) for q in range(2, 5) for p in range(q + 1, 8) if math.gcd(p, q) == 1]
+
+
+@given(st.sampled_from(MUL_SPECS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_mul_matches_the_canonical_oracle(spec, data):
+    """The tail proofs over raw states give the verdict of valuing every
+    canonical image with config_to_rational, on the library's automata and
+    on ones with one corrupted table entry (the all-zero neighborhood kept
+    quiescent), and with table blocks small enough that the pending tails
+    are proved many times along the walk."""
+    xi = data.draw(small_rationals()
+                   | st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4)))
+    steps = data.draw(st.integers(1, 8))
+    block = data.draw(st.sampled_from([numeric._TABLE_BLOCK, 64, 1]))
+    automata = [multiplication_rule(spec), fractional_multiplication_rule(spec)]
+    corrupt = data.draw(st.sampled_from([None, 0, 1]))
+    if corrupt is not None:
+        rule = automata[corrupt].rule
+        table = bytearray(rule.table)
+        i = data.draw(st.integers(1, len(table) - 1))
+        table[i] = (table[i] + data.draw(st.integers(1, spec.base - 1))) % spec.base
+        automata[corrupt] = Automaton(LocalRule(rule.alphabet, rule.memory, rule.anticipation,
+                                                bytes(table)))
+    want = verify_mul_oracle(spec, xi, steps, automata)
+    with mock.patch.object(numeric, "multiplication_rule", lambda s: automata[0]), \
+            mock.patch.object(numeric, "fractional_multiplication_rule", lambda s: automata[1]), \
+            mock.patch.object(numeric, "_TABLE_BLOCK", block):
+        assert verify_mul(spec, xi, steps) == want
+
+
+def test_verify_mul_proves_short_tails_together_and_long_ones_as_they_come(monkeypatch):
+    """The 16 images of 1/7 in base 6 have tails of period 2 over 7, proved
+    by one call at the end; those of 1/1000003 have 500001-digit tails, each
+    over one table block, so each is proved as soon as it is read."""
+    calls = []
+
+    def counting_matches_expansions(remainders, den, base, words):
+        calls.append((den, [len(w) for w in words]))
+        return _matches_expansions(remainders, den, base, words)
+
+    monkeypatch.setattr(numeric, "_matches_expansions", counting_matches_expansions)
+    assert verify_mul(MulSpec(3, 2), Fraction(1, 7), 8)
+    assert calls == [(7, [2] * 16)]
+    calls.clear()
+    assert verify_mul(MulSpec(3, 2), Fraction(1, 1000003), 8)
+    assert calls == [(1000003, [500001])] * 16
+
+
+SEVENTHS = [(0, b"\x00", b"", b"\x02\x03"), (0, b"\x00", b"\x01", b"\x01\x04")]  # 3/7, 3/14
+SIXTHS = [(0, b"\x00", b"\x02", b"\x05"), (0, b"\x00", b"\x01\x02", b"\x05")]  # 1/2, 1/4
+
+
+@pytest.mark.parametrize("xi, images, ok", [
+    (Fraction(1, 7), SEVENTHS, True),
+    (Fraction(1, 6), SIXTHS, True),  # all-5 tails worth 1
+    (Fraction(1, 6), [(0, b"\x00", b"\x02", b"\x04"), SIXTHS[1]], False),
+    (Fraction(1, 7), [(0, b"\x01", b"", b"\x02\x03"), SEVENTHS[1]], False),  # left tail not zero
+    (Fraction(1, 7), [(-1, b"\x00", b"\x01", b"\x02\x03"), SEVENTHS[1]], False),  # r < 0
+    # the first 23 digits of 3/7, one whole limb of the proof: only
+    # 6**23 != 1 (mod 7) tells that this tail repeats another value
+    (Fraction(1, 7), [(0, b"\x00", b"", b"\x02\x03" * 11 + b"\x02"), SEVENTHS[1]], False),
+])
+def test_verify_mul_values_raw_tails_by_their_expected_value(monkeypatch, xi, images, ok):
+    """Images in base 6 handed to verify_mul as the walker's raw states, one
+    step of mulint:3/2 and one of mul:3/2 from xi."""
+    spec = MulSpec(3, 2)
+    by_name = {"mulint:3/2": images[0], "mul:3/2": images[1]}
+    monkeypatch.setattr(numeric, "_states", lambda a, x: iter([None, by_name[a.name]]))
+    assert verify_mul(spec, xi, 1) is ok
+
+
+def test_verify_mul_memory_holds_no_stack_of_periods():
+    """The traced peak of 8 steps from 1/1000003 in base 6 covers the start
+    expansion and one walker step over its 500001-digit period, about 5
+    bytes a digit; it stays under 6, where holding the 16 image tails until
+    the end would add 16 bytes a digit (the valuing of every canonical
+    image it replaces peaked at 8)."""
+    tracemalloc.start()
+    try:
+        assert verify_mul(MulSpec(3, 2), Fraction(1, 1000003), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 500001
 
 
 def test_verify_mul_rejects_a_wrong_automaton(monkeypatch):
