@@ -54,13 +54,15 @@ False, fixed chunks of 1024 gave a median op time of 0.85 ms, against
 chunks of 2^12 or 2^14 (2^14 also took 1 MB more memory).
 
 A chunk is a uint8 digit matrix with one prefix per column; the generator
-grows its patch rows by table lookup on the whole matrix at once, gathered
-by bytes.translate when the table has at most 256 entries.
+grows its patch rows by table lookup on the whole matrix at once: one shift
+of the packed bits of a binary table of at most 8 entries, bytes.translate
+for another table of at most 256 (rules.lookup_windows).
 Each prefix is keyed by its rectangle: the n_rows*w symbols, in radix size,
-packed by one integer matrix product into ceil(n_rows*w / k) uint64 words,
-k being the most symbols whose radix value stays below 2**64 (_key_layout,
-built once per size and rectangle).  One word is a uint64 key, and more
-are a void view of the same words.  The keys are exact, not hashes: equal
+packed by one einsum into one uint32 word when size**(n_rows*w) <= 2**32,
+else into ceil(n_rows*w / k) uint64 words, k being the most symbols whose
+radix value stays below 2**64 (_key_layout, built once per size and
+rectangle).  One word is a uint32 or uint64 key, and more are a void view
+of the same words.  The keys are exact, not hashes: equal
 keys are equal rectangles.  One stable sort of the chunk's keys finds the
 first occurrence of every key (_first_occurrences).  The rectangles met
 in earlier chunks are carried as sorted runs of (key, determined value,
@@ -267,20 +269,23 @@ def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
 @lru_cache(maxsize=64)
 def _key_layout(size: int, symbols: int) -> tuple[np.ndarray, np.dtype]:
     """How the decider packs a rectangle of ``symbols`` symbols, in radix
-    ``size``, into uint64 words of k symbols each, k the most whose radix
-    value stays below 2**64: the read-only (words, symbols) matrix of radix
-    weights that maps a rectangle column to its words, and the key dtype,
-    uint64 for one word and a void over the words' bytes for more."""
+    ``size``: into one uint32 word when its radix value stays below 2**32,
+    else into uint64 words of k symbols each, k the most whose radix value
+    stays below 2**64.  Returns the read-only (words, symbols) matrix of
+    radix weights that maps a rectangle column to its words, and the key
+    dtype, the word's for one word and a void over the words' bytes for
+    more."""
+    word_type = np.uint32 if size**symbols <= 2**32 else np.uint64
     per_word = symbols
     while size**per_word > 2**64:
         per_word -= 1
     i = np.arange(symbols)
     word = i // per_word  # the word symbol i sits in, most significant first
-    weights = np.zeros((word[-1] + 1, symbols), dtype=np.uint64)
+    weights = np.zeros((word[-1] + 1, symbols), dtype=word_type)
     weights[word, i] = np.uint64(size) ** (
         np.minimum(word * per_word + per_word, symbols) - 1 - i).astype(np.uint64)
     weights.flags.writeable = False
-    key = np.dtype(np.uint64) if len(weights) == 1 else np.dtype((np.void, 8 * len(weights)))
+    key = np.dtype(word_type) if len(weights) == 1 else np.dtype((np.void, 8 * len(weights)))
     return weights, key
 
 
@@ -323,7 +328,7 @@ def is_left_expansive(
     runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
     for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
         rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
-        keys = np.ascontiguousarray((weights @ rect).T).view(key_type).ravel()
+        keys = np.ascontiguousarray(np.einsum("ws,sn->nw", weights, rect)).view(key_type).ravel()
         vals = rows[dims.h][det_index]
         uniq, where, inverse = _first_occurrences(keys)
         # each key's reference: its entry in an earlier run, else its first

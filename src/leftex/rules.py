@@ -21,8 +21,9 @@ about 5 us a call.  Every other evaluation is a numpy lookup
 tables, block lookups, and many equal-length words at once when they are
 stacked as the columns of a matrix, which is how the expansivity decider
 grows a chunk of seeds.  Under a table of at most 256 entries the index is
-uint8 and its bytes are gathered by bytes.translate; a larger table is
-gathered by numpy's take.
+uint8: a binary table of at most 8 entries (every ECA) is gathered by one
+shift of its bits, packed in one uint8, and another by bytes.translate over
+the index's bytes; a larger table is gathered by numpy's take.
 
 Every such matrix of words in lexicographic order, and every row grown
 from it, comes from one generator, _patches, which yields a range of words
@@ -136,6 +137,10 @@ class LocalRule:
         # the short-word kernel's bytes.translate table, None past 256 entries
         object.__setattr__(self, "_translation", self.table.ljust(256, b"\0")
                            if len(self.table) <= 256 else None)
+        # lookup_windows' shift gather: a binary table of at most 8 entries
+        # as the bits of one uint8, entry i in bit i; None for every other
+        object.__setattr__(self, "_packed", np.uint8(sum(b << i for i, b in enumerate(self.table)))
+                           if self.alphabet.size == 2 and len(self.table) <= 8 else None)
 
     def __reduce__(self):
         return LocalRule, (self.alphabet, self.memory, self.anticipation, self.table)
@@ -287,12 +292,18 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     ``count`` words column-wise and is mapped in one pass.  The result has
     m+n fewer rows and the table's ``uint8`` dtype.  The radix index is
     accumulated in the narrowest unsigned type that holds every table
-    index.  A table of at most 256 entries (the rule's _translation) has a
-    ``uint8`` index, gathered by one bytes.translate over its bytes into a
-    read-only array; a larger table is gathered by ``take``, which widens
-    the index to ``intp``.
+    index.  A binary table of at most 8 entries (every ECA) is gathered in
+    place by one shift of its packed bits (the rule's _packed) by each
+    index.  Any other table of at most 256 entries (the rule's _translation)
+    has a ``uint8`` index, gathered by one bytes.translate over its bytes
+    into a read-only array; a larger table is gathered by ``take``, which
+    widens the index to ``intp``.
     """
     idx = _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype)
+    if rule._packed is not None:  # width <= 3, so Horner's astype made idx a fresh array
+        np.right_shift(rule._packed, idx, out=idx)
+        idx &= 1
+        return idx
     if rule._translation is None:
         return rule._table_array.take(idx)
     return np.frombuffer(idx.tobytes().translate(rule._translation),

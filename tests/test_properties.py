@@ -330,6 +330,41 @@ def test_key_layouts_are_cached_and_read_only():
     assert weights.shape == (2, 66) and key_type.itemsize == 16
     with pytest.raises(ValueError):
         weights[0, 0] = 1
+    # one uint32 word while size**symbols <= 2**32, one uint64 word past it
+    for size, symbols, word in ((2, 32, np.uint32), (3, 20, np.uint32),
+                                (2, 33, np.uint64), (3, 21, np.uint64)):
+        weights, key_type = properties._key_layout(size, symbols)
+        assert weights.shape == (1, symbols) and weights.dtype == key_type == word
+        assert weights.astype(object).sum() * (size - 1) == size**symbols - 1
+
+
+#: a ternary (0,0) rule and its constant-0 square: f(0) = f(1) = 0, f(2) = 1
+SQUASH = Automaton(LocalRule(Alphabet(3), 0, 0, bytes([0, 0, 1])))
+#: another ternary (0,0) rule, under which no power is constant
+MOVE = Automaton(LocalRule(Alphabet(3), 0, 0, bytes([2, 2, 1])))
+ZERO3 = Automaton(LocalRule(Alphabet(3), 0, 0, bytes(3)))
+
+
+def test_keys_at_both_sides_of_the_uint32_bound_match_the_full_length_oracle():
+    """Rectangles of 32 binary and 20 ternary symbols are keyed in one
+    uint32 word, and of 33 binary and 21 ternary symbols in one uint64
+    word.  On each side a proof that carries every key to the last chunk
+    and a refutation past the first chunk give the full-length oracle's
+    verdict JSON, on seed spaces of 6561 to 177147."""
+    for automaton, dims, status, checked in (
+            (eca(30), ExpansivityDims(1, 2, 8), "True", 2**15),
+            (eca(106), ExpansivityDims(1, 2, 8), "False", 12289),
+            (ZERO3, ExpansivityDims(1, 0, 10), "True", 3**11),
+            (SQUASH, ExpansivityDims(1, 0, 10), "False", 118099),
+            (eca(30), ExpansivityDims(1, 1, 11), "True", 2**16),
+            (eca(106), ExpansivityDims(1, 1, 11), "False", 49153),
+            (SQUASH, ExpansivityDims(2, 0, 7), "True", 3**8),
+            (MOVE, ExpansivityDims(2, 0, 7), "False", 4375)):
+        size, symbols = automaton.alphabet.size, (dims.h + dims.d + 1) * dims.w
+        assert (size, symbols) in ((2, 32), (3, 20), (2, 33), (3, 21))
+        verdict = is_left_expansive(automaton, dims).to_json_dict()
+        assert verdict["status"] == status and verdict["seeds_checked"] == checked
+        assert verdict == chunked_left_expansive_oracle(automaton, dims).to_json_dict()
 
 
 def test_single_symbol_alphabet_is_expansive_with_one_seed():

@@ -413,29 +413,40 @@ def test_map_windows_matches_rolling_index_oracle():
 
 
 def test_lookup_windows_matches_the_oracle_on_matrices():
-    """Both gathers on word matrices, column by column: bytes.translate for
-    tables of 1, 8, 216 and 256 entries (a single symbol, an ECA, 6 symbols
-    at width 3, binary width 8 and 256 symbols at width 1), ``take`` for
-    larger tables (289 to 1000 entries), on contiguous matrices and on the
-    column-cut views that _patches yields at the ends of a range."""
+    """Every gather on word matrices, column by column: the shift of the
+    packed bits for every ECA and for random binary tables of 2 to 8
+    entries, bytes.translate for the other tables of at most 256 entries (a
+    single symbol, 6 symbols at width 3, binary width 8 and 256 symbols at
+    width 1), ``take`` for larger tables (289 to 1000 entries), on
+    contiguous matrices and on the column-cut views that _patches yields at
+    the ends of a range.  A table is packed iff it is binary with at most 8
+    entries."""
     rng = random.Random(23)
-    small = [(1, 1, 1), (2, 1, 1), (6, 1, 1), (2, 3, 4), (256, 0, 0)]
+    packed = [eca(number).rule for number in range(256)]
+    for m, n in ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1)):
+        for _ in range(4):
+            packed.append(LocalRule(Alphabet(2), m, n, bytes(rng.randrange(2)
+                                                            for _ in range(2 ** (m + n + 1)))))
+    small = [(1, 1, 1), (6, 1, 1), (2, 3, 4), (256, 0, 0)]
     large = [(2, 4, 4), (17, 0, 1), (3, 2, 3), (10, 1, 1)]
-    for size, m, n in small + large:
-        rule = LocalRule(Alphabet(size), m, n,
-                         bytes(rng.randrange(size) for _ in range(size ** (m + n + 1))))
-        assert (rule._translation is not None) == ((size, m, n) in small)
+    others = [LocalRule(Alphabet(size), m, n,
+                        bytes(rng.randrange(size) for _ in range(size ** (m + n + 1))))
+              for size, m, n in small + large]
+    for rule in packed + others:
+        size = rule.alphabet.size
+        assert (rule._packed is not None) == (size == 2 and len(rule.table) <= 8)
+        assert (rule._translation is not None) == (len(rule.table) <= 256)
         for length, count in ((rule.width, 1), (rule.width + 3, 7), (20, 1024)):
             words = np.frombuffer(bytes(b % size for b in rng.randbytes(length * count)),
                                   dtype=np.uint8).reshape(length, count)
+            want = [map_windows_oracle(rule, words[:, col].tobytes()) for col in range(count)]
             for lo, hi in ((0, count), (count // 3, count), (0, count - count // 4),
                            (count // 5, count // 2 + 1)):
                 view = words[:, lo:hi]
                 got = lookup_windows(rule, view)
                 assert got.dtype == np.uint8 and got.shape == (length - rule.width + 1, hi - lo)
                 for col in range(hi - lo):
-                    assert got[:, col].tobytes() == \
-                        map_windows_oracle(rule, view[:, col].tobytes())
+                    assert got[:, col].tobytes() == want[lo + col]
 
 
 def test_low_blocks_are_resident_read_only_and_bounded():
