@@ -19,6 +19,10 @@ from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooSho
 from .properties import ExpansivityDims
 from .rules import Automaton, _states, columns
 
+#: the longest prefix a limit-point census counts; counting every length up
+#: to n_max slices each kept word n_max times, about 10 s at 10**5 over 6 rows
+_MAX_PREFIX = 10**5
+
 
 @dataclass(frozen=True)
 class PeriodCertificate:
@@ -177,9 +181,12 @@ def limit_point_census(
     census can suggest an abundance of limit points but a finite run can
     never certify infinitude, so only the counts are returned.  Only the
     distinct n_max-words are kept: their n-prefixes are the n-prefixes seen.
+    A length above _MAX_PREFIX raises OutOfRange before any is listed.
     """
     if horizon < 0:
         raise OutOfRange("horizon must be nonnegative")
+    if any(n > _MAX_PREFIX for n in lengths):
+        raise OutOfRange(f"prefix lengths above {_MAX_PREFIX} are not supported")
     lengths = sorted(set(lengths))
     if not lengths:
         return {}

@@ -425,12 +425,13 @@ def multiplication_rule(spec: MulSpec) -> Automaton:
     promoted, the high part of the right neighbor carries in.
     """
     p, q, base = spec.p, spec.q, spec.base
+    alphabet = Alphabet(base)  # refuses a base above 256 before the table is allocated
     table = bytearray(base * base)
     for a in range(base):
         a0 = a % q
         for b in range(base):
             table[a * base + b] = a0 * p + b // q
-    return Automaton(LocalRule(Alphabet(base), 0, 1, bytes(table)), name=f"mulint:{p}/{q}")
+    return Automaton(LocalRule(alphabet, 0, 1, bytes(table)), name=f"mulint:{p}/{q}")
 
 
 @lru_cache(maxsize=64)

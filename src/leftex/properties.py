@@ -84,7 +84,9 @@ the same reference row and left column, lies inside the larger one and has
 the same determined cell.  The decider is exact, so a False verdict at
 (h', d', w') is a False verdict at every smaller cell, and
 find_left_expansive_dims settles its whole search with one refuting probe
-at the top corner (max_h, max_d, max_w).
+at the top corner (max_h, max_d, max_w).  The search reads each cell's
+status from _decide and builds no certificate; is_left_expansive alone
+turns a conflict into a Counterexample.
 
 Left spreading is decided by a search for a uniform witness: a t at which
 F^t has moved the left edge of every number-like x left, so that every edge
@@ -303,6 +305,52 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return ordered[flag], order[flag], inverse
 
 
+def _first_conflict(rule: LocalRule, dims: ExpansivityDims, frame: tuple) -> Optional[tuple]:
+    """The decider's chunk loop: the first conflict as (chunk start, column,
+    reference prefix, reference value, rows, rectangle matrix), or None."""
+    size = rule.alphabet.size
+    _, read_len, _, starts, det_index, _ = frame
+    n_rows, w = len(starts), dims.w
+    weights, key_type = _key_layout(size, n_rows * w)
+    runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
+    for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
+        rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
+        keys = np.ascontiguousarray(np.einsum("ws,sn->nw", weights, rect)).view(key_type).ravel()
+        vals = rows[dims.h][det_index]
+        uniq, where, inverse = _first_occurrences(keys)
+        # each key's reference: its entry in an earlier run, else its first
+        # prefix in this chunk
+        ref_vals, ref_prefixes = vals[where], where + first
+        new = np.ones(len(uniq), dtype=bool) if runs else slice(None)  # first chunk: all new
+        for run_keys, run_vals, run_prefixes in runs:
+            pos = np.minimum(np.searchsorted(run_keys, uniq), len(run_keys) - 1)
+            hit = run_keys[pos] == uniq
+            ref_vals[hit] = run_vals[pos[hit]]
+            ref_prefixes[hit] = run_prefixes[pos[hit]]
+            new &= ~hit
+        clash = vals != ref_vals[inverse]
+        j = int(clash.argmax())
+        if clash[j]:
+            return first, j, int(ref_prefixes[inverse[j]]), int(ref_vals[inverse[j]]), rows, rect
+        run = (uniq[new], ref_vals[new], ref_prefixes[new])
+        while runs and len(runs[-1][0]) <= 2 * len(run[0]):  # each run > twice the next
+            older = runs.pop()
+            at = np.searchsorted(older[0], run[0])
+            run = tuple(np.insert(a, at, b) for a, b in zip(older, run))
+        if len(run[0]):
+            runs.append(run)
+    return None
+
+
+def _decide(rule: LocalRule, dims: ExpansivityDims, budget: int) -> tuple:
+    """(frame, status, first conflict); UNKNOWN searches nothing."""
+    frame = _decider_frame(rule, dims)
+    if frame[-1] > budget:
+        return frame, Verdict.UNKNOWN, None
+    conflict = _first_conflict(rule, dims, frame)
+    return frame, Verdict.TRUE if conflict is None else Verdict.FALSE, conflict
+
+
 def is_left_expansive(
     automaton: Automaton, dims: ExpansivityDims, *, budget: int = DEFAULT_BUDGET
 ) -> PropertyVerdict:
@@ -314,57 +362,30 @@ def is_left_expansive(
     budget = _check_budget(budget)
     rule = automaton.rule
     size = rule.alphabet.size
-    seed_len, read_len, c, starts, det_index, needed = _decider_frame(rule, dims)
-    n_rows, w = len(starts), dims.w
+    frame, status, conflict = _decide(rule, dims, budget)
+    seed_len, read_len, c, starts, det_index, needed = frame
     seed_space = size**seed_len
     name = f"left-expansive({dims.h},{dims.d},{dims.w})"
-    if needed > budget:
+    if status is Verdict.UNKNOWN:
         return PropertyVerdict(
-            name, Verdict.UNKNOWN, dims, size, 0, seed_space,
-            evals_needed=needed, budget=budget,
+            name, status, dims, size, 0, seed_space, evals_needed=needed, budget=budget,
         )
-    pad = seed_len - read_len
-    weights, key_type = _key_layout(size, n_rows * w)
-    runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
-    for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
-        rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
-        keys = np.ascontiguousarray(np.einsum("ws,sn->nw", weights, rect)).view(key_type).ravel()
-        vals = rows[dims.h][det_index]
-        uniq, where, inverse = _first_occurrences(keys)
-        # each key's reference: its entry in an earlier run, else its first
-        # prefix in this chunk
-        ref_vals, ref_prefixes = vals[where], where + first
-        new = np.ones(len(uniq), dtype=bool)
-        for run_keys, run_vals, run_prefixes in runs:
-            pos = np.minimum(np.searchsorted(run_keys, uniq), len(run_keys) - 1)
-            hit = run_keys[pos] == uniq
-            ref_vals[hit] = run_vals[pos[hit]]
-            ref_prefixes[hit] = run_prefixes[pos[hit]]
-            new &= ~hit
-        clash = vals != ref_vals[inverse]
-        if clash.any():
-            j = int(clash.argmax())
-            ref = int(ref_prefixes[inverse[j]])
-            top_a = rows[0][:, ref - first] if ref >= first else \
-                next(_patches(rule, read_len, 0, ref, ref + 1, 1))[1][0][:, 0]
-            column = rect[:, j].tobytes()  # the rectangle's rows, w symbols each
-            cex = Counterexample(
-                seed_a=top_a.tobytes() + bytes(pad),
-                seed_b=rows[0][:, j].tobytes() + bytes(pad),
-                rectangle=tuple(column[k:k + w] for k in range(0, n_rows * w, w)),
-                value_a=int(ref_vals[inverse[j]]), value_b=int(vals[j]),
-                rect_col=c, det_col=c - 1, ref_row=dims.h,
-            )
-            return PropertyVerdict(name, Verdict.FALSE, dims, size,
-                                   (first + j) * size**pad + 1, seed_space, counterexample=cex)
-        run = (uniq[new], ref_vals[new], ref_prefixes[new])
-        while runs and len(runs[-1][0]) <= 2 * len(run[0]):  # each run > twice the next
-            older = runs.pop()
-            at = np.searchsorted(older[0], run[0])
-            run = tuple(np.insert(a, at, b) for a, b in zip(older, run))
-        if len(run[0]):
-            runs.append(run)
-    return PropertyVerdict(name, Verdict.TRUE, dims, size, seed_space, seed_space)
+    if status is Verdict.TRUE:
+        return PropertyVerdict(name, status, dims, size, seed_space, seed_space)
+    first, j, ref, ref_val, rows, rect = conflict
+    pad, n_rows, w = seed_len - read_len, len(starts), dims.w
+    top_a = rows[0][:, ref - first] if ref >= first else \
+        next(_patches(rule, read_len, 0, ref, ref + 1, 1))[1][0][:, 0]
+    column = rect[:, j].tobytes()  # the rectangle's rows, w symbols each
+    cex = Counterexample(
+        seed_a=top_a.tobytes() + bytes(pad),
+        seed_b=rows[0][:, j].tobytes() + bytes(pad),
+        rectangle=tuple(column[k:k + w] for k in range(0, n_rows * w, w)),
+        value_a=ref_val, value_b=int(rows[dims.h][det_index][j]),
+        rect_col=c, det_col=c - 1, ref_row=dims.h,
+    )
+    return PropertyVerdict(name, Verdict.FALSE, dims, size,
+                           (first + j) * size**pad + 1, seed_space, counterexample=cex)
 
 
 @dataclass(frozen=True)
@@ -393,7 +414,7 @@ def find_left_expansive_dims(
     there refutes every cell (see the module docstring), which ends the
     search with all (max_h+1)*(max_d+1)*max_w cells counted and none listed.
     Otherwise the cells are listed lazily, level h+d+w by level, and each is
-    decided, the corner's verdict being reused for the corner; a cell over
+    decided, the corner's status being reused for the corner; a cell over
     budget answers Unknown and sets budget_exceeded.  The charge is monotone
     in each coordinate and every cell above a level contains a cell of that
     level, so once every cell of a level is over budget, so is every later
@@ -410,8 +431,8 @@ def find_left_expansive_dims(
     if count == 0:
         return DimsSearch(None, False, 0)
     top = ExpansivityDims(max_h, max_d, max_w)  # the only cell with the largest h+d+w
-    top_verdict = is_left_expansive(automaton, top, budget=budget)
-    if top_verdict.status is Verdict.FALSE:
+    top_status = _decide(automaton.rule, top, budget)[1]
+    if top_status is Verdict.FALSE:
         return DimsSearch(None, False, count)
     budget_hit, checked = False, 0
     for level in range(1, max_h + max_d + max_w + 1):
@@ -420,12 +441,11 @@ def find_left_expansive_dims(
             for d in range(max(0, level - h - max_w), min(max_d, level - 1 - h) + 1):
                 dims = ExpansivityDims(h, d, level - h - d)
                 checked += 1
-                verdict = top_verdict if dims == top else \
-                    is_left_expansive(automaton, dims, budget=budget)
-                if verdict.status is Verdict.TRUE:
+                status = top_status if dims == top else _decide(automaton.rule, dims, budget)[1]
+                if status is Verdict.TRUE:
                     return DimsSearch(dims, budget_hit, checked)
-                budget_hit |= verdict.status is Verdict.UNKNOWN
-                fits |= verdict.status is Verdict.FALSE
+                budget_hit |= status is Verdict.UNKNOWN
+                fits |= status is Verdict.FALSE
         if not fits:
             break
     return DimsSearch(None, budget_hit, count)

@@ -149,6 +149,13 @@ def test_limits_n_max_below_one_is_a_usage_error(capsys):
         assert "--n-max" in err and "Traceback" not in err
 
 
+def test_limits_n_max_above_the_census_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "limits", "eca:30", "[L:0] 1 [R:0] @0", "--T", "0",
+                         "--n-max", "100001")
+    assert (code, out) == (3, "")
+    assert "prefix lengths above 100000 are not supported" in err
+
+
 # calls with and without --budget, --json and --format, in turn
 ALTERNATING_ARGV = (
     ("classify", "eca:30", "--budget", "1000"),
@@ -246,6 +253,14 @@ def test_every_stepping_command_rejects_a_malformed_literal(capsys):
 def test_unknown_rule_designator(capsys):
     code, _, err = run(capsys, "simulate", "mul:32", "[L:0] 1 [R:0] @0", "1")
     assert code == 3
+
+
+def test_multiplication_rules_over_256_symbols_are_usage_errors(capsys):
+    """The base is checked before the integer automaton's table exists."""
+    for rule in ("mulint:17/16", "mul:17/16"):
+        code, out, err = run(capsys, "classify", rule)
+        assert (code, out) == (3, ""), rule
+        assert "alphabets larger than 256 symbols are not supported" in err, rule
 
 
 def test_rule_file_loading(tmp_path, capsys):

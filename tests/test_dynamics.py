@@ -250,6 +250,29 @@ def test_census_rejects_negative_horizon():
     assert limit_point_census(eca(30), ONE, 0, 0, [1]) == {1: 1}
 
 
+def test_census_refuses_long_prefixes_before_listing_or_walking(monkeypatch):
+    """A length above the bound is refused before the lengths are listed
+    (a range of 10**11 would not fit in memory) and before a row is walked."""
+
+    class Lengths:  # 1, 2, ..., 10**11, failing once more than 10**6 are read
+        def __iter__(self):
+            for n in range(1, 10**11):
+                assert n <= 10**6, "the census listed its lengths"
+                yield n
+
+    def no_walk(*args):
+        raise AssertionError("the census walked a row")
+
+    bound = dynamics._MAX_PREFIX
+    assert bound == 10**5
+    monkeypatch.setattr(dynamics, "columns", no_walk)
+    for lengths in (Lengths(), [1, bound + 1], range(bound, bound + 2)):
+        with pytest.raises(OutOfRange, match="prefix lengths above"):
+            limit_point_census(eca(30), ONE, 0, 10, lengths)
+    monkeypatch.undo()
+    assert limit_point_census(eca(204), ONE, 0, 0, [bound]) == {bound: 1}
+
+
 # -- propagation --------------------------------------------------------------------
 
 

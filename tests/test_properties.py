@@ -659,15 +659,44 @@ def test_find_dims_stops_at_the_first_level_over_budget():
 
 def test_refuting_probe_at_the_top_corner_settles_the_search(monkeypatch):
     calls = []
-    decide = properties.is_left_expansive
+    decide = properties._first_conflict
 
-    def counting(automaton, dims, **kwargs):
+    def counting(rule, dims, frame):
         calls.append(dims)
-        return decide(automaton, dims, **kwargs)
+        return decide(rule, dims, frame)
 
-    monkeypatch.setattr(properties, "is_left_expansive", counting)
+    monkeypatch.setattr(properties, "_first_conflict", counting)
     assert find_left_expansive_dims(eca(110), 2, 2, 4) == DimsSearch(None, False, 36)
     assert calls == [ExpansivityDims(2, 2, 4)]
+
+
+def test_dims_searches_build_no_certificate(monkeypatch):
+    """The dims search and the classification read each cell's status only;
+    a refuting is_left_expansive builds one counterexample and one verdict."""
+    numbers = (0, 8, 30, 90, 110, 184)
+    want = [linear_dims_search_oracle(eca(number), 2, 2, 4) for number in numbers]
+    built = []
+
+    class CountedCounterexample(properties.Counterexample):
+        def __init__(self, *args, **kwargs):
+            built.append("counterexample")
+            super().__init__(*args, **kwargs)
+
+    class CountedVerdict(properties.PropertyVerdict):
+        def __init__(self, *args, **kwargs):
+            built.append("verdict")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "Counterexample", CountedCounterexample)
+    monkeypatch.setattr(properties, "PropertyVerdict", CountedVerdict)
+    for number, search in zip(numbers, want):
+        assert find_left_expansive_dims(eca(number), 2, 2, 4) == search
+        classify_rapid(eca(number))
+        find_left_expansive_dims(eca(number), 2, 2, 4, budget=10**4)
+    assert built == []
+    verdict = is_left_expansive(eca(110), ExpansivityDims(2, 2, 4))
+    assert verdict.status is Verdict.FALSE
+    assert sorted(built) == ["counterexample", "verdict"]
 
 
 def test_budgets_above_the_cap_act_as_the_cap():
