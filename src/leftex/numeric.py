@@ -31,6 +31,17 @@ int64: about sqrt(p) powers base**i mod c times about sqrt(p) block starts,
 taken a bounded number of rows at a time.  Only a denominator of 2**31 or
 more runs long division in the limb radix, one big-integer step per limb.
 
+Half of most periods comes for free (Midy's theorem).  When p is even, c
+does not divide a and base**(p/2) == -1 (mod c), as for every even period
+over an odd prime power, r_(i+p/2) = c - r_i != 0; c is coprime to the
+base, so it does not divide base * r_i, and digit i + p/2 is base - 1
+minus digit i.  That precondition costs one modular power
+(``_half_period``).  Where it holds the expansion computes the first p/2
+digits only and writes the second half with one ``bytes.translate``, and
+the proof below compares each word's halves a bounded slice at a time and
+then proves only the limbs covering the first half.  Every other period
+takes the full path.
+
 A period of p digits is worth W/(base**p - 1), but forming W converts all
 p digits.  ``_period_fraction`` instead reads a small denominator off a
 prefix of O(sqrt(p)) digits and proves the value exactly with one modular
@@ -167,15 +178,34 @@ def _mod_powers(start: int, step: int, count: int, den: int) -> np.ndarray:
     return table.ravel()[:count]
 
 
+@lru_cache(maxsize=256)
+def _complement(base: int) -> bytes:
+    """The ``bytes.translate`` table sending each digit d < base to base - 1 - d."""
+    return bytes((base - 1 - d) % 256 for d in range(256))
+
+
+def _half_period(p: int, den: int, base: int) -> bool:
+    """Whether p > 0 is even and base**(p/2) == -1 (mod den): then digit
+    i + p/2 of a/den is base - 1 minus digit i for every a that den does
+    not divide (see the module docstring)."""
+    return p > 0 and p % 2 == 0 and pow(base, p // 2, den) == den - 1
+
+
 def _expansion_digits(remainder: int, den: int, base: int, count: int) -> bytes:
     """First ``count`` digits of remainder/den (0 <= remainder < den) in ``base``.
 
-    Digit i is (r_i * base) // den, r_i = remainder * base**i mod den.  For
-    den < 2**31 the r_i come from a table: with K about sqrt(count), the K
-    powers base**i mod den times the block starts r_(jK) give row j, in
-    int64, a bounded number of rows at a time.  Larger denominators run long
-    division in the limb radix, one limb per big-integer step.
+    Digit i is (r_i * base) // den, r_i = remainder * base**i mod den.  When
+    den does not divide remainder and base**(count/2) == -1 (mod den)
+    (``_half_period``), only the first count/2 digits are expanded and the
+    second half is their complement.  For den < 2**31 the r_i come from a
+    table: with K about sqrt(count), the K powers base**i mod den times the
+    block starts r_(jK) give row j, in int64, a bounded number of rows at a
+    time.  Larger denominators run long division in the limb radix, one
+    limb per big-integer step.
     """
+    if remainder % den and _half_period(count, den, base):
+        first = _expansion_digits(remainder, den, base, count // 2)
+        return first + first.translate(_complement(base))
     if den >= _TABLE_LIMIT:
         radix = _square(base, 0)
         limbs = []
@@ -214,6 +244,13 @@ def _matches_expansions(remainders: list[int], den: int, base: int, words: list[
     last partial limb is padded with each word's own first digits.  The
     batch is joined into one buffer, which copies nothing for a batch of
     one.  Larger denominators compare a long division word by word.
+
+    When den divides no a_t and base**(p/2) == -1 (mod den)
+    (``_half_period``), digit i + p/2 of a_t/den is base - 1 minus digit i.
+    A word whose second half is the complement of its first, checked a
+    table block of digits at a time, is then a_t/den once its first half
+    is, so only the whole limbs covering the first half are proved; they
+    read the word's own digits, with no padding.
     """
     p, count = len(words[0]), len(words)
     if den >= _TABLE_LIMIT:
@@ -221,7 +258,15 @@ def _matches_expansions(remainders: list[int], den: int, base: int, words: list[
     k = 1
     while base ** (k + 1) * den < 2**63:
         k += 1
-    radix, full, limbs = base**k, p // k, -(-p // k)
+    radix, limbs, half = base**k, -(-p // k), p // 2
+    cover = -(-half // k)  # the limbs covering the first half
+    if cover * k <= p and all(a % den for a in remainders) and _half_period(p, den, base):
+        complement, step = _complement(base), _TABLE_BLOCK
+        if not all(w[i + half:i + half + step] == w[i:min(i + step, half)].translate(complement)
+                   for w in words for i in range(0, half, step)):
+            return False
+        limbs = cover
+    full = min(limbs, p // k)
     # s_tj = a_t * radix**j mod den, laid out as _mod_powers lays out one
     # run: each word's row starts times one row of about sqrt(limbs) powers
     width = isqrt(limbs)

@@ -567,6 +567,13 @@ def left_edge_moves_oracle(automaton: Automaton, t: int, rng) -> list[bool]:
     return out
 
 
+def census_oracle(rows: list[bytes], horizon: int, lengths) -> dict[int, int]:
+    """limit_point_census off its rows, F^t(x)[c..c+n_max-1] for t <= horizon:
+    one set of n-prefixes of the tail-window rows per length n."""
+    seen = {row for t, row in enumerate(rows[:horizon + 1]) if 2 * t >= horizon}
+    return {n: len({w[:n] for w in seen}) for n in lengths}
+
+
 # -- hypothesis strategies -------------------------------------------------
 
 

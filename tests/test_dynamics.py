@@ -1,6 +1,7 @@
 import random
 import time
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from leftex import dynamics, rules
 from leftex.errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from leftex.rules import Automaton, LocalRule
 
-from oracles import expand_oracle, naive_period_search
+from oracles import census_oracle, expand_oracle, naive_period_search, trace_oracle
 
 A2 = Alphabet(2)
 ONE = Configuration.single(A2, 1)
@@ -271,6 +272,51 @@ def test_census_refuses_long_prefixes_before_listing_or_walking(monkeypatch):
             limit_point_census(eca(30), ONE, 0, 10, lengths)
     monkeypatch.undo()
     assert limit_point_census(eca(204), ONE, 0, 0, [bound]) == {bound: 1}
+
+
+@st.composite
+def census_cases(draw):
+    """A random rule over 2 or 3 symbols, a short raw configuration, a
+    window of up to 24 cells and a horizon up to 120: tail windows from one
+    row to 61, with many repeated words and long shared prefixes."""
+    size = draw(st.integers(2, 3))
+    m, n = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    automaton = Automaton(LocalRule(Alphabet(size), m, n,
+                                    bytes(rng.randrange(size) for _ in range(size ** (m + n + 1)))))
+    sym = st.integers(0, size - 1)
+    x = Configuration(Alphabet(size), draw(st.integers(-4, 4)), draw(st.lists(sym, min_size=1, max_size=3)),
+                      draw(st.lists(sym, max_size=8)), draw(st.lists(sym, min_size=1, max_size=3)))
+    c, width = draw(st.integers(-6, 6)), draw(st.integers(1, 24))
+    return automaton, x, c, width, draw(st.integers(0, 120))
+
+
+@given(census_cases(), st.sampled_from([1, 5, 2**20]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_census_counts_match_one_set_per_length(case, block, data):
+    """Sorting the kept words and counting, for each n, the adjacent pairs
+    that first differ before n gives the distinct n-prefixes of one set per
+    length.  Small pair blocks split the mismatch pass into many blocks."""
+    automaton, x, c, width, horizon = case
+    lengths = data.draw(st.sets(st.integers(1, width), min_size=1))
+    rows = trace_oracle(automaton, x, c, c + max(lengths) - 1, horizon + 1)
+    with mock.patch.object(dynamics, "_PAIR_BLOCK", block):
+        got = limit_point_census(automaton, x, c, horizon, lengths)
+    assert got == census_oracle(rows, horizon, lengths)
+
+
+def test_census_at_the_prefix_bound_is_linear_in_its_length():
+    """Rule 30 from a single 1 over horizon 10 keeps 6 words of 10**5
+    symbols.  One sort and one mismatch pass count all 10**5 lengths well
+    within 3 s; one set of prefixes per length took about 10 s."""
+    bound = dynamics._MAX_PREFIX
+    start = time.perf_counter()
+    census = limit_point_census(eca(30), ONE, 0, 10, range(1, bound + 1))
+    assert time.perf_counter() - start < 3.0
+    rows = list(columns(eca(30), ONE, 0, bound - 1, 11))
+    picks = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 64, bound - 1, bound]
+    assert {n: census[n] for n in picks} == census_oracle(rows, 10, picks)
+    assert len(census) == bound and census[bound] == 6
 
 
 # -- propagation --------------------------------------------------------------------

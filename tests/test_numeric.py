@@ -38,9 +38,11 @@ from leftex import numeric
 from leftex.numeric import (
     _digits_to_int,
     _expansion_digits,
+    _half_period,
     _int_digits,
     _int_to_digits,
     _matches_expansions,
+    _mod_powers,
     _pack_width,
     _period_fraction,
     _period_split,
@@ -467,6 +469,160 @@ def test_long_period_proof_memory_is_under_a_byte_a_digit():
     assert peak < 4 * 10**6
 
 
+# -- half-period expansions ------------------------------------------------------
+
+SMALL_PRIMES = [q for q in range(3, 5000) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+
+
+@st.composite
+def half_period_cases(draw):
+    """(kind, base, c) with gcd(base, c) == 1: c an odd prime, an odd prime
+    power, 2 in an odd base, base**h + 1 >= 2**31 (whose order is 2h), or a
+    composite, among them 21 in base 10, where base**(p/2) != -1 (mod c)."""
+    kind = draw(st.sampled_from(["prime", "prime power", "two", "large", "composite"]))
+    base = draw(st.integers(2, 256))
+    if kind == "prime":
+        c = draw(st.sampled_from(SMALL_PRIMES))
+    elif kind == "prime power":
+        q = draw(st.sampled_from(SMALL_PRIMES[:15]))
+        c = q ** draw(st.integers(2, max(2, int(math.log(10**6, q)))))
+    elif kind == "two":
+        base, c = 2 * draw(st.integers(1, 127)) + 1, 2
+    elif kind == "large":
+        h = next(h for h in range(1, 32) if base**h + 1 >= 2**31)
+        c = base**h + 1
+    elif draw(st.booleans()):
+        base, c = 10, 21
+    else:
+        c = draw(st.sampled_from(SMALL_PRIMES[:60])) * draw(st.sampled_from(SMALL_PRIMES[:60]))
+    assume(math.gcd(base, c) == 1)
+    return kind, base, c
+
+
+@given(half_period_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_half_period_expansions_match_long_division(case, data):
+    """Digit i + p/2 of a/c is base - 1 minus digit i whenever
+    base**(p/2) == -1 (mod c) and c does not divide a, which holds for
+    every even period over an odd prime power; other counts, a == 0 and
+    the other denominators take the full expansion.  Either way the digits
+    are long division's."""
+    kind, base, c = case
+    order = multiplicative_order(base, c)
+    assume(order <= 10**4)
+    if kind in ("prime", "prime power"):
+        assert _half_period(order, c, base) == (order % 2 == 0)
+    elif kind == "large":
+        assert _half_period(order, c, base)
+    elif (base, c) == (10, 21):
+        assert not _half_period(order, c, base)
+    count = data.draw(st.sampled_from([order * m for m in range(1, 2 * 10**4 // order + 1)][:4])
+                      | st.integers(1, 2 * order))
+    a = data.draw(st.just(0) | st.integers(0, c - 1))
+    assert _expansion_digits(a, c, base, count) == bytes(long_division_digits(a, c, base, count))
+
+
+@given(half_period_cases(), st.integers(1, 3), st.sampled_from([1, 50, numeric._TABLE_BLOCK]),
+       st.sampled_from(["none", "first half", "second half", "both halves", "other a"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_half_period_proof_rejects_every_wrong_word(case, count, block, corruption, data):
+    """A batch of periods proved by comparing halves and then the limbs of
+    the first halves gives long division's verdict.  One word changed in
+    one digit of its first or its second half fails the comparison; one
+    changed at i and i + p/2 so its halves stay complements, or the period
+    of another numerator, must fail the limbs.  Small table blocks split
+    the comparison of the halves into many slices."""
+    kind, base, c = case
+    p = multiplicative_order(base, c)
+    assume(p <= 10**4)
+    p *= data.draw(st.integers(1, max(1, 2 * 10**4 // p)))
+    remainders = [data.draw(st.integers(1, c - 1)) for _ in range(count)]
+    words = [bytearray(long_division_digits(a, c, base, p)) for a in remainders]
+    wrong = data.draw(st.integers(0, count - 1))
+    half = p // 2
+    if corruption == "other a":
+        other = data.draw(st.integers(1, c - 1).filter(lambda a: a != remainders[wrong]))
+        words[wrong] = bytearray(long_division_digits(other, c, base, p))
+    elif corruption != "none":
+        assume(half > 0)
+        at = data.draw(st.sampled_from([0, half - 1]) | st.integers(0, half - 1))
+        at += half if corruption == "second half" else 0
+        new = (words[wrong][at] + data.draw(st.integers(1, base - 1))) % base
+        words[wrong][at] = new
+        if corruption == "both halves":
+            assume(p % 2 == 0)
+            words[wrong][at + half] = base - 1 - new
+    words = [bytes(w) for w in words]
+    with mock.patch.object(numeric, "_TABLE_BLOCK", block):
+        got = _matches_expansions(remainders, c, base, words)
+    assert got == all(expansion_matches_oracle(a, c, base, w) for a, w in zip(remainders, words)) \
+        == (corruption == "none")
+
+
+@pytest.mark.parametrize("base, c", [(10, 7), (10, 21), (3, 2), (2, 3**5), (256, 2**32 + 1)])
+def test_numerators_divisible_by_c_take_the_full_path(base, c):
+    """0/c is all zeros, not zeros then nines, though base**(p/2) may be
+    -1 (mod c).  So is the 0/1 candidate _period_fraction reads off an
+    all-zero tail: every even p passes base**(p/2) == 0 == -1 (mod 1)."""
+    half = multiplicative_order(base, c)
+    p, zeros = 2 * half, bytes(2 * half)
+    assert _half_period(p, 1, base)
+    assert _expansion_digits(0, c, base, p) == _expansion_digits(0, 1, base, p) == zeros
+    assert _matches_expansions([0], 1, base, [zeros]) and _matches_expansions([0], c, base, [zeros])
+    assert not _matches_expansions([0], c, base, [zeros[:half] + bytes([1]) * half])
+    ones = bytes(long_division_digits(1, c, base, p))
+    assert _matches_expansions([0, 1], c, base, [zeros, ones])
+    assert not _matches_expansions([0, 1], c, base, [ones, zeros])
+    assert _period_fraction(zeros, base) == 0
+
+
+def test_a_composite_without_half_periods_expands_in_full():
+    """c = 17 * 200063 has a 1600496-digit base-10 period, but
+    10**(p/2) != -1 (mod c), so the whole period is expanded and proved."""
+    c = 17 * 200063
+    p = multiplicative_order(10, c)
+    assert p == 1600496 and not _half_period(p, c, 10)
+    w = _expansion_digits(1, c, 10, p)
+    assert w == bytes(long_division_digits(1, c, 10, p))
+    assert _matches_expansions([1], c, 10, [w])
+    assert not _matches_expansions([1], c, 10, [w[:-1] + bytes([9 - w[-1]])])
+
+
+@pytest.mark.parametrize("c, qualifies", [(4_000_063, True), (17 * 200063, False)])
+def test_a_half_period_computes_half_the_remainders(monkeypatch, c, qualifies):
+    """The expansion's remainder table is the product of its two top-level
+    _mod_powers runs, K powers and the block starts, so recording every run
+    counts each remainder computed.  A period with base**(p/2) == -1
+    (mod c) computes at most ceil(p/2) + O(sqrt(p)) of them and proves the
+    limbs of its first half only; any other computes all p and proves
+    every limb."""
+    p = multiplicative_order(10, c)
+    runs, depth = [], [0]
+
+    def recording_mod_powers(start, step, count, den):
+        runs.append((depth[0], count))
+        depth[0] += 1
+        try:
+            return _mod_powers(start, step, count, den)
+        finally:
+            depth[0] -= 1
+
+    def computed():
+        top = [count for level, count in runs if level == 0]
+        assert len(top) == 2
+        return math.prod(top) + sum(count for _, count in runs)
+
+    monkeypatch.setattr(numeric, "_mod_powers", recording_mod_powers)
+    w = _expansion_digits(1, c, 10, p)
+    bound = -(-p // 2) + 4 * math.isqrt(p)
+    assert computed() <= bound if qualifies else computed() >= p
+    runs.clear()
+    assert _matches_expansions([1], c, 10, [w])
+    k = next(k for k in range(1, 64) if 10 ** (k + 1) * c >= 2**63)
+    limbs = math.prod(count for level, count in runs if level == 0)
+    assert limbs <= -(-p // 2 // k) + 4 * math.isqrt(p) if qualifies else limbs >= p / k
+
+
 @st.composite
 def deep_preperiod_rationals(draw):
     """Rationals whose denominators carry up to 300 factors of each prime of
@@ -543,7 +699,7 @@ def test_power_table_stays_bounded():
                 periods.add(period)
                 dens.append(q)
     assert len(dens) == 300
-    base_keyed = [numeric._pack_width, numeric._place_values]
+    base_keyed = [numeric._pack_width, numeric._place_values, numeric._complement]
     for f in base_keyed + [_square]:
         f.cache_clear()
     containers = {name: len(v) for name, v in vars(numeric).items() if isinstance(v, (dict, list, set))}
