@@ -13,10 +13,11 @@ the periods keep their lengths and the head grows by m+n symbols.
 Tables are stored flat, indexed by the radix value of the neighborhood
 (leftmost symbol most significant).  A rule evaluation is one radix-index
 lookup, by one of two kernels chosen from the table size and the word
-length alone.  One row of a word of at most _SHORT_WORD symbols under a
-table of at most 256 entries (every ECA, mul:3/2) is mapped with Python
-ints and bytes.translate (_map_short), which skips numpy's fixed cost of
-about 5 us a call.  Every other evaluation is a numpy lookup
+length alone, except a k-row map of a bit-sliced rule (below).  One row
+of a word of at most _SHORT_WORD symbols under a table of at most 256
+entries (every ECA, mul:3/2) is mapped with Python ints and
+bytes.translate (_map_short), which skips numpy's fixed cost of about
+5 us a call.  Every other evaluation is a numpy lookup
 (lookup_windows, over the index of _radix_index): longer words, larger
 tables, block lookups, and many equal-length words at once when they are
 stacked as the columns of a matrix, which is how the expansivity decider
@@ -55,16 +56,20 @@ configuration reads the walker: columns() yields only the words
 F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
 limit-point censuses and rasters read, and left edges and recurrences of
 tails are read off its raw states (_states) too, as are verify_mul's
-images, which need no canonical form to be valued.  A long column walk maps
-k rows per lookup from its first row, through the rule's block (_block):
-tables over every neighborhood of width 1 + k*(m+n) that give the center
-of F^k and, under the window, the k-1 rows in between (k = 6 for the
-ECAs, 2 for mul:3/2 and mul:5/2).  Every column walk is told its row
-count, so it reads only the light cone of its window: row t+r over [i, j]
-depends only on row t over [i-r*m, j+r*n].  Once that cone word is no
-wider than the word the next step would map, columns() cuts it off the
-state once and maps it down k rows per lookup, so the state is neither
-stepped nor canonicalized again.  orbit() yields canonical configurations,
+images, which need no canonical form to be valued.  A column walk maps
+k rows per lookup from its first row.  A bit-sliced rule, binary with at
+most 8 entries (every ECA, the rules _packed marks), maps them as one
+Python int, one bit per cell, through its table's algebraic normal form
+(_map_bits), k = _BIT_ROWS, and owns no table beyond its own.  Every other
+rule maps a long walk through its block (_block): tables over every
+neighborhood of width 1 + k*(m+n) that give the center of F^k and, under
+the window, the k-1 rows in between (k = 2 for mul:3/2 and mul:5/2).
+Every column walk is told its row count, so it reads only the light cone
+of its window: row t+r over [i, j] depends only on row t over
+[i-r*m, j+r*n].  Once that cone word is no wider than the word the next
+step would map, columns() cuts it off the state once and maps it down k
+rows per lookup, so the state is neither stepped nor canonicalized
+again.  orbit() yields canonical configurations,
 for simulate and library callers; it steps each canonical
 image with apply(), which is _step followed by canonicalization and never
 steps a head longer than the canonical one.
@@ -110,6 +115,10 @@ _RESIDENT_LOW = 2**12
 #: against numpy's 6.8-12.9 us, and the two cross at about 1000-1500 symbols
 #: for widths 2 and 3 (eca:30, mul:3/2) and about 800 for width 8
 _SHORT_WORD = 1024
+#: rows one lookup of a bit-sliced rule maps in a column walk (_map_bits).
+#: On a 2-core VM (Python 3.11) a 2 000-row rule-30 column took 2.2 ms at
+#: 32 rows, 1.9 at 64 and 1.8 at 96; a walk maps up to k-1 rows ahead
+_BIT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -369,7 +378,8 @@ def _block_rows(rule: LocalRule) -> int:
     """The rows k one block lookup maps: the largest k <= 8 whose
     neighborhood width 1 + k*(m+n) has at most _BLOCK_GROWTH times as many
     words as the rule's table and at most DEFAULT_COMPOSE_GUARD, else 1
-    (k = 6 for the ECAs, 2 for mul:3/2 and mul:5/2)."""
+    (2 for mul:3/2 and mul:5/2).  Column walks ask it only for rules that
+    are not bit-sliced; those build no block."""
     size, span = rule.alphabet.size, rule.memory + rule.anticipation
     bound = min(_BLOCK_GROWTH * len(rule.table), DEFAULT_COMPOSE_GUARD)
     return max((k for k in range(2, 9) if size ** (1 + k * span) <= bound), default=1)
@@ -414,16 +424,72 @@ def _map_short(rule: LocalRule, symbols: bytes) -> bytes:
     return idx.to_bytes(len(symbols), "big")[width - 1:].translate(rule._translation)
 
 
+def _bit_form(rule: LocalRule) -> tuple[int, ...]:
+    """A bit-sliced rule's table as its algebraic normal form over GF(2),
+    computed on first use and kept on the rule like its block: 8
+    coefficients, the one at i of the AND of the row shifted right by each
+    set bit b of i.  Index bit b is neighborhood cell m+n-b, which a row read
+    as an int (leftmost cell most significant) brings under the image cell
+    by a right shift of b.  The Moebius transform turns the table into the
+    coefficients; a rule narrower than 3 cells pads them with zeros."""
+    form = getattr(rule, "_bit_terms", None)
+    if form is None:
+        coeffs = list(rule.table.ljust(8, b"\0"))
+        for b in range(rule.width):
+            for i in range(len(rule.table)):
+                if i >> b & 1:
+                    coeffs[i] ^= coeffs[i ^ 1 << b]
+        form = tuple(coeffs)
+        object.__setattr__(rule, "_bit_terms", form)
+    return form
+
+
+def _map_bits(rule: LocalRule, symbols: bytes, k: int, lo: int,
+              width: int) -> tuple[bytes, Sequence[bytes]]:
+    """_map_rows for k > 1 rows of a bit-sliced rule: the word as one Python
+    int, one bit per cell, stepped k times through the rule's normal form
+    (_bit_form).  Row q keeps its cells in the low count - q*(m+n) bits; the
+    bits above are never read again, since an image bit reads only the m+n
+    bits above it, so no row is masked.  Rows 1 .. k-1 over the window are
+    shifted into one accumulator, which takes the last row too, and all of
+    it is unpacked once."""
+    one, c1, c2, c3, c4, c5, c6, c7 = _bit_form(rule)
+    m, span, count = rule.memory, rule.memory + rule.anticipation, len(symbols)
+    x = int.from_bytes(np.packbits(np.frombuffer(symbols, dtype=np.uint8)).tobytes(),
+                       "big") >> -count % 8
+    full, window, acc = (1 << count) - 1 if one else 0, (1 << width) - 1, 0
+    for q in range(1, k + 1):
+        x1, x2, y = x >> 1, x >> 2, full
+        if c1: y ^= x
+        if c2: y ^= x1
+        if c3: y ^= x & x1
+        if c4: y ^= x2
+        if c5: y ^= x & x2
+        if c6: y ^= x1 & x2
+        if c7: y ^= x & x1 & x2
+        x = y
+        if q < k:  # row q's cells lo + (k-q)*m onwards, in its bits from count-1-q*span down
+            acc = acc << width | x >> count - q * span - lo - (k - q) * m - width & window
+    last, between = count - k * span, (k - 1) * width
+    acc = (acc << last | x & (1 << last) - 1) << -(last + between) % 8
+    out = np.unpackbits(np.frombuffer(acc.to_bytes((last + between + 7) // 8, "big"),
+                                      dtype=np.uint8), count=last + between).tobytes()
+    return out[between:], [out[q:q + width] for q in range(0, between, width)]
+
+
 def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
               width: int = 0) -> tuple[bytes, Sequence[bytes]]:
     """Map a word k rows down with one lookup: the word k rows down, and
     rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the rule's own
-    table) or _block_rows(rule) (its block).  Every row an orbit or a column
-    walk maps comes from here.  One row of a short word under a table of at
-    most 256 entries is _map_short's, and of a longer word the translated
-    bytes of its uint8 radix index (lookup_windows' gather, without the
-    array around it); numpy's take maps every other.
+    table), any k > 1 for a bit-sliced rule (_map_bits) or _block_rows(rule)
+    for another (its block).  Every row an orbit or a column walk maps comes
+    from here.  One row of a short word under a table of at most 256
+    entries is _map_short's, and of a longer word the translated bytes of
+    its uint8 radix index (lookup_windows' gather, without the array around
+    it); numpy's take maps every other.
     """
+    if k > 1 and rule._packed is not None:
+        return _map_bits(rule, symbols, k, lo, width)
     if k == 1:
         if rule._translation is None:
             return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
@@ -456,8 +522,8 @@ def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1, i
     period) k rows down, laid out the same way but not canonicalized, and
     the k-1 rows in between over the cells [i, j].
 
-    F^k is a rule of memory k*m and anticipation k*n (for k > 1 the center
-    of the rule's block).  The image left tail repeats with the input's
+    F^k is a rule of memory k*m and anticipation k*n (for k > 1 mapped by
+    _map_rows).  The image left tail repeats with the input's
     left period for all cells up to anchor-1-k*n (the whole input window
     then sits inside the left periodic region), and symmetrically on the
     right, so evaluating one period of each tail at those safe offsets is
@@ -541,8 +607,9 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
     row, and once the light cone of the remaining rows is no wider than the
     word the walker would map next, it walks the cone instead (see the
     module docstring).  A caller that takes r words has r-1 rows mapped,
-    and at most k-1 more: the rest of the lookup its last word came from.
-    No row past rows-1 is mapped.
+    and at most k-1 more: the rest of the lookup its last word came from,
+    where k is _BIT_ROWS for a bit-sliced rule, _block_rows(rule) for
+    another in a long walk and else 1.  No row past rows-1 is mapped.
     """
     if i > j:
         raise EmptyInterval(f"empty interval [{i}, {j}]")
@@ -559,18 +626,21 @@ def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],
     row t, those rows read only row t over [i - r*m, j + r*n].  As soon as
     that cone is no wider than the word the next k-row step maps,
     L + H + R + 2k(m+n), or fewer than k rows are left, the cone is cut
-    once and mapped down, k rows per lookup and its last r mod k rows one
-    at a time; row t+q is its slice at offset (r-q)*m.  k = _block_rows(rule)
-    when the symbols the rows would map one at a time, about
-    r * (cone + width) / 2 from row 0, are at least the k * s^W * (W+1) / 2
-    that building the block maps, else 1, so short walks never build it.
+    once and mapped down, k rows per lookup and its last r mod k rows in
+    one more lookup for a bit-sliced rule, one at a time for another; row
+    t+q is its slice at offset (r-q)*m.  k = _BIT_ROWS for a bit-sliced rule.
+    For another, k = _block_rows(rule) when the symbols the rows would map
+    one at a time, about r * (cone + width) / 2 from row 0, are at least the
+    k * s^W * (W+1) / 2 that building the block maps, else 1, so short walks
+    never build it.
     """
     if not rows:
         return
     m, n = rule.memory, rule.anticipation
-    size, width, k = rule.alphabet.size, j - i + 1, _block_rows(rule)
+    size, width, bits = rule.alphabet.size, j - i + 1, rule._packed is not None
+    k = _BIT_ROWS if bits else _block_rows(rule)
     block_width = 1 + k * (m + n)
-    if (rows - 1) * (2 * width + (rows - 1) * (m + n)) < \
+    if not bits and (rows - 1) * (2 * width + (rows - 1) * (m + n)) < \
             k * size**block_width * (block_width + 1):
         k = 1
     left = rows  # rows not yet taken, the first state's included
@@ -582,7 +652,7 @@ def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],
             word = _window(*state, i - left * m, j + left * n)
             yield word[left * m:left * m + width]
             while left:
-                step = k if left >= k else 1
+                step = min(left, k) if bits or left >= k else 1
                 left -= step
                 word, between = _map_rows(rule, word, step, left * m, width)
                 yield from between

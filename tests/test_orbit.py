@@ -6,8 +6,9 @@ walks the light cone of its window once that is narrower, and the spreading
 and recurrence scans read a left edge or a tail off each.  rules.orbit
 steps canonical configurations with rules.apply.  Every row any of them maps
 comes from one rules._map_rows call: a rules._step call maps one row, or k
-rows through the rule's block in a long column walk, and a cone maps k rows
-per call and its last rows one per call.  Counting the rows of those calls
+rows in a column walk (bit-sliced, or through the rule's block in a long
+walk), and a cone maps k rows per call and its last rows in one more call
+(bit-sliced) or one per call.  Counting the rows of those calls
 pins each consumer to the number of images it needs, and none of them
 computes one image too many.
 """
@@ -48,7 +49,7 @@ from leftex import (
 from leftex.cli import main
 from leftex.configuration import _window
 from leftex.errors import AlphabetMismatch, OutOfRange
-from leftex.rules import _states
+from leftex.rules import _BIT_ROWS, _states
 
 from oracles import (
     census_oracle,
@@ -68,7 +69,7 @@ TRIPLE = Configuration(A2, 0, b"\x00", b"\x01\x01\x01", b"\x00")
 def counting_steps():
     """Yield a list that grows by (rows, symbols) for each word mapped by
     rules._map_rows, the one call behind every row: rules._step (so
-    rules.apply and the orbit walker, one row or a block of rows) and each
+    rules.apply and the orbit walker, one row or k rows) and each
     lookup of a column cone."""
     mapped = []
     real = leftex.rules._map_rows
@@ -117,17 +118,19 @@ def test_orbit_checks_the_alphabet_at_its_first_step():
 
 
 def test_columns_are_lazy(applied):
-    rows = columns(eca(30), ONE, -2, 2, 10)
-    assert next(rows) == b"\x00\x00\x01\x00\x00" and not applied
-    assert next(rows) == b"\x00\x01\x01\x01\x00" and rows_of(applied) == 1
-    assert next(rows) == b"\x01\x01\x00\x00\x01" and rows_of(applied) == 2
-    # a cone mapped six rows per lookup is lazy to within one lookup
-    want = trace_oracle(eca(30), ONE, 0, 0, 3000)
-    applied.clear()
-    for taken, row in enumerate(columns(eca(30), ONE, 0, 0, 3000), 1):
-        assert row == want[taken - 1]
-        assert taken - 1 <= rows_of(applied) <= taken - 1 + 5
-    assert any(k == 6 for k, _ in applied)
+    # rule 30 maps its rows _BIT_ROWS per bit-sliced lookup, so a walk is
+    # lazy to within one lookup: k-1 rows past the words taken
+    k = _BIT_ROWS
+    for rows in (10, 3000):
+        want = trace_oracle(eca(30), ONE, -2, 2, rows)
+        applied.clear()
+        walk = columns(eca(30), ONE, -2, 2, rows)
+        assert next(walk) == want[0] and not applied
+        for taken, row in enumerate(walk, 2):
+            assert row == want[taken - 1]
+            assert taken - 1 <= rows_of(applied) <= taken - 1 + k - 1
+        assert rows_of(applied) == rows - 1
+    assert any(step == k for step, _ in applied)
 
 
 def test_trace_and_render_step_counts(applied):
@@ -325,13 +328,13 @@ def test_bounded_columns_match_the_canonical_orbit(case):
 
 
 @pytest.mark.parametrize("rule, i, j, rows", [
-    (30, -2, 2, 40),       # the cone is narrower than the state from t = 19
+    (30, -2, 2, 40),       # fewer rows than one lookup maps: the cone from t = 0
     (30, -300, 300, 40),   # a window wider than the state for every row
     (30, 500, 520, 3),     # far right of the head
     (204, -3, 3, 300),     # a head that re-canonicalizes before the switch
     (0, -1, 1, 1),         # one row, no step
-    (30, -3, 3, 1003),     # six rows per lookup from t = 0, the cone's from t = 498
-    (30, -3, 3, 1006),     # the same, then three single rows
+    (30, -3, 3, 1003),     # 64 rows per lookup from t = 0, the cone's from t = 448
+    (30, -3, 3, 1006),     # the same, then a 45-row lookup
 ])
 def test_bounded_columns_take_exactly_their_rows(applied, rule, i, j, rows):
     want = trace_oracle(eca(rule), ONE, i, j, rows)
@@ -380,29 +383,30 @@ def test_mul_5_2_columns_match_the_canonical_orbit(applied):
 
 
 def test_bounded_columns_switch_to_the_cone(applied):
-    # rows over one column from a single 1: rule 30 maps six rows per block
-    # lookup from the first row.  Its raw state at t is its canonical one,
-    # 1 + 2t head symbols between two one-symbol periods, so the six-row step
-    # maps 27 + 2t symbols.  The walk steps the state until the cone of the
-    # remaining rows is no wider than that; from there on it maps the cone
-    # six rows per lookup and the last left mod 6 rows one at a time
-    span = 2
-    for rows, switch, tail_rows in ((2000, 996, 1), (2003, 996, 4), (1999, 996, 0)):
+    # rows over one column from a single 1: rule 30 maps k = _BIT_ROWS rows
+    # per bit-sliced lookup from the first row.  Its raw state at t is its
+    # canonical one, 1 + 2t head symbols between two one-symbol periods, so
+    # the k-row step maps 3 + 2k*span + 2t symbols.  The walk steps the state
+    # until the cone of the remaining rows is no wider than that; from there
+    # on it maps the cone k rows per lookup and its last left mod k rows in
+    # one lookup (one row, if one is left)
+    span, k = 2, _BIT_ROWS
+    step_word = 3 + 2 * k * span
+    for rows, switch, tail_rows in ((2000, 960, 15), (1985, 960, 0), (1986, 960, 1)):
         left = rows - 1 - switch
-        assert switch % 6 == 0 and left >= 6
-        # the first multiple of six where the cone fits, and not the one before
-        assert 1 + left * span <= 27 + switch * span
-        assert 1 + (left + 6) * span > 27 + (switch - 6) * span
-        walk = [27 + t * span for t in range(0, switch, 6)]
-        cones = [1 + r * span for r in range(left, left % 6, -6)]
-        tail = [1 + r * span for r in range(left % 6, 0, -1)]
+        assert switch % k == 0 and left >= k
+        # the first multiple of k where the cone fits, and not the one before
+        assert 1 + left * span <= step_word + switch * span
+        assert 1 + (left + k) * span > step_word + (switch - k) * span
+        walk = [step_word + t * span for t in range(0, switch, k)]
+        cones = [1 + r * span for r in range(left, left % k, -k)]
+        tail = [(left % k, 1 + left % k * span)] if left % k else []
         states = [state for _, state in zip(range(rows), _states(eca(30), ONE))]
         applied.clear()
         assert list(columns(eca(30), ONE, 0, 0, rows)) == \
             [_window(*state, 0, 0) for state in states]
-        assert applied == ([(6, w) for w in walk] + [(6, c) for c in cones]
-                           + [(1, c) for c in tail])
-        assert len(tail) == tail_rows
+        assert applied == [(k, w) for w in walk] + [(k, c) for c in cones] + tail
+        assert sum(step for step, _ in tail) == tail_rows
         # under a tenth of the symbols a one-row walker maps for the same rows
         assert symbols_of(applied) < 0.1 * sum(3 + 2 * span + t * span for t in range(rows - 1))
 
@@ -422,21 +426,32 @@ def test_columns_check_the_alphabet_at_the_call():
 def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():
     rule = eca(30).rule
     twin = LocalRule(A2, 1, 1, bytes(rule.table))
-    walked = list(columns(Automaton(rule), ONE, 0, 0, 3000))  # builds rule 30's block
-    assert hasattr(rule, "_block_tables") and not hasattr(twin, "_block_tables")
+    walked = list(columns(Automaton(rule), ONE, 0, 0, 3000))  # computes rule 30's bit form
+    assert hasattr(rule, "_bit_terms") and not hasattr(twin, "_bit_terms")
+    assert not hasattr(rule, "_block_tables")
     assert twin == rule and hash(twin) == hash(rule)
     assert repr(twin) == repr(rule) and "_table_array" not in repr(rule)
     blob = pickle.dumps(rule)
     assert b"numpy" not in blob and blob == pickle.dumps(twin)
     back = pickle.loads(blob)
     assert back == rule and hash(back) == hash(rule)
-    assert not hasattr(back, "_block_tables")
+    assert not hasattr(back, "_bit_terms")
     assert back._table_array.tobytes() == rule.table
     assert back._index_dtype == rule._index_dtype
     assert copy.deepcopy(rule) == rule
     assert list(columns(Automaton(back), ONE, -3, 3, 5)) == \
         list(columns(eca(30), ONE, -3, 3, 5))
     assert list(columns(Automaton(back), ONE, 0, 0, 3000)) == walked
+    # a rule that is not bit-sliced keeps a block, which is ignored the same way
+    mul = fractional_multiplication_rule(MulSpec(3, 2)).rule
+    mul = LocalRule(mul.alphabet, mul.memory, mul.anticipation, mul.table)
+    start = Configuration.single(mul.alphabet, 1)
+    walked = list(columns(Automaton(mul), start, 0, 0, 1000))  # builds mul:3/2's block
+    assert hasattr(mul, "_block_tables") and not hasattr(mul, "_bit_terms")
+    back = pickle.loads(pickle.dumps(mul))
+    assert back == mul and hash(back) == hash(mul) and not hasattr(back, "_block_tables")
+    assert pickle.dumps(back) == pickle.dumps(mul)
+    assert list(columns(Automaton(back), start, 0, 0, 1000)) == walked
 
 
 # -- raw-state readers against the canonical orbit ---------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from leftex import (
@@ -28,6 +28,7 @@ from leftex.rules import (
     Automaton,
     DEFAULT_COMPOSE_GUARD,
     LocalRule,
+    _BIT_ROWS,
     _BLOCK_GROWTH,
     _COMPOSE_CHUNK,
     _RESIDENT_LOW,
@@ -36,6 +37,7 @@ from leftex.rules import (
     _block_rows,
     _chunk_digits,
     _low_words,
+    _map_rows,
     _patches,
     _radix_index,
     lookup_windows,
@@ -62,6 +64,7 @@ from oracles import (
     radix_index_oracle,
     raw_configurations,
     simulate_zero_padded,
+    trace_oracle,
     trim_vacuous_oracle,
 )
 
@@ -466,7 +469,7 @@ def test_low_blocks_are_resident_read_only_and_bounded():
     _low_words.cache_clear()
     for rule in (compose(mul32, mul32), compose(four_times, twice)):  # 6**5 and 2**13 words
         assert len(rule.rule.table) > _RESIDENT_LOW
-    _block(LocalRule(A2, 1, 1, eca(30).rule.table))  # a fresh rule: 2**13 words
+    _block(LocalRule(mul32.rule.alphabet, 1, 1, mul32.rule.table))  # a fresh rule: 6**5 words
     assert _low_words.cache_info().currsize == 0
     is_left_expansive(eca(30), ExpansivityDims(2, 2, 4))
     assert 0 < _low_words.cache_info().currsize <= _low_words.cache_info().maxsize
@@ -579,9 +582,12 @@ def test_block_tables_are_k_rule_applications(data):
     1..k-1 are the center of k rolling-index applications of the rule, and
     k is the most rows the bound allows.  Tables have up to 1000 entries
     over up to 10 symbols, whose blocks of up to 10^5 words are built in
-    several chunks."""
+    several chunks.  Binary tables of at most 8 entries are left out: they
+    are bit-sliced (_map_bits) and build no block."""
     size = data.draw(st.integers(2, 10))
-    span = data.draw(st.integers(0, max(s for s in range(5) if size ** (s + 1) <= 1000)))
+    # a binary rule of at most 8 entries is bit-sliced and has no block
+    span = data.draw(st.integers(3 if size == 2 else 0,
+                                 max(s for s in range(5) if size ** (s + 1) <= 1000)))
     m = data.draw(st.integers(0, span))
     rng = data.draw(st.randoms(use_true_random=False))
     table = bytes(rng.randrange(size) for _ in range(size ** (span + 1)))
@@ -605,11 +611,91 @@ def test_block_tables_are_k_rule_applications(data):
 
 
 def test_block_rows_of_the_paper_rules():
-    assert _block_rows(eca(30).rule) == 6
     for p in (3, 5):
         assert _block_rows(fractional_multiplication_rule(MulSpec(p, 2)).rule) == 2
     # two rows of a (0,1) rule over 256 symbols would tabulate 256^3 > 10^7 words
     assert _block_rows(LocalRule(Alphabet(256), 0, 1, bytes(256 * 256))) == 1
+    # a walk long enough to pay for a six-row block of rule 30 (2**13 words)
+    # maps _BIT_ROWS rows per lookup instead and builds no block
+    rule = LocalRule(A2, 1, 1, eca(30).rule.table)
+    with mock.patch("leftex.rules._block", side_effect=AssertionError("a block was built")):
+        rows = list(columns(Automaton(rule), ONE, 0, 0, 1000))
+    assert rows == trace_oracle(eca(30), ONE, 0, 0, 1000)
+    assert not hasattr(rule, "_block_tables") and hasattr(rule, "_bit_terms")
+
+
+def test_building_an_eca_computes_no_bit_form():
+    assert not any(hasattr(eca(number).rule, "_bit_terms") for number in range(256))
+
+
+def _bit_sliced_case(rule, rng, k, edge):
+    """A word of k rows of ``rule`` and 1 to 40 more symbols, and a
+    window of its image at the left edge, at the right edge or anywhere
+    (``edge`` 0, 1 or 2)."""
+    span = rule.memory + rule.anticipation
+    word = bytes(rng.randrange(2) for _ in range(k * span + rng.randint(1, 40)))
+    last = len(word) - k * span
+    width = rng.randint(1, last)
+    lo = (0, last - width, rng.randint(0, last - width))[edge]
+    return word, lo, width
+
+
+def _check_bit_sliced(rule, word, k, lo, width):
+    """_map_rows' k-row map against k applications of the rolling-index
+    oracle: the word k rows down, and rows 1 .. k-1 over [lo, lo+width)."""
+    rows = [word]
+    for _ in range(k):
+        rows.append(map_windows_oracle(rule, rows[-1]))
+    got, between = _map_rows(rule, word, k, lo, width)
+    assert got == rows[k]
+    m = rule.memory
+    assert list(between) == [rows[q][lo + (k - q) * m:lo + (k - q) * m + width]
+                             for q in range(1, k)]
+
+
+def test_bit_sliced_rows_of_every_small_binary_rule():
+    """Every binary rule of at most 8 entries, at widths 1, 2 and 3 and every
+    (m, n) split, k rows down for k from 2 to _BIT_ROWS, under windows that
+    touch either edge of the image and windows inside it."""
+    rng = random.Random(33)
+    for width in (1, 2, 3):
+        for m in range(width):
+            for number in range(2 ** 2**width):
+                table = bytes(number >> i & 1 for i in range(2**width))
+                rule = LocalRule(A2, m, width - 1 - m, table)
+                k = 2 + number % (_BIT_ROWS - 1)
+                word, lo, window = _bit_sliced_case(rule, rng, k, number % 3)
+                _check_bit_sliced(rule, word, k, lo, window)
+
+
+@given(st.integers(1, 3).flatmap(lambda width: st.tuples(
+           st.just(width), st.integers(0, width - 1), st.integers(0, 2 ** 2**width - 1))),
+       st.integers(2, _BIT_ROWS), st.integers(0, 2), st.randoms(use_true_random=False))
+@example((3, 1, 255), _BIT_ROWS, 0, random.Random(1))  # eca:255, constant 1
+@example((3, 1, 1), 7, 1, random.Random(2))  # eca:1 = (1+a)(1+b)(1+c), a constant-1 term
+@example((3, 1, 51), _BIT_ROWS, 1, random.Random(3))  # eca:51 = 1+b
+@settings(max_examples=300, deadline=None)
+def test_bit_sliced_rows_match_the_oracle(shape, k, edge, rng):
+    width, m, number = shape
+    rule = LocalRule(A2, m, width - 1 - m, bytes(number >> i & 1 for i in range(2**width)))
+    word, lo, window = _bit_sliced_case(rule, rng, k, edge)
+    _check_bit_sliced(rule, word, k, lo, window)
+
+
+def test_columns_of_every_eca_match_the_trace_oracle():
+    """Every ECA's columns, over random starts and windows and up to 150
+    rows, which step the state, the cone or both up to _BIT_ROWS rows per
+    lookup, against one canonical configuration per row."""
+    rng = random.Random(30)
+    for number in range(256):
+        x = Configuration(A2, rng.randint(-5, 5),
+                          [rng.randrange(2) for _ in range(rng.randint(1, 3))],
+                          [rng.randrange(2) for _ in range(rng.randint(0, 8))],
+                          [rng.randrange(2) for _ in range(rng.randint(1, 3))])
+        i = rng.randint(-10, 10)
+        j = i + rng.randint(0, 6)
+        rows = rng.randint(1, 150)
+        assert list(columns(eca(number), x, i, j, rows)) == trace_oracle(eca(number), x, i, j, rows)
 
 
 def test_a_block_is_built_in_chunks():
