@@ -54,9 +54,9 @@ False, fixed chunks of 1024 gave a median op time of 0.85 ms, against
 chunks of 2^12 or 2^14 (2^14 also took 1 MB more memory).
 
 A chunk is a uint8 digit matrix with one prefix per column; the generator
-grows its patch rows by table lookup on the whole matrix at once: one shift
-of the packed bits of a binary table of at most 8 entries, bytes.translate
-for another table of at most 256 (rules.lookup_windows).
+grows its patch rows on the whole matrix at once by rules.lookup_windows,
+the one gather of every numpy row: a packed-bit shift for a binary table of
+at most 8 entries, bytes.translate up to 256 entries and take above.
 Each prefix is keyed by its rectangle: the n_rows*w symbols, in radix size,
 packed by one einsum into one uint32 word when size**(n_rows*w) <= 2**32,
 else into ceil(n_rows*w / k) uint64 words, k being the most symbols whose

@@ -17,14 +17,13 @@ length alone, except a k-row map of a bit-sliced rule (below).  One row
 of a word of at most _SHORT_WORD symbols under a table of at most 256
 entries (every ECA, mul:3/2) is mapped with Python ints and
 bytes.translate (_map_short), which skips numpy's fixed cost of about
-5 us a call.  Every other evaluation is a numpy lookup
-(lookup_windows, over the index of _radix_index): longer words, larger
-tables, block lookups, and many equal-length words at once when they are
-stacked as the columns of a matrix, which is how the expansivity decider
-grows a chunk of seeds.  Under a table of at most 256 entries the index is
-uint8: a binary table of at most 8 entries (every ECA) is gathered by one
-shift of its bits, packed in one uint8, and another by bytes.translate over
-the index's bytes; a larger table is gathered by numpy's take.
+5 us a call.  Every other row, and a matrix of equal-length words stacked
+as its columns (how the expansivity decider grows a chunk of seeds), is
+mapped by lookup_windows, the one function that decides how a table is
+gathered, over the index of _radix_index.  A binary table of at most 8 entries
+(every ECA) is gathered by one shift of its bits, packed in one uint8,
+another table of at most 256 entries by bytes.translate over its uint8
+index's bytes, and a larger table by numpy's take, as a block is (below).
 
 Every such matrix of words in lexicographic order, and every row grown
 from it, comes from one generator, _patches, which yields a range of words
@@ -110,11 +109,11 @@ _BLOCK_GROWTH = 2**10
 #: chunks, not the grown ones nor the blocks near _COMPOSE_CHUNK words that
 #: compose() and _block map
 _RESIDENT_LOW = 2**12
-#: longest word _map_short maps; numpy maps longer ones.  On a 2-core VM
-#: (Python 3.11, numpy 2.4) _map_short takes 1.7-2.7 us at 20-100 symbols
-#: against numpy's 6.8-12.9 us, and the two cross at about 1000-1500 symbols
-#: for widths 2 and 3 (eca:30, mul:3/2) and about 800 for width 8
-_SHORT_WORD = 1024
+#: longest word _map_short maps; lookup_windows maps longer ones.  On a 2-core
+#: VM (Python 3.11, numpy 2.4, best of 7) the two cross at about 1150-1400
+#: symbols for eca:30 and mul:3/2 and at about 800 for a width-8 binary rule
+#: (in no workload); on orbits 1 280 beat 1 024 in 6 of 6 pairs, 1 536 tied
+_SHORT_WORD = 1280
 #: rows one lookup of a bit-sliced rule maps in a column walk (_map_bits).
 #: On a 2-core VM (Python 3.11) a 2 000-row rule-30 column took 2.2 ms at
 #: 32 rows, 1.9 at 64 and 1.8 at 96; a walk maps up to k-1 rows ahead
@@ -143,7 +142,7 @@ class LocalRule:
         # not fields, so equality, hashing and pickles ignore them
         object.__setattr__(self, "_table_array", np.frombuffer(self.table, dtype=np.uint8))
         object.__setattr__(self, "_index_dtype", np.min_scalar_type(len(self.table) - 1))
-        # the short-word kernel's bytes.translate table, None past 256 entries
+        # _map_short's and lookup_windows' bytes.translate table, None past 256 entries
         object.__setattr__(self, "_translation", self.table.ljust(256, b"\0")
                            if len(self.table) <= 256 else None)
         # lookup_windows' shift gather: a binary table of at most 8 entries
@@ -299,14 +298,17 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
 
     A 1-D array is one word; a 2-D array of shape (length, count) holds
     ``count`` words column-wise and is mapped in one pass.  The result has
-    m+n fewer rows and the table's ``uint8`` dtype.  The radix index is
-    accumulated in the narrowest unsigned type that holds every table
-    index.  A binary table of at most 8 entries (every ECA) is gathered in
-    place by one shift of its packed bits (the rule's _packed) by each
-    index.  Any other table of at most 256 entries (the rule's _translation)
-    has a ``uint8`` index, gathered by one bytes.translate over its bytes
-    into a read-only array; a larger table is gathered by ``take``, which
-    widens the index to ``intp``.
+    m+n fewer rows and the table's ``uint8`` dtype.  It alone decides how a
+    table is gathered, for every numpy row: the decider's, the spreading
+    search's, compose()'s, _block's and _map_rows' beyond _map_short.  The
+    radix index is accumulated in the narrowest unsigned type that holds
+    every table index.  A binary table of at most 8 entries (every ECA) is
+    gathered in place by one shift of its packed bits (the rule's _packed)
+    by each index.  Any other table of at most 256 entries (the rule's
+    _translation) has a ``uint8`` index, gathered by one bytes.translate
+    over its bytes into a read-only array, the index array freed first so a
+    long row is not held three times; a larger table is gathered by
+    ``take``, which widens the index to ``intp``.
     """
     idx = _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype)
     if rule._packed is not None:  # width <= 3, so Horner's astype made idx a fresh array
@@ -315,8 +317,9 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
         return idx
     if rule._translation is None:
         return rule._table_array.take(idx)
-    return np.frombuffer(idx.tobytes().translate(rule._translation),
-                         dtype=np.uint8).reshape(idx.shape)
+    shape, data = idx.shape, idx.tobytes()
+    del idx
+    return np.frombuffer(data.translate(rule._translation), dtype=np.uint8).reshape(shape)
 
 
 def _fill_low(out: np.ndarray, size: int) -> np.ndarray:
@@ -484,19 +487,15 @@ def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
     table), any k > 1 for a bit-sliced rule (_map_bits) or _block_rows(rule)
     for another (its block).  Every row an orbit or a column walk maps comes
     from here.  One row of a short word under a table of at most 256
-    entries is _map_short's, and of a longer word the translated bytes of
-    its uint8 radix index (lookup_windows' gather, without the array around
-    it); numpy's take maps every other.
+    entries is _map_short's, and every other row is lookup_windows', which
+    picks the gather; a block is gathered by numpy's take.
     """
     if k > 1 and rule._packed is not None:
         return _map_bits(rule, symbols, k, lo, width)
     if k == 1:
-        if rule._translation is None:
-            return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
-        if len(symbols) <= _SHORT_WORD:
+        if rule._translation is not None and len(symbols) <= _SHORT_WORD:
             return _map_short(rule, symbols), ()
-        return _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
-                            rule.width, np.uint8).tobytes().translate(rule._translation), ()
+        return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
     center, between, dtype = _block(rule)
     idx = _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
                        1 + k * (rule.memory + rule.anticipation), dtype)

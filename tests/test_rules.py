@@ -739,6 +739,13 @@ def test_short_kernel_runs_for_short_words_and_small_tables_only():
                              (wide, 3), (wide, _SHORT_WORD)):
             map_windows(rule, bytes(length))
     assert calls == [_SHORT_WORD]
+    # every other one-row map goes through the one numpy gather, once
+    mul32 = fractional_multiplication_rule(MulSpec(3, 2)).rule
+    for rule, length in ((eca(30).rule, _SHORT_WORD + 1), (eca(30).rule, 32768),
+                         (mul32, _SHORT_WORD + 1), (mul32, 32768), (wide, 3)):
+        with mock.patch("leftex.rules.lookup_windows", wraps=lookup_windows) as gather:
+            assert map_windows(rule, bytes(length)) == bytes(length - rule.width + 1)
+        assert gather.call_count == 1, (rule.table, length)
 
 
 def test_map_windows_rejects_short_input():
