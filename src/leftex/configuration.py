@@ -22,8 +22,10 @@ configurations).  Two Configuration values are therefore equal as Python
 objects exactly when they are equal as functions from the integers to the
 alphabet.
 
-All types here are immutable after construction and safe to share between
-threads.
+Every constructor validates its words against the alphabet except
+``Configuration._from_trusted``, which ``apply`` and ``orbit`` call once per
+step; ``OneSidedSeq`` has one constructor.  All types here are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ class OneSidedSeq:
 
     Canonical form: primitive period, head shortened as far as possible.
     Structural equality then coincides with pointwise equality, so ``==``
-    decides whether two sequences are equal.
+    decides equality.  The one constructor validates both words.
     """
 
     alphabet: Alphabet
@@ -260,9 +262,6 @@ class OneSidedSeq:
         p = self.alphabet.check_word(word(self.period), "period")
         if not p:
             raise SymbolOutOfRange("period word must be nonempty")
-        self._canonicalize(h, p)
-
-    def _canonicalize(self, h: bytes, p: bytes) -> None:
         p = primitive_root(p)
         back = _continuation_length(h, p, len(h), backward=True)
         if back:
@@ -270,15 +269,6 @@ class OneSidedSeq:
             p = _rotl(p, -back)
         object.__setattr__(self, "head", h)
         object.__setattr__(self, "period", p)
-
-    @classmethod
-    def _from_trusted(cls, alphabet: Alphabet, head: bytes, period: bytes) -> "OneSidedSeq":
-        """Canonicalize words cut from a validated configuration without
-        re-validating them, as Configuration._from_trusted and for its reason."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "alphabet", alphabet)
-        seq._canonicalize(head, period)
-        return seq
 
     def at(self, i: int) -> int:
         if i < 0:
@@ -296,19 +286,12 @@ class OneSidedSeq:
         return self.head + cyclic_slice(self.period, 0, count - len(self.head))
 
 
-def _fractional_part(alphabet: Alphabet, anchor: int, lp: bytes, head: bytes, rp: bytes,
-                     c: int) -> OneSidedSeq:
-    """The one-sided sequence i -> x[c+i] of the configuration laid out as
-    (anchor, left period, head, right period), canonical or not."""
-    s = anchor + len(head)
-    if c >= s:
-        return OneSidedSeq._from_trusted(alphabet, b"", _rotl(rp, (c - s) % len(rp)))
-    return OneSidedSeq._from_trusted(alphabet, _window(anchor, lp, head, rp, c, s - 1), rp)
-
-
 def fractional_part(x: Configuration, c: int) -> OneSidedSeq:
     """The one-sided sequence i -> x[c+i]."""
-    return _fractional_part(x.alphabet, x.anchor, x.left_period, x.head, x.right_period, c)
+    s = x.anchor + len(x.head)
+    if c >= s:
+        return OneSidedSeq(x.alphabet, b"", _rotl(x.right_period, c - s))
+    return OneSidedSeq(x.alphabet, x.window(c, s - 1), x.right_period)
 
 
 # -- textual literals --------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .configuration import Configuration, _fractional_part, _window
+from .configuration import Configuration, _window, fractional_part
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
 from .rules import Automaton, _states, columns
@@ -159,7 +159,8 @@ def recurrence_scan(
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
     states = _states(automaton, x)
-    target = _fractional_part(x.alphabet, *next(states), c)  # x's own tail
+    next(states)  # x's own state
+    target = fractional_part(x, c)
     h, p = len(target.head), len(target.period)
     short = target.head + target.period
     out = []

@@ -54,6 +54,9 @@ denominator search: it expands its start once, walks both automata over
 raw states, and since it knows what each image is worth, it knows what
 the image's tail must be worth, and proves the tails of one c and length
 together, a table block of digits at a time.
+
+The automaton multiplying by p/q composes the inverse shift with times-p
+first, so no product table has more than (pq)**3 entries (pq <= 215).
 """
 
 from __future__ import annotations
@@ -483,13 +486,13 @@ def multiplication_rule(spec: MulSpec) -> Automaton:
 def fractional_multiplication_rule(spec: MulSpec) -> Automaton:
     """The automaton multiplying by p/q in base pq.
 
-    Built as inverse-shift composed with two multiplications by p (multiply
-    by p twice, then divide by pq via the shift); the composition trims to a
-    (1,1) rule.
+    Built as inverse-shift after two multiplications by p (multiply by p
+    twice, then divide by pq via the shift), composed from the shift inwards:
+    no product table exceeds (pq)^3 entries, and the result trims to (1,1).
     """
     alphabet = Alphabet(spec.base)
     times_p = multiplication_rule(spec)
-    composed = compose(shift_inverse_rule(alphabet), compose(times_p, times_p))
+    composed = compose(compose(shift_inverse_rule(alphabet), times_p), times_p)
     return replace(composed, name=f"mul:{spec.p}/{spec.q}")
 
 

@@ -102,6 +102,7 @@ times cells evaluated, by the cells rule the decider charges prefixes with.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -112,7 +113,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .configuration import Configuration, left_edge
-from .errors import BadDims, NotECA, OutOfRange, ZeroNotQuiescent
+from .errors import BadDims, NotECA, OutOfRange, TableTooLarge, ZeroNotQuiescent
 from .numeric import MulSpec, fractional_multiplication_rule
 from .rules import (
     Automaton,
@@ -586,13 +587,17 @@ class RapidClassification:
 
 def _is_fractional_multiplication(trimmed: LocalRule) -> bool:
     """True iff the trimmed rule is the multiply-by-p/q automaton for some
-    coprime p > q > 1 with p*q equal to the alphabet size."""
+    coprime p > q > 1 with p*q equal to the alphabet size.  Only a (1,1)
+    rule is compared, and a candidate too large to compose is no match."""
+    if (trimmed.memory, trimmed.anticipation) != (1, 1):
+        return False
     size = trimmed.alphabet.size
     for q in range(2, isqrt(size) + 1):
         p, rest = divmod(size, q)
-        if rest == 0 and p > q and gcd(p, q) == 1 \
-                and trimmed == fractional_multiplication_rule(MulSpec(p, q)).rule:
-            return True
+        if rest == 0 and p > q and gcd(p, q) == 1:
+            with suppress(TableTooLarge):
+                if trimmed == fractional_multiplication_rule(MulSpec(p, q)).rule:
+                    return True
     return False
 
 

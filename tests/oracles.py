@@ -7,8 +7,9 @@ occurrences of keys by numpy's own unique, the geometric-series value of a
 periodic tail, one-factor-at-a-time preperiods, digit expansions by one
 long division and period proofs by comparing with it, primitive roots by
 searching w+w for w, padded finite simulation, cubic period search,
-rolling-index rule evaluation,
-block-by-block vacuity tests, symbol-by-symbol canonicalization,
+rolling-index rule evaluation, the multiply-by-p/q chain composed the
+other way round, block-by-block vacuity tests,
+symbol-by-symbol canonicalization,
 expansivity searches over every full-length seed, and the traces, left
 edges and tail recurrences read off canonical orbits, one configuration
 per step) without touching the library's fast paths, so
@@ -40,11 +41,13 @@ from leftex import (
     ExpansivityDims,
     PropertyVerdict,
     Verdict,
+    compose,
     config_to_rational,
     fractional_multiplication_rule,
     is_left_expansive,
     multiplication_rule,
     rational_to_config,
+    shift_inverse_rule,
 )
 from leftex.configuration import _rotl, fractional_part, left_edge
 from leftex.properties import DEFAULT_BUDGET
@@ -181,6 +184,14 @@ def verify_mul_oracle(spec, value, steps: int, automata=None) -> bool:
             if not y.is_number_like or config_to_rational(y, base) != expected:
                 return False
     return True
+
+
+def fractional_multiplication_rule_oracle(spec) -> Automaton:
+    """The multiply-by-p/q automaton by the other association of its chain:
+    the inverse shift after the square of times-p, whose width-4 product
+    table has (pq)**4 entries."""
+    times_p = multiplication_rule(spec)
+    return compose(shift_inverse_rule(Alphabet(spec.base)), compose(times_p, times_p))
 
 
 def digits_to_int_oracle(w: bytes, base: int) -> int:

@@ -55,6 +55,7 @@ from oracles import (
     coprime_part_oracle,
     digits_to_int_oracle,
     expansion_matches_oracle,
+    fractional_multiplication_rule_oracle,
     int_to_digits_oracle,
     long_division_digits,
     preperiod_oracle,
@@ -747,6 +748,25 @@ def test_fractional_rule_shape():
     a = fractional_multiplication_rule(MulSpec(3, 2))
     assert (a.rule.memory, a.rule.anticipation) == (1, 1)
     assert a.name == "mul:3/2"
+
+
+def test_fractional_rule_matches_the_other_association():
+    """Composing the inverse shift with times-p first gives the table of the
+    inverse shift after times-p squared, for every coprime spec with pq <= 56."""
+    specs = [MulSpec(p, q) for q in range(2, 8) for p in range(q + 1, 56 // q + 1)
+             if math.gcd(p, q) == 1]
+    assert len(specs) == 35
+    for spec in specs:
+        assert fractional_multiplication_rule(spec).rule == \
+            fractional_multiplication_rule_oracle(spec).rule
+
+
+def test_large_fractional_rules_build_and_verify():
+    """(pq)**3 entries fit the compose guard up to pq = 215: mul:9/7 and
+    mul:13/11 build, where the width-4 product of times-p squared did not."""
+    for spec, xi in ((MulSpec(9, 7), Fraction(22, 7)), (MulSpec(13, 11), Fraction(1, 7))):
+        assert verify_mul(spec, xi, 8)
+        assert verify_mul_oracle(spec, xi, 8)
 
 
 def test_multiplication_moves_values():

@@ -30,7 +30,7 @@ from leftex import (
     rational_to_config,
     shift_rule,
 )
-from leftex import properties, rules
+from leftex import numeric, properties, rules
 from leftex.errors import BadDims, NotECA, OutOfRange, ZeroNotQuiescent
 from leftex.rules import Automaton, LocalRule
 from oracles import (
@@ -858,6 +858,34 @@ def test_classify_recognizes_multiplication_by_table_not_name():
         result = classify_rapid(unnamed)
         assert (result.verdict, result.dims, result.speed_basis) == (
             "Yes", ExpansivityDims(1, 1, 1), "exact-family")
+
+
+def test_classify_large_alphabets_compose_no_candidate():
+    """The quiescent (0,1) rule (a*b + a) mod s is No at every size, where
+    composing each coprime split of s raised TableTooLarge from s = 57 on."""
+    for size in (57, 60, 120, 200, 221, 255):
+        table = bytes((a * b + a) % size for a in range(size) for b in range(size))
+        assert classify_rapid(Automaton(LocalRule(Alphabet(size), 0, 1, table))).verdict == "No"
+
+
+def test_classify_composes_nothing_for_a_rule_that_is_not_1_1(monkeypatch):
+    """Only a (1,1) rule is compared with the multiplication family; the
+    cache is cleared so that a rule built earlier cannot hide a compose."""
+    def refuse(outer, inner):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(numeric, "compose", refuse)
+    fractional_multiplication_rule.cache_clear()
+    table = bytes((a * b + a) % 56 for a in range(56) for b in range(56))
+    assert classify_rapid(Automaton(LocalRule(Alphabet(56), 0, 1, table))).verdict == "No"
+
+
+def test_a_multiplication_candidate_past_the_compose_guard_is_no_match():
+    """mul:27/8 would need 216**3 entries, past the guard: a (1,1) rule over
+    216 symbols is no match instead of raising TableTooLarge."""
+    size = 216
+    table = (np.arange(size**3) % size).astype(np.uint8).tobytes()
+    assert not properties._is_fractional_multiplication(LocalRule(Alphabet(size), 1, 1, table))
 
 
 def test_classify_shift_variants():
