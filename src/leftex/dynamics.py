@@ -19,11 +19,8 @@ import numpy as np
 from .configuration import Configuration, _window, fractional_part
 from .errors import InsufficientHorizon, NotNumberLike, OutOfRange, PrefixTooShort
 from .properties import ExpansivityDims
-from .rules import Automaton, _states, columns
+from .rules import _MAX_PREFIX, Automaton, _states, columns
 
-#: the longest prefix a limit-point census counts; it bounds the lengths
-#: listed and the cone word walked, n_max + horizon * (m + n) symbols a row
-_MAX_PREFIX = 10**5
 #: bytes of adjacent-pair comparisons a census makes per block
 _PAIR_BLOCK = 2**20
 
@@ -155,16 +152,20 @@ def recurrence_scan(
     Wilf the two tails are equal iff they agree on their first
     max(len(h), P) + len(p) + len(rp) symbols: one comparison of bytes per
     step, after a shorter one on the first len(h) + len(p) symbols rejects
-    most steps, with no object built per step."""
+    most steps, with no object built per step.  A tail whose head, the
+    cells c .. anchor + len(head) - 1 of x, is longer than _MAX_PREFIX
+    raises OutOfRange before the tail is built."""
     if horizon < 1:
         raise OutOfRange("horizon must be at least 1")
-    states = _states(automaton, x)
+    if x.anchor + len(x.head) - c > _MAX_PREFIX:
+        raise OutOfRange(f"tails with a head longer than {_MAX_PREFIX} cells are not supported")
+    states = _states(automaton, x, horizon + 1)
     next(states)  # x's own state
     target = fractional_part(x, c)
     h, p = len(target.head), len(target.period)
     short = target.head + target.period
     out = []
-    for t, state in zip(range(1, horizon + 1), states):
+    for t, state in enumerate(states, 1):
         if _window(*state, c, c + h + p - 1) == short:
             n = max(h, state[0] + len(state[2]) - c) + p + len(state[3])
             if _window(*state, c, c + n - 1) == target.prefix(n):

@@ -71,7 +71,7 @@ import numpy as np
 
 from .configuration import Alphabet, Configuration
 from .errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive, OutOfRange
-from .rules import Automaton, LocalRule, _states, compose, shift_inverse_rule
+from .rules import Automaton, LocalRule, _states, compose
 from .words import _factorize, cyclic_slice
 
 RationalLike = Union[int, Fraction]
@@ -487,13 +487,13 @@ def fractional_multiplication_rule(spec: MulSpec) -> Automaton:
     """The automaton multiplying by p/q in base pq.
 
     Built as inverse-shift after two multiplications by p (multiply by p
-    twice, then divide by pq via the shift), composed from the shift inwards:
-    no product table exceeds (pq)^3 entries, and the result trims to (1,1).
+    twice, then divide by pq via the shift).  The inverse shift after
+    times-p is times-p's table read as a (1,0) rule, so one composition
+    with times-p builds the (1,1) rule, a table of (pq)^3 entries.
     """
-    alphabet = Alphabet(spec.base)
     times_p = multiplication_rule(spec)
-    composed = compose(compose(shift_inverse_rule(alphabet), times_p), times_p)
-    return replace(composed, name=f"mul:{spec.p}/{spec.q}")
+    shifted = Automaton(LocalRule(times_p.alphabet, 1, 0, times_p.rule.table))
+    return replace(compose(shifted, times_p), name=f"mul:{spec.p}/{spec.q}")
 
 
 def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
@@ -530,10 +530,10 @@ def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:
         (multiplication_rule(spec), Fraction(spec.p)),
         (fractional_multiplication_rule(spec), Fraction(spec.p, spec.q)),
     ):
-        states = _states(automaton, x)
+        states = _states(automaton, x, steps + 1)
         next(states)  # the start configuration itself
         expected = xi
-        for _, (anchor, lp, head, rp) in zip(range(steps), states):
+        for anchor, lp, head, rp in states:
             expected *= factor
             if lp.strip(b"\x00"):
                 return False

@@ -503,9 +503,9 @@ def _edge_trajectory(automaton: Automaton, x: Configuration, horizon: int):
     stays.  The rule is quiescent and x number-like, so every state's left
     period is 0 and its edge is the first nonzero symbol of the head, else,
     when the head is all zeros, of the right period."""
-    states = _states(automaton, x)
+    states = _states(automaton, x, horizon + 1)
     next(states)  # x itself
-    for t, (anchor, _, head, rp) in zip(range(1, horizon + 1), states):
+    for t, (anchor, _, head, rp) in enumerate(states, 1):
         edge = anchor + len(head) - len(head.lstrip(b"\x00"))
         if edge == anchor + len(head):
             rest = rp.lstrip(b"\x00")

@@ -51,20 +51,26 @@ of _step.  It canonicalizes again only once the raw head is longer
 than twice the head of the last canonical state plus 64, which keeps the
 work per step within about twice that of a canonical orbit and never
 quadratic in the number of steps.  Every walk that reads less than a whole
-configuration reads the walker: columns() yields only the words
-F^t(x)[i..j], which is all that aperiodicity scans, propagation checks,
-limit-point censuses and rasters read, and left edges and recurrences of
-tails are read off its raw states (_states) too, as are verify_mul's
-images, which need no canonical form to be valued.  A column walk maps
-k rows per lookup from its first row.  A bit-sliced rule, binary with at
-most 8 entries (every ECA, the rules _packed marks), maps them as one
-Python int, one bit per cell, through its table's algebraic normal form
-(_map_bits), k = _BIT_ROWS, and owns no table beyond its own.  Every other
-rule maps a long walk through its block (_block): tables over every
+configuration reads the walker and is told its row count: columns() yields
+only the words F^t(x)[i..j], which is all that aperiodicity scans,
+propagation checks, limit-point censuses and rasters read, and left edges
+and recurrences of tails are read off its raw states (_states), as are
+verify_mul's images, which need no canonical form to be valued.  A
+bit-sliced rule, binary with at most 8 entries (every ECA, the rules
+_packed marks), maps k rows per lookup as one Python int, one bit per cell,
+through its table's algebraic normal form (_map_bits), and owns no table
+beyond its own.  A column walk maps k = _BIT_ROWS rows per lookup from its
+first row, and a state walk 1, 2, 4, ... rows up to _BIT_ROWS, never past
+its last row, with the rows in between over the cells the image spans, off
+which every row's raw state is cut.  The rows are unpacked one
+np.unpackbits call per group of about _UNPACK_CELLS cells, a group only
+once it is read, so a state walk holds one lookup's rows packed and one
+group unpacked.  Every other rule maps a state walk one row per lookup and
+a long column walk through its block (_block): tables over every
 neighborhood of width 1 + k*(m+n) that give the center of F^k and, under
 the window, the k-1 rows in between (k = 2 for mul:3/2 and mul:5/2).
-Every column walk is told its row count, so it reads only the light cone
-of its window: row t+r over [i, j] depends only on row t over
+A column walk reads only the light cone of its window, of at most
+_MAX_PREFIX cells: row t+r over [i, j] depends only on row t over
 [i-r*m, j+r*n].  Once that cone word is no wider than the word the next
 step would map, columns() cuts it off the state once and maps it down k
 rows per lookup, so the state is neither stepped nor canonicalized
@@ -78,8 +84,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -114,10 +121,16 @@ _RESIDENT_LOW = 2**12
 #: symbols for eca:30 and mul:3/2 and at about 800 for a width-8 binary rule
 #: (in no workload); on orbits 1 280 beat 1 024 in 6 of 6 pairs, 1 536 tied
 _SHORT_WORD = 1280
-#: rows one lookup of a bit-sliced rule maps in a column walk (_map_bits).
-#: On a 2-core VM (Python 3.11) a 2 000-row rule-30 column took 2.2 ms at
-#: 32 rows, 1.9 at 64 and 1.8 at 96; a walk maps up to k-1 rows ahead
+#: rows one lookup of a bit-sliced rule maps in a column walk (_map_bits),
+#: and the most a state walk ramps up to.  On a 2-core VM (Python 3.11) a
+#: 2 000-row rule-30 column took 2.2 ms at 32 rows, 1.9 at 64 and 1.8 at 96
 _BIT_ROWS = 64
+#: cells of bit-sliced rows unpacked per np.unpackbits call (_unpacked), at
+#: least one row: it bounds the bytes a lookup's rows hold at once
+_UNPACK_CELLS = 2**16
+#: the widest column window a walk reads, the longest head of a recurrence
+#: scan's tail and the longest prefix a limit-point census counts
+_MAX_PREFIX = 10**5
 
 
 @dataclass(frozen=True)
@@ -447,20 +460,42 @@ def _bit_form(rule: LocalRule) -> tuple[int, ...]:
     return form
 
 
+def _unpacked(first: int, first_cells: int, rows: Sequence[int], cells: int) -> Iterator[bytes]:
+    """``first``, an int of ``first_cells`` bits with the leftmost cell
+    most significant, then each of the one or more ``rows``, ints of
+    ``cells`` bits, as words of one byte a cell.  Each row is laid out in
+    whole bytes (one bytes() call for rows of at most 8 cells), and they are
+    unpacked by one np.unpackbits call per group of about _UNPACK_CELLS
+    cells, ``first`` with the first group, a group only once it is read."""
+    size = cells + 7 >> 3
+    stride = 8 * size
+    group, lead = max(1, _UNPACK_CELLS // stride), first.to_bytes(first_cells + 7 >> 3, "big")
+    for start in range(0, len(rows), group):
+        chunk = rows[start:start + group]
+        data = bytes(chunk) if size == 1 else \
+            b"".join(map(int.to_bytes, chunk, repeat(size), repeat("big")))
+        bits = np.unpackbits(np.frombuffer(lead + data, dtype=np.uint8)).tobytes()
+        at = 8 * len(lead)
+        if start == 0:
+            yield bits[at - first_cells:at]
+        lead = b""
+        yield from [bits[p:p + cells] for p in range(at + stride - cells, len(bits), stride)]
+
+
 def _map_bits(rule: LocalRule, symbols: bytes, k: int, lo: int,
-              width: int) -> tuple[bytes, Sequence[bytes]]:
+              width: int) -> tuple[bytes, Iterator[bytes]]:
     """_map_rows for k > 1 rows of a bit-sliced rule: the word as one Python
     int, one bit per cell, stepped k times through the rule's normal form
     (_bit_form).  Row q keeps its cells in the low count - q*(m+n) bits; the
     bits above are never read again, since an image bit reads only the m+n
-    bits above it, so no row is masked.  Rows 1 .. k-1 over the window are
-    shifted into one accumulator, which takes the last row too, and all of
-    it is unpacked once."""
+    bits above it, so no row is masked.  Row k and rows 1 .. k-1 over the
+    window are cut out as ints and unpacked (_unpacked): row k at once, the
+    rows in between as they are read."""
     one, c1, c2, c3, c4, c5, c6, c7 = _bit_form(rule)
     m, span, count = rule.memory, rule.memory + rule.anticipation, len(symbols)
     x = int.from_bytes(np.packbits(np.frombuffer(symbols, dtype=np.uint8)).tobytes(),
                        "big") >> -count % 8
-    full, window, acc = (1 << count) - 1 if one else 0, (1 << width) - 1, 0
+    full, window, rows = (1 << count) - 1 if one else 0, (1 << width) - 1, []
     for q in range(1, k + 1):
         x1, x2, y = x >> 1, x >> 2, full
         if c1: y ^= x
@@ -472,23 +507,22 @@ def _map_bits(rule: LocalRule, symbols: bytes, k: int, lo: int,
         if c7: y ^= x & x1 & x2
         x = y
         if q < k:  # row q's cells lo + (k-q)*m onwards, in its bits from count-1-q*span down
-            acc = acc << width | x >> count - q * span - lo - (k - q) * m - width & window
-    last, between = count - k * span, (k - 1) * width
-    acc = (acc << last | x & (1 << last) - 1) << -(last + between) % 8
-    out = np.unpackbits(np.frombuffer(acc.to_bytes((last + between + 7) // 8, "big"),
-                                      dtype=np.uint8), count=last + between).tobytes()
-    return out[between:], [out[q:q + width] for q in range(0, between, width)]
+            rows.append(x >> count - q * span - lo - (k - q) * m - width & window)
+    last = count - k * span
+    rows = _unpacked(x & (1 << last) - 1, last, rows, width)
+    return next(rows), rows
 
 
 def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
-              width: int = 0) -> tuple[bytes, Sequence[bytes]]:
+              width: int = 0) -> tuple[bytes, Iterable[bytes]]:
     """Map a word k rows down with one lookup: the word k rows down, and
     rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the rule's own
     table), any k > 1 for a bit-sliced rule (_map_bits) or _block_rows(rule)
-    for another (its block).  Every row an orbit or a column walk maps comes
-    from here.  One row of a short word under a table of at most 256
-    entries is _map_short's, and every other row is lookup_windows', which
-    picks the gather; a block is gathered by numpy's take.
+    for another (its block).  Every row an orbit, a state walk or a column
+    walk maps comes from here.  One row of a short word under a table of at
+    most 256 entries is _map_short's, and every other row is
+    lookup_windows', which picks the gather; a block is gathered by numpy's
+    take.
     """
     if k > 1 and rule._packed is not None:
         return _map_bits(rule, symbols, k, lo, width)
@@ -515,11 +549,13 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     return _map_rows(rule, samples)[0]
 
 
-def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1, i: int = 0,
-          j: int = 0) -> tuple[tuple[int, bytes, bytes, bytes], Sequence[bytes]]:
+def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1,
+          i: Optional[int] = None,
+          j: int = 0) -> tuple[tuple[int, bytes, bytes, bytes], Iterable, int]:
     """The exact image of the raw state (anchor, left period, head, right
-    period) k rows down, laid out the same way but not canonicalized, and
-    the k-1 rows in between over the cells [i, j].
+    period) k rows down, laid out the same way but not canonicalized, the
+    k-1 rows in between, over the cells [i, j] or as raw states laid out
+    like this one when i is None, and k.
 
     F^k is a rule of memory k*m and anticipation k*n (for k > 1 mapped by
     _map_rows).  The image left tail repeats with the input's
@@ -528,22 +564,41 @@ def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1, i
     right, so evaluating one period of each tail at those safe offsets is
     enough.  The periods keep their lengths and the head grows by k*(m+n)
     symbols.  A window outside the cells the image spans steps one row.
+    Row q's state is its cells from (k-q)*n into those the image spans,
+    which lie inside the cells row q is valid over.
     """
     anchor, lp, head, rp = state
     m, n = rule.memory, rule.anticipation
-    L, R = len(lp), len(rp)
-    if k > 1:
-        lo = i - anchor + L + k * n  # the window's offset in the image
-        if lo < 0 or lo + j - i >= L + len(head) + R + k * (m + n):
+    L, H, R = len(lp), len(head), len(rp)
+    if i is None:
+        lo, width = 0, L + H + R + k * (m + n)
+    else:  # the window's offset in the image
+        lo, width = i - anchor + L + k * n, j - i + 1
+        if lo < 0 or lo + width > L + H + R + k * (m + n):
             k = 1
     span = k * (m + n)
     samples = cyclic_slice(lp, -span, L + span) + head + cyclic_slice(rp, 0, R + span)
     if k == 1:
         out, between = map_windows(rule, samples), ()
     else:
-        out, between = _map_rows(rule, samples, k, lo, j - i + 1)
-    cut = L + len(head) + span
-    return (anchor - k * n, out[:L], out[L:cut], out[cut:]), between
+        out, between = _map_rows(rule, samples, k, lo, width)
+        if i is None:
+            between = _row_states(state, between, k, m, n)
+    cut = L + H + span
+    return (anchor - k * n, out[:L], out[L:cut], out[cut:]), between, k
+
+
+def _row_states(state: tuple[int, bytes, bytes, bytes], rows: Iterable[bytes], k: int, m: int,
+                n: int) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    """The raw states 1 .. k-1 rows below ``state``, laid out like it, cut
+    from those rows over the cells the state k rows down spans: row q's
+    state starts (k-q)*n cells in."""
+    anchor, lp, head, rp = state
+    L, R = len(lp), len(rp)
+    for q, row in enumerate(rows, 1):
+        at = (k - q) * n
+        cut = at + L + len(head) + q * (m + n)
+        yield anchor - q * n, row[at:at + L], row[at + L:cut], row[cut:cut + R]
 
 
 def _parts(automaton: Automaton, x: Configuration) -> tuple[int, bytes, bytes, bytes]:
@@ -559,30 +614,58 @@ def apply(automaton: Automaton, x: Configuration) -> Configuration:
     return Configuration._from_trusted(x.alphabet, *_step(automaton.rule, _parts(automaton, x))[0])
 
 
-def _states(automaton: Automaton,
-            x: Configuration) -> Iterator[tuple[int, bytes, bytes, bytes]]:
-    """The raw (anchor, left period, head, right period) states of the orbit
-    x, F(x), F^2(x), ..., the first being x's own parts, as a lazy generator:
-    a caller that takes k states spends exactly k-1 steps.  A state is
-    canonical only after a re-canonicalization (see the module docstring).
-    The alphabets are checked at the call, so every walk over the wrong
-    alphabet raises before it yields anything.
+def _states(automaton: Automaton, x: Configuration,
+            rows: int) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    """The raw (anchor, left period, head, right period) states of the
+    first ``rows`` >= 1 configurations of the orbit x, F(x), F^2(x), ...,
+    the first being x's own parts, as a lazy generator.  A bit-sliced rule
+    maps 1, 2, 4, ... rows per lookup, up to _BIT_ROWS and never past row
+    rows-1, and any other rule one row, so a walk is lazy to within one
+    lookup of at most the rows taken.  A state is canonical only after a
+    re-canonicalization (see the module docstring).  The alphabets are
+    checked at the call, so every walk over the wrong alphabet raises
+    before it yields anything.
     """
-    return map(itemgetter(0), _walk(automaton.rule, _parts(automaton, x)))
+    rule, state = automaton.rule, _parts(automaton, x)
+    if rule._packed is None:  # one row per lookup, so no rows in between
+        return map(itemgetter(0), _walk(rule, state, repeat(1, rows - 1)))
+    return _flat(_walk(rule, state, _ramp(_BIT_ROWS, rows - 1)))
 
 
-def _walk(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1, i: int = 0,
-          j: int = 0) -> Iterator[tuple[tuple[int, bytes, bytes, bytes], Sequence[bytes]]]:
-    """The raw states of the orbit of ``state``, each stepped k rows down
-    from the last (one row where [i, j] is outside the cells _step maps),
-    and with each the rows in between over [i, j]."""
-    between = ()
-    while True:
-        limit = 2 * len(state[2]) + 64
-        while len(state[2]) <= limit:
-            yield state, between
-            state, between = _step(rule, state, k, i, j)
-        state = _canonical_parts(*state)
+def _flat(walk: Iterator[tuple[tuple[int, bytes, bytes, bytes], Iterable, int]]):
+    """The states of a walk whose rows in between are states, in order."""
+    for state, between, _ in walk:
+        yield from between
+        yield state
+
+
+def _ramp(top: int, rows: int) -> Iterator[int]:
+    """Row counts 1, 2, 4, ... up to ``top`` that add up to ``rows``."""
+    k = 1
+    while k < top and k < rows:
+        yield k
+        rows -= k
+        k = min(2 * k, top)
+    yield from repeat(k, rows // k)
+    if rows % k:
+        yield rows % k
+
+
+def _walk(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], steps: Iterable[int],
+          i: Optional[int] = None,
+          j: int = 0) -> Iterator[tuple[tuple[int, bytes, bytes, bytes], Iterable, int]]:
+    """The raw states of the orbit of ``state``: the state itself, then for
+    each k of ``steps`` the state k rows down from the last (one row where
+    [i, j] is outside the cells _step maps), each with the rows in between
+    and the rows it was stepped, as _step gives them."""
+    limit = 2 * len(state[2]) + 64
+    yield state, (), 0
+    for k in steps:
+        state, between, k = _step(rule, state, k, i, j)
+        if len(state[2]) > limit:
+            state = _canonical_parts(*state)
+            limit = 2 * len(state[2]) + 64
+        yield state, between, k
 
 
 def orbit(automaton: Automaton, x: Configuration) -> Iterator[Configuration]:
@@ -608,10 +691,13 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
     module docstring).  A caller that takes r words has r-1 rows mapped,
     and at most k-1 more: the rest of the lookup its last word came from,
     where k is _BIT_ROWS for a bit-sliced rule, _block_rows(rule) for
-    another in a long walk and else 1.  No row past rows-1 is mapped.
+    another in a long walk and else 1.  No row past rows-1 is mapped.  A
+    window of more than _MAX_PREFIX cells raises OutOfRange at the call.
     """
     if i > j:
         raise EmptyInterval(f"empty interval [{i}, {j}]")
+    if j - i >= _MAX_PREFIX:
+        raise OutOfRange(f"column windows wider than {_MAX_PREFIX} cells are not supported")
     if rows < 0:
         raise OutOfRange("rows must be nonnegative")
     return _cone_columns(automaton.rule, _parts(automaton, x), i, j, rows)
@@ -642,10 +728,10 @@ def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],
     if not bits and (rows - 1) * (2 * width + (rows - 1) * (m + n)) < \
             k * size**block_width * (block_width + 1):
         k = 1
-    left = rows  # rows not yet taken, the first state's included
-    for state, between in _walk(rule, state, k, i, j):
+    left = rows - 1  # rows below the state reached
+    for state, between, stepped in _walk(rule, state, repeat(k), i, j):
         yield from between
-        left -= len(between) + 1
+        left -= stepped
         _, lp, head, rp = state
         if left < k or width + left * (m + n) <= len(lp) + len(head) + len(rp) + 2 * k * (m + n):
             word = _window(*state, i - left * m, j + left * n)

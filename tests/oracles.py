@@ -7,20 +7,23 @@ occurrences of keys by numpy's own unique, the geometric-series value of a
 periodic tail, one-factor-at-a-time preperiods, digit expansions by one
 long division and period proofs by comparing with it, primitive roots by
 searching w+w for w, padded finite simulation, cubic period search,
-rolling-index rule evaluation, the multiply-by-p/q chain composed the
-other way round, block-by-block vacuity tests,
+rolling-index rule evaluation, the multiply-by-p/q chain associated the
+other way round and written out neighborhood by neighborhood,
+block-by-block vacuity tests,
 symbol-by-symbol canonicalization,
 expansivity searches over every full-length seed, and the traces, left
 edges and tail recurrences read off canonical orbits, one configuration
 per step) without touching the library's fast paths, so
 tests compare two genuinely different routes to the same answer.
-There are two exceptions.  The dimension search that decides every cell
+There are three exceptions.  The dimension search that decides every cell
 calls the library's decider, which the oracles above check, so that it
 tests the pruning of the search and not the decider again.  The
 multiplication check steps canonical configurations and values each image
 with the library's config_to_rational, which the closed form above checks,
 so that it tests verify_mul's tail proofs over raw states and not the
-valuing again.
+valuing again.  And the one-row walker steps raw states one row at a time
+with the library's one-row _step, which the canonical orbit checks, so
+that it tests the multi-row state walk against the walk it replaced.
 """
 
 from __future__ import annotations
@@ -41,17 +44,15 @@ from leftex import (
     ExpansivityDims,
     PropertyVerdict,
     Verdict,
-    compose,
     config_to_rational,
     fractional_multiplication_rule,
     is_left_expansive,
     multiplication_rule,
     rational_to_config,
-    shift_inverse_rule,
 )
-from leftex.configuration import _rotl, fractional_part, left_edge
+from leftex.configuration import _canonical_parts, _rotl, fractional_part, left_edge
 from leftex.properties import DEFAULT_BUDGET
-from leftex.rules import LocalRule, apply, orbit
+from leftex.rules import LocalRule, _step, apply, orbit
 from leftex.words import cyclic_slice, first_mismatch
 
 # hand-transcribed radius-1 binary tables, keyed by neighborhood tuple
@@ -99,6 +100,23 @@ def edge_trajectory_oracle(automaton: Automaton, x: Configuration,
         if y.is_zero:
             break
         out.append((t, left_edge(y)))
+    return out
+
+
+def one_row_states_oracle(automaton: Automaton, x: Configuration,
+                          rows: int) -> list[tuple[int, bytes, bytes, bytes]]:
+    """The raw states of the first ``rows`` configurations of the orbit of
+    x as a one-row walker steps them: one rules._step row at a time, and
+    canonicalized again once the head is longer than twice the last
+    canonical head plus 64."""
+    state = x.anchor, x.left_period, x.head, x.right_period
+    limit, out = 2 * len(x.head) + 64, [state]
+    while len(out) < rows:
+        state = _step(automaton.rule, state)[0]
+        if len(state[2]) > limit:
+            state = _canonical_parts(*state)
+            limit = 2 * len(state[2]) + 64
+        out.append(state)
     return out
 
 
@@ -187,11 +205,14 @@ def verify_mul_oracle(spec, value, steps: int, automata=None) -> bool:
 
 
 def fractional_multiplication_rule_oracle(spec) -> Automaton:
-    """The multiply-by-p/q automaton by the other association of its chain:
-    the inverse shift after the square of times-p, whose width-4 product
-    table has (pq)**4 entries."""
-    times_p = multiplication_rule(spec)
-    return compose(shift_inverse_rule(Alphabet(spec.base)), compose(times_p, times_p))
+    """The multiply-by-p/q automaton by the other association of its chain,
+    the inverse shift after the square of times-p, written out neighborhood
+    by neighborhood with no composition: (a, b, c) goes to t(t(a, b),
+    t(b, c)) for times-p's table t."""
+    size = spec.base
+    t = np.frombuffer(multiplication_rule(spec).rule.table, dtype=np.uint8).reshape(size, size)
+    table = b"".join(t[t[a][:, None], t].tobytes() for a in range(size))
+    return Automaton(LocalRule(Alphabet(size), 1, 1, table))
 
 
 def digits_to_int_oracle(w: bytes, base: int) -> int:

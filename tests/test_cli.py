@@ -156,6 +156,18 @@ def test_limits_n_max_above_the_census_bound_is_a_usage_error(capsys):
     assert "prefix lengths above 100000 are not supported" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("render", "eca:30", "[L:0]1[R:0]@0", "--rows", "10", "--cols", "0:99999999999"),
+    ("scan-period", "eca:30", "[L:0]1[R:0]@0", "--cols", "0:99999999999", "--T", "10"),
+    ("recur", "eca:30", "[L:0]1[R:0]@0", "--c", "-99999999999", "--T", "3"),
+])
+def test_windows_and_tails_past_the_prefix_bound_are_usage_errors(capsys, argv):
+    # refused before a row or a tail of 10^11 cells is allocated
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "not supported" in err and "Traceback" not in err
+
+
 # calls with and without --budget, --json and --format, in turn
 ALTERNATING_ARGV = (
     ("classify", "eca:30", "--budget", "1000"),

@@ -200,6 +200,25 @@ def test_mul_never_recurs_small():
     assert recurrence_scan(MUL32, rational_to_config(1, 6), 0, 50) == []
 
 
+def test_recurrence_refuses_a_tail_head_past_the_prefix_bound(monkeypatch):
+    """The tail from c has the head c .. anchor + len(head) - 1 of x; one
+    of more than _MAX_PREFIX cells is refused before the tail is built or
+    a row is walked, from the left period's cells as from the head's."""
+    def no_tail(*args):
+        raise AssertionError("the scan built a tail or walked a row")
+
+    bound = dynamics._MAX_PREFIX
+    assert bound is rules._MAX_PREFIX
+    x = Configuration(Alphabet(2), 0, b"\x01", b"\x01\x00\x01", b"\x00")  # head ends at 3
+    monkeypatch.setattr(dynamics, "fractional_part", no_tail)
+    monkeypatch.setattr(dynamics, "_states", no_tail)
+    for c in (3 - bound - 1, -99999999999):
+        with pytest.raises(OutOfRange, match="head longer than"):
+            recurrence_scan(eca(204), x, c, 3)
+    monkeypatch.undo()
+    assert recurrence_scan(eca(204), x, 3 - bound, 3) == [1, 2, 3]
+
+
 def test_recurrence_matches_brute_force():
     rng = random.Random(2024)
     cases = 0

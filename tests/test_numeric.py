@@ -751,11 +751,13 @@ def test_fractional_rule_shape():
 
 
 def test_fractional_rule_matches_the_other_association():
-    """Composing the inverse shift with times-p first gives the table of the
-    inverse shift after times-p squared, for every coprime spec with pq <= 56."""
+    """One composition of times-p read as a (1,0) rule with times-p gives
+    the table of the inverse shift after times-p squared, for every coprime
+    spec with pq <= 56 and a few up to the compose guard's pq = 215."""
     specs = [MulSpec(p, q) for q in range(2, 8) for p in range(q + 1, 56 // q + 1)
              if math.gcd(p, q) == 1]
     assert len(specs) == 35
+    specs += [MulSpec(9, 7), MulSpec(13, 11), MulSpec(15, 14), MulSpec(43, 5)]
     for spec in specs:
         assert fractional_multiplication_rule(spec).rule == \
             fractional_multiplication_rule_oracle(spec).rule
@@ -881,7 +883,7 @@ def test_verify_mul_values_raw_tails_by_their_expected_value(monkeypatch, xi, im
     step of mulint:3/2 and one of mul:3/2 from xi."""
     spec = MulSpec(3, 2)
     by_name = {"mulint:3/2": images[0], "mul:3/2": images[1]}
-    monkeypatch.setattr(numeric, "_states", lambda a, x: iter([None, by_name[a.name]]))
+    monkeypatch.setattr(numeric, "_states", lambda a, x, rows: iter([None, by_name[a.name]]))
     assert verify_mul(spec, xi, 1) is ok
 
 

@@ -1,16 +1,21 @@
-"""The orbit walker and its readers, and how many steps each walk spends.
+"""The orbit walker and its readers, and how many rows each walk maps.
 
 Every walk that reads less than a whole configuration reads the raw states
-of one walker, rules._states: rules.columns reads a window off each, or
-walks the light cone of its window once that is narrower, and the spreading
-and recurrence scans read a left edge or a tail off each.  rules.orbit
-steps canonical configurations with rules.apply.  Every row any of them maps
-comes from one rules._map_rows call: a rules._step call maps one row, or k
-rows in a column walk (bit-sliced, or through the rule's block in a long
-walk), and a cone maps k rows per call and its last rows in one more call
-(bit-sliced) or one per call.  Counting the rows of those calls
-pins each consumer to the number of images it needs, and none of them
-computes one image too many.
+of one walker, rules._walk, told how many rows it will read: rules.columns
+reads a window off each, or walks the light cone of its window once that
+is narrower, and the spreading and recurrence scans read a left edge or a
+tail off each state of rules._states.  rules.orbit steps canonical
+configurations with rules.apply.  Every row any of them maps comes from
+one rules._map_rows call: a rules._step call maps one row, or k rows in a
+column walk (bit-sliced, or through the rule's block in a long walk) or in
+a state walk of a bit-sliced rule (1, 2, 4, ... up to 64 rows), and a cone
+maps k rows per call and its last rows in one more call (bit-sliced) or
+one per call.  Counting the rows of those calls pins each consumer to the
+number of images it needs: a walk that reads its whole row count maps no
+row past it, and one that stops early maps at most one lookup ahead, no
+longer than the rows it read.  The bit-sliced state walk is compared with
+the one-row walker it replaced (oracles.one_row_states_oracle) state by
+state, as configurations, since the two re-canonicalize at different rows.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ import io
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -49,11 +55,12 @@ from leftex import (
 from leftex.cli import main
 from leftex.configuration import _window
 from leftex.errors import AlphabetMismatch, OutOfRange
-from leftex.rules import _BIT_ROWS, _states
+from leftex.rules import _BIT_ROWS, _MAX_PREFIX, _UNPACK_CELLS, _states
 
 from oracles import (
     census_oracle,
     edge_trajectory_oracle,
+    one_row_states_oracle,
     raw_configurations,
     recurrence_oracle,
     simulate_zero_padded,
@@ -159,6 +166,16 @@ def test_verify_mul_step_count(applied):
     assert len(applied) == 6
 
 
+def assert_state_walk_rows(applied, horizon, steps):
+    """A state walk that reads ``steps`` rows maps exactly its horizon when
+    it reads all of it, and else at most one lookup ahead, which ramps
+    1, 2, 4, ... rows, so no more rows than it read."""
+    if steps == horizon:
+        assert rows_of(applied) == steps
+    else:
+        assert steps <= rows_of(applied) <= 2 * steps - 1
+
+
 @pytest.mark.parametrize("rule, sample, horizon, steps", [
     (30, ONE, 6, 1),      # the edge moves left at t = 1
     (0, ONE, 6, 1),       # zero at t = 1
@@ -167,7 +184,7 @@ def test_verify_mul_step_count(applied):
 ])
 def test_spreading_witness_step_counts(applied, rule, sample, horizon, steps):
     left_spreading_witnesses(eca(rule), [sample], horizon)
-    assert len(applied) == steps
+    assert_state_walk_rows(applied, horizon, steps)
 
 
 @pytest.mark.parametrize("rule, sample, horizon, steps", [
@@ -177,7 +194,7 @@ def test_spreading_witness_step_counts(applied, rule, sample, horizon, steps):
 ])
 def test_spreading_speed_step_counts(applied, rule, sample, horizon, steps):
     estimate_spreading_speed(eca(rule), [sample], horizon)
-    assert len(applied) == steps
+    assert_state_walk_rows(applied, horizon, steps)
 
 
 @pytest.mark.parametrize("steps", [0, 4])
@@ -280,9 +297,68 @@ def walker_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_walker_states_match_the_canonical_orbit(case):
     automaton, x, steps = case
-    states = itertools.islice(_states(automaton, x), steps)
+    states = _states(automaton, x, steps)
     assert [Configuration(x.alphabet, *state) for state in states] == \
         list(itertools.islice(orbit(automaton, x), steps))
+
+
+# -- bit-sliced state walks against the one-row walker ----------------------
+
+
+@st.composite
+def bit_sliced_walks(draw):
+    """A binary rule of at most 8 entries at any (m, n) with m+n <= 2, a
+    configuration with periodic tails on both sides, a head of 0 to 16
+    cells, and 1 to 400 rows: enough for the lookups to ramp up to
+    _BIT_ROWS rows and the walker to re-canonicalize; and how many of the
+    rows to take."""
+    m, n = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]))
+    table = bytes(draw(st.lists(st.integers(0, 1), min_size=2 ** (m + n + 1),
+                                max_size=2 ** (m + n + 1))))
+    bit = st.integers(0, 1)
+    x = Configuration(A2, draw(st.integers(-10, 10)), draw(st.lists(bit, min_size=1, max_size=5)),
+                      draw(st.lists(bit, max_size=16)), draw(st.lists(bit, min_size=1, max_size=5)))
+    rows = draw(st.integers(1, 400))
+    return Automaton(LocalRule(A2, m, n, table)), x, rows, draw(st.integers(1, rows))
+
+
+@given(bit_sliced_walks())
+@settings(max_examples=150, deadline=None)
+# eca:170 shifts left, so the walk reads the left period 011 into every state
+@example((eca(170), Configuration(A2, 0, b"\x00\x01\x01", b"", b"\x00\x01\x01"), 300, 150))
+def test_bit_sliced_state_walks_match_the_one_row_walker(case):
+    """The k-row walk re-canonicalizes at other rows than the one-row
+    walker, so its raw layouts differ; its states are compared as the
+    configurations they spell.  Told its row count, it maps exactly the
+    rows below the first; a walk that stops early maps at most one lookup
+    ahead, which is no longer than the rows it read."""
+    automaton, x, rows, taken = case
+    want = [Configuration(A2, *state) for state in one_row_states_oracle(automaton, x, rows)]
+    with counting_steps() as mapped:
+        # one more than the rows asked for: a walk that overruns fails, not hangs
+        got = list(itertools.islice(_states(automaton, x, rows), rows + 1))
+    assert [Configuration(A2, *state) for state in got] == want
+    assert rows_of(mapped) == rows - 1
+    with counting_steps() as mapped:
+        got = list(itertools.islice(_states(automaton, x, rows), taken))
+    assert [Configuration(A2, *state) for state in got] == want[:taken]
+    assert taken - 1 <= rows_of(mapped) <= max(2 * (taken - 1) - 1, 0)
+
+
+def test_state_walk_memory_holds_one_lookup_of_packed_rows():
+    """The traced peak of a 20 000-row eca:90 recurrence scan, whose last
+    state spans about 40 000 cells, holds the packed rows of one lookup
+    (_BIT_ROWS rows at a bit a cell), a few states and one unpacked group
+    of rows, where unpacking all the rows of a lookup at once would hold
+    _BIT_ROWS states."""
+    tracemalloc.start()
+    try:
+        recurrence_scan(eca(90), ONE, 0, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = 2 * 20000 + 3
+    assert peak < (_BIT_ROWS // 8 + 8) * cells + 2 * _UNPACK_CELLS
 
 
 # -- bounded column walks against the canonical orbit ----------------------
@@ -401,7 +477,7 @@ def test_bounded_columns_switch_to_the_cone(applied):
         walk = [step_word + t * span for t in range(0, switch, k)]
         cones = [1 + r * span for r in range(left, left % k, -k)]
         tail = [(left % k, 1 + left % k * span)] if left % k else []
-        states = [state for _, state in zip(range(rows), _states(eca(30), ONE))]
+        states = list(_states(eca(30), ONE, rows))
         applied.clear()
         assert list(columns(eca(30), ONE, 0, 0, rows)) == \
             [_window(*state, 0, 0) for state in states]
@@ -415,6 +491,22 @@ def test_negative_row_count_is_out_of_range():
     with pytest.raises(OutOfRange):
         columns(eca(30), ONE, 0, 0, -1)
     assert list(columns(eca(30), ONE, 0, 0, 0)) == []
+
+
+def test_windows_wider_than_the_prefix_bound_are_out_of_range(monkeypatch):
+    """A window of more than _MAX_PREFIX cells is refused at the call,
+    before a row is walked or a window word is cut."""
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(leftex.rules, "_walk", no_walk)
+    monkeypatch.setattr(leftex.rules, "_window", no_walk)
+    for j in (_MAX_PREFIX, 99999999999):
+        with pytest.raises(OutOfRange, match="wider than"):
+            columns(eca(30), ONE, 0, j, 10)
+    monkeypatch.undo()
+    rows = list(columns(eca(30), ONE, 0, _MAX_PREFIX - 1, 2))
+    assert [len(row) for row in rows] == [_MAX_PREFIX] * 2 and rows[1][:3] == b"\x01\x01\x00"
 
 
 def test_columns_check_the_alphabet_at_the_call():
