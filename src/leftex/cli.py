@@ -8,7 +8,8 @@ Configurations use the literal format ``[L:word] head [R:word] @anchor``.
 
 Options are spelled in full; an abbreviated option is a usage error.
 Exit codes: 0 pass/True, 1 fail/False, 2 Unknown or budget exhausted,
-3 usage or parse error.
+3 usage or parse error, 4 internal error (any other exception, with its
+traceback on stderr), so that no crash reads as a No.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -40,6 +42,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -320,6 +323,9 @@ def main(argv=None) -> int:
     except (LeftexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry():  # console_scripts hook

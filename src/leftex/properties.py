@@ -256,14 +256,21 @@ def _cells(length: int, steps: int, span: int) -> int:  # sum of length - k*span
     return steps * length - span * steps * (steps + 1) // 2
 
 
+def _prefix(rule: LocalRule, dims: ExpansivityDims) -> tuple[int, int, int]:
+    """The decider's seed length L, read prefix length L' and rectangle
+    column c, which take a few products however large the cell."""
+    m, n, below = rule.memory, rule.anticipation, dims.h + dims.d
+    seed_len = (dims.w + 1) + 2 * max(m, n) * below
+    c = max(below * m, dims.h * m + 1)
+    return seed_len, min(seed_len, c + dims.w + below * n), c
+
+
 def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
     """The decider's layout and charge: (L, L', rectangle column c, rectangle
     row starts, determined index, charge).  Patch row k covers seed columns
     [k*m, L-1-k*n]; the rectangle clears every row's left end."""
     m, n, below = rule.memory, rule.anticipation, dims.h + dims.d
-    seed_len = (dims.w + 1) + 2 * max(m, n) * below
-    c = max(below * m, dims.h * m + 1)
-    read_len = min(seed_len, c + dims.w + below * n)
+    seed_len, read_len, c = _prefix(rule, dims)
     charge = rule.alphabet.size**read_len * max(_cells(read_len, below, m + n), 1)
     starts = [c - k * m for k in range(below + 1)]
     return seed_len, read_len, c, starts, (c - 1) - dims.h * m, charge
@@ -344,7 +351,12 @@ def _first_conflict(rule: LocalRule, dims: ExpansivityDims, frame: tuple) -> Opt
 
 
 def _decide(rule: LocalRule, dims: ExpansivityDims, budget: int) -> tuple:
-    """(frame, status, first conflict); UNKNOWN searches nothing."""
+    """(frame, status, first conflict); UNKNOWN searches nothing.  Over two
+    or more symbols the charge is at least 2**L', so an L' longer than
+    budget.bit_length() answers UNKNOWN with no frame (None), before the
+    frame's power and row starts are built for a huge cell."""
+    if rule.alphabet.size > 1 and _prefix(rule, dims)[1] > budget.bit_length():
+        return None, Verdict.UNKNOWN, None
     frame = _decider_frame(rule, dims)
     if frame[-1] > budget:
         return frame, Verdict.UNKNOWN, None
@@ -364,7 +376,7 @@ def is_left_expansive(
     rule = automaton.rule
     size = rule.alphabet.size
     frame, status, conflict = _decide(rule, dims, budget)
-    seed_len, read_len, c, starts, det_index, needed = frame
+    seed_len, read_len, c, starts, det_index, needed = frame or _decider_frame(rule, dims)
     seed_space = size**seed_len
     name = f"left-expansive({dims.h},{dims.d},{dims.w})"
     if status is Verdict.UNKNOWN:

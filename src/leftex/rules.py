@@ -47,37 +47,40 @@ decider's counterexample seed (a range of one word).
 
 One lazy walker, _walk, steps along an orbit: it computes its next raw
 state only when it is asked for, and besides apply() it is the only caller
-of _step.  It canonicalizes again only once the raw head is longer
-than twice the head of the last canonical state plus 64, which keeps the
-work per step within about twice that of a canonical orbit and never
-quadratic in the number of steps.  Every walk that reads less than a whole
-configuration reads the walker and is told its row count: columns() yields
-only the words F^t(x)[i..j], which is all that aperiodicity scans,
-propagation checks, limit-point censuses and rasters read, and left edges
-and recurrences of tails are read off its raw states (_states), as are
-verify_mul's images, which need no canonical form to be valued.  A
-bit-sliced rule, binary with at most 8 entries (every ECA, the rules
-_packed marks), maps k rows per lookup as one Python int, one bit per cell,
-through its table's algebraic normal form (_map_bits), and owns no table
-beyond its own.  A column walk maps k = _BIT_ROWS rows per lookup from its
-first row, and a state walk 1, 2, 4, ... rows up to _BIT_ROWS, never past
-its last row, with the rows in between over the cells the image spans, off
-which every row's raw state is cut.  The rows are unpacked one
-np.unpackbits call per group of about _UNPACK_CELLS cells, a group only
-once it is read, so a state walk holds one lookup's rows packed and one
-group unpacked.  Every other rule maps a state walk one row per lookup and
-a long column walk through its block (_block): tables over every
-neighborhood of width 1 + k*(m+n) that give the center of F^k and, under
-the window, the k-1 rows in between (k = 2 for mul:3/2 and mul:5/2).
-A column walk reads only the light cone of its window, of at most
-_MAX_PREFIX cells: row t+r over [i, j] depends only on row t over
+of _step, whose one job is to map a raw state k rows down in one
+_map_rows lookup and hand back the image with the rows in between over a
+window of its cells.  The walker canonicalizes again only once the raw
+head is longer than twice the head of the last canonical state plus 64,
+which keeps the work per step within about twice that of a canonical orbit
+and never quadratic in the number of steps.  Every walk that reads less
+than a whole configuration reads the walker and is told its row count:
+columns() yields only the words F^t(x)[i..j], which is all that
+aperiodicity scans, propagation checks, limit-point censuses and rasters
+read, and left edges and recurrences of tails are read off its raw states
+(_states), as are verify_mul's images, which need no canonical form to be
+valued.  A bit-sliced rule, binary with at most 8 entries (every ECA, the
+rules _packed marks), maps k rows per lookup as one Python int, one bit
+per cell, through its table's algebraic normal form (_map_bits), and owns
+no table beyond its own.  A column walk maps k = _BIT_ROWS rows per lookup
+from its first row, with the rows in between over its window, and a state
+walk 1, 2, 4, ... rows up to _BIT_ROWS, never past its last row, with the
+rows in between over every cell the image spans; _flat, the one reader of
+that layout, cuts each of those rows' raw states.  The rows are unpacked
+one np.unpackbits call per group of about _UNPACK_CELLS cells, a group
+only once it is read, so a state walk holds one lookup's rows packed and
+one group unpacked.  Every other rule maps a state walk one row per
+lookup and a long column walk through its block (_block): tables over
+every neighborhood of width 1 + k*(m+n) that give the center of F^k and,
+under the window, the k-1 rows in between (k = 2 for mul:3/2 and
+mul:5/2).  A column walk reads only the light cone of its window, of at
+most _MAX_PREFIX cells: row t+r over [i, j] depends only on row t over
 [i-r*m, j+r*n].  Once that cone word is no wider than the word the next
 step would map, columns() cuts it off the state once and maps it down k
-rows per lookup, so the state is neither stepped nor canonicalized
-again.  orbit() yields canonical configurations,
-for simulate and library callers; it steps each canonical
-image with apply(), which is _step followed by canonicalization and never
-steps a head longer than the canonical one.
+rows per lookup, so the state is neither stepped nor canonicalized again.
+orbit() yields canonical configurations, for simulate and library
+callers; it steps each canonical image with apply(), which is _step
+followed by canonicalization and never steps a head longer than the
+canonical one.
 """
 
 from __future__ import annotations
@@ -541,7 +544,6 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
     """Apply the rule to every length-(m+n+1) window of ``samples``.
 
     Returns a word shorter by m+n.  This is the evaluation kernel behind
-    every one-row ``_step`` (so behind ``apply`` and every orbit walk) and
     ``patch``, one row of ``_map_rows``.
     """
     if len(samples) < rule.width:
@@ -551,21 +553,19 @@ def map_windows(rule: LocalRule, samples: bytes) -> bytes:
 
 def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1,
           i: Optional[int] = None,
-          j: int = 0) -> tuple[tuple[int, bytes, bytes, bytes], Iterable, int]:
+          j: int = 0) -> tuple[tuple[int, bytes, bytes, bytes], Iterable[bytes], int]:
     """The exact image of the raw state (anchor, left period, head, right
     period) k rows down, laid out the same way but not canonicalized, the
-    k-1 rows in between, over the cells [i, j] or as raw states laid out
-    like this one when i is None, and k.
+    k-1 rows in between over the image's cells [lo, lo+width), and k.
 
-    F^k is a rule of memory k*m and anticipation k*n (for k > 1 mapped by
-    _map_rows).  The image left tail repeats with the input's
-    left period for all cells up to anchor-1-k*n (the whole input window
-    then sits inside the left periodic region), and symmetrically on the
-    right, so evaluating one period of each tail at those safe offsets is
-    enough.  The periods keep their lengths and the head grows by k*(m+n)
-    symbols.  A window outside the cells the image spans steps one row.
-    Row q's state is its cells from (k-q)*n into those the image spans,
-    which lie inside the cells row q is valid over.
+    F^k is a rule of memory k*m and anticipation k*n, mapped by _map_rows
+    in one lookup.  The image left tail repeats with the input's left
+    period for all cells up to anchor-1-k*n (the whole input window then
+    sits inside the left periodic region), and symmetrically on the right,
+    so evaluating one period of each tail at those safe offsets is enough.
+    The periods keep their lengths and the head grows by k*(m+n) symbols.
+    The rows in between span the cells [i, j], or every cell the image
+    spans when i is None; a window outside those cells steps one row.
     """
     anchor, lp, head, rp = state
     m, n = rule.memory, rule.anticipation
@@ -578,27 +578,9 @@ def _step(rule: LocalRule, state: tuple[int, bytes, bytes, bytes], k: int = 1,
             k = 1
     span = k * (m + n)
     samples = cyclic_slice(lp, -span, L + span) + head + cyclic_slice(rp, 0, R + span)
-    if k == 1:
-        out, between = map_windows(rule, samples), ()
-    else:
-        out, between = _map_rows(rule, samples, k, lo, width)
-        if i is None:
-            between = _row_states(state, between, k, m, n)
+    out, between = _map_rows(rule, samples, k, lo, width)
     cut = L + H + span
     return (anchor - k * n, out[:L], out[L:cut], out[cut:]), between, k
-
-
-def _row_states(state: tuple[int, bytes, bytes, bytes], rows: Iterable[bytes], k: int, m: int,
-                n: int) -> Iterator[tuple[int, bytes, bytes, bytes]]:
-    """The raw states 1 .. k-1 rows below ``state``, laid out like it, cut
-    from those rows over the cells the state k rows down spans: row q's
-    state starts (k-q)*n cells in."""
-    anchor, lp, head, rp = state
-    L, R = len(lp), len(rp)
-    for q, row in enumerate(rows, 1):
-        at = (k - q) * n
-        cut = at + L + len(head) + q * (m + n)
-        yield anchor - q * n, row[at:at + L], row[at + L:cut], row[cut:cut + R]
 
 
 def _parts(automaton: Automaton, x: Configuration) -> tuple[int, bytes, bytes, bytes]:
@@ -620,23 +602,33 @@ def _states(automaton: Automaton, x: Configuration,
     first ``rows`` >= 1 configurations of the orbit x, F(x), F^2(x), ...,
     the first being x's own parts, as a lazy generator.  A bit-sliced rule
     maps 1, 2, 4, ... rows per lookup, up to _BIT_ROWS and never past row
-    rows-1, and any other rule one row, so a walk is lazy to within one
-    lookup of at most the rows taken.  A state is canonical only after a
-    re-canonicalization (see the module docstring).  The alphabets are
-    checked at the call, so every walk over the wrong alphabet raises
-    before it yields anything.
+    rows-1, and _flat cuts the states of the rows in between; any other
+    rule maps one row per lookup, so its walk's states are all there is.  A
+    walk is lazy to within one lookup of at most the rows taken.  A state
+    is canonical only after a re-canonicalization (see the module
+    docstring).  The alphabets are checked at the call, so every walk over
+    the wrong alphabet raises before it yields anything.
     """
     rule, state = automaton.rule, _parts(automaton, x)
     if rule._packed is None:  # one row per lookup, so no rows in between
         return map(itemgetter(0), _walk(rule, state, repeat(1, rows - 1)))
-    return _flat(_walk(rule, state, _ramp(_BIT_ROWS, rows - 1)))
+    return _flat(_walk(rule, state, _ramp(_BIT_ROWS, rows - 1)), rule.memory, rule.anticipation)
 
 
-def _flat(walk: Iterator[tuple[tuple[int, bytes, bytes, bytes], Iterable, int]]):
-    """The states of a walk whose rows in between are states, in order."""
-    for state, between, _ in walk:
-        yield from between
+def _flat(walk: Iterator[tuple[tuple[int, bytes, bytes, bytes], Iterable[bytes], int]],
+          m: int, n: int) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    """Every raw state of a walk over whole images, in order: before each
+    state the walk yields, the states of the k-1 rows in between, each cut
+    from its row over the cells the image spans and laid out like the state
+    the walk yielded last, which is the one that lookup stepped: row q's
+    state starts (k-q)*n cells in."""
+    for state, between, k in walk:
+        for q, row in enumerate(between, 1):
+            at = (k - q) * n
+            cut = at + L + H + q * (m + n)
+            yield anchor - q * n, row[at:at + L], row[at + L:cut], row[cut:cut + R]
         yield state
+        anchor, L, H, R = state[0], len(state[1]), len(state[2]), len(state[3])
 
 
 def _ramp(top: int, rows: int) -> Iterator[int]:

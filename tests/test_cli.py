@@ -1,9 +1,12 @@
 import argparse
+import contextlib
 import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from leftex import Alphabet, RenderSpec, cli, config_to_rational, eca, parse_configuration, render_to
 from leftex.cli import build_parser, main
@@ -168,6 +171,108 @@ def test_windows_and_tails_past_the_prefix_bound_are_usage_errors(capsys, argv):
     assert "not supported" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("bounds, budget, want", [
+    ("0,2,99999999999", "1", (2, "Unknown")),
+    ("0,99999999999,2", "1", (2, "Unknown")),
+    ("0,2,99999999999", None, (0, "Yes dims=(0,1,2) ")),
+])
+def test_huge_classify_bounds_answer_without_building_the_corner(capsys, bounds, budget, want):
+    # the top corner reads a prefix of about 10^11 symbols: Unknown from its
+    # length alone, before size**L' or a list of 10^11 row starts is built
+    argv = ["classify", "eca:30", f"--bounds={bounds}"] + (["--budget", budget] if budget else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (want[0], "") and out.startswith(want[1])
+
+
+def test_any_other_crash_is_an_internal_error(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_mul", out_of_memory)
+    code, out, err = run(capsys, "verify-mul", "3", "2", "1/3", "1")
+    assert (code, out) == (cli.EXIT_INTERNAL, "") == (4, "")
+    assert err.startswith("Traceback") and "MemoryError" in err
+
+
+BIG = 99_999_999_999  # near 10**11: far past every bound, and no long request
+
+
+def extreme_ints():
+    return st.one_of(st.integers(-4, 4), st.integers(-BIG, BIG),
+                     st.sampled_from([BIG, -BIG, BIG + 2, 2**63, -2**63]))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv from the CLI's grammar, valid more often than not so that
+    the extremes reach past the parser: extreme anchors, windows, columns,
+    ECA numbers, p/q, bounds and budgets, with few rows and steps."""
+    small = st.integers(-1, 6)
+    fraction = st.one_of(st.integers(-1, 9), st.sampled_from([BIG, 2**63]))
+    pq = draw(st.one_of(st.sampled_from([(3, 2), (5, 2), (5, 3), (4, 3), (7, 4)]),
+                        st.tuples(fraction, fraction)))
+    rule = draw(st.one_of(
+        st.just("eca:30"),  # the paper's rule 30 spreads, so classify searches its dims
+        st.integers(0, 255).map("eca:{}".format),
+        st.sampled_from(["mul", "mulint"]).map(lambda kind: f"{kind}:{pq[0]}/{pq[1]}"),
+        st.sampled_from(["eca:-1", "eca:256"])))
+    period = st.text("01", min_size=1, max_size=3)
+    head = st.one_of(st.text("01", max_size=3), st.just("5"))  # 5: a symbol of mul:3/2 only
+    config = "[L:{}] {} [R:{}] @{}".format(*draw(st.tuples(period, head, period, extreme_ints())))
+    lo = draw(extreme_ints())
+    cols = f"--cols={lo}:{draw(st.one_of(st.integers(lo - 1, lo + 6), extreme_ints()))}"
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+    command = draw(st.sampled_from(["simulate", "render", "scan-period", "recur", "limits",
+                                    "classify", "verify-mul"]))
+    if command == "simulate":
+        return [command, rule, config, str(draw(small))]
+    if command == "render":
+        return [command, rule, config, "--rows", str(draw(small)), cols,
+                "--format", draw(st.sampled_from(["ascii", "pbm", "pgm"]))]
+    if command == "scan-period":
+        bound = st.one_of(st.integers(0, 30), extreme_ints())
+        return [command, rule, config, cols, "--T", str(draw(st.integers(-1, 20))),
+                f"--max-c={draw(bound)}", f"--max-p={draw(bound)}", *json_flag]
+    if command in ("recur", "limits"):
+        extra = ["--n-max", str(draw(small))] if command == "limits" else []
+        return [command, rule, config, f"--c={draw(extreme_ints())}",
+                "--T", str(draw(st.integers(-1, 20))), *extra, *json_flag]
+    if command == "classify":
+        bound = st.one_of(st.integers(-1, 4), st.sampled_from([BIG, BIG + 2]))
+        # a larger budget lets wide bounds run a long proof: at the default
+        # 10**8, eca:222 over 0,0,99999999999 decides w = 1 .. 25 in 16 s
+        budget = st.integers(-1, 10**5)
+        return [command, rule, "--bounds={},{},{}".format(*draw(st.tuples(bound, bound, bound))),
+                f"--budget={draw(budget)}", *json_flag]
+    xi = "{}/{}".format(*draw(st.tuples(st.integers(-1, 9), st.sampled_from(
+        [-1, 0, 1, 3, 7, 49, 2**63]))))
+    return [command, str(pq[0]), str(pq[1]), xi, str(draw(small))]
+
+
+def says_no(out):
+    """Whether the output holds a No, FAILED or NoPeriodFound line, as text
+    or as JSON."""
+    for line in out.splitlines():
+        if line.startswith("No") or line.endswith(": FAILED"):
+            return True
+        if line.startswith("{"):
+            doc = json.loads(line)
+            if doc.get("verdict") == "No" or doc.get("outcome") == "NoPeriodFound":
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argvs())
+def test_every_argv_of_the_grammar_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert 0 <= code <= 3 and "Traceback" not in err, (argv, code, err)
+    assert code != 1 or says_no(out), (argv, out)
+
+
 # calls with and without --budget, --json and --format, in turn
 ALTERNATING_ARGV = (
     ("classify", "eca:30", "--budget", "1000"),
@@ -302,6 +407,9 @@ def test_rule_file_errors(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "simulate", str(path), "[L:0] 1 [R:0] @0", "1")
         assert (code, out) == (3, "") and str(path) in err, doc
+    for unreadable in (tmp_path / "missing.json", tmp_path):  # no file, a directory
+        code, out, err = run(capsys, "classify", str(unreadable))
+        assert (code, out) == (3, "") and err.startswith("usage error: cannot read rule file")
 
 
 def test_booleans_in_a_rule_file_are_usage_errors(tmp_path, capsys):
