@@ -228,9 +228,13 @@ def propagation_check(
 
     Callers are responsible for the automaton actually being left expansive
     with ``dims``; the certificate itself is re-validated against the base
-    trace before the propagated window is checked.
+    trace before the propagated window is checked.  A period below 1, which
+    compares each row with itself, or a negative preperiod, which would
+    index rows from the end, raises OutOfRange before any row is computed.
     """
     c, p = certificate.preperiod, certificate.period
+    if p < 1 or c < 0:
+        raise OutOfRange(f"need preperiod >= 0 and period >= 1, got {c} and {p}")
     if horizon < c + dims.h + 2 * p:
         raise InsufficientHorizon(
             f"horizon {horizon} < preperiod {c} + height {dims.h} + 2*period {2 * p}"

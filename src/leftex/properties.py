@@ -26,13 +26,16 @@ prefixes, padded with zeros: seeds_checked is (prefix index)*size**(L-L')+1
 and True still reports all size**L seeds.  The budget is charged for what
 is mapped: size**L' prefixes times the cells below each top row (_cells, at
 least 1).  Every search reads its budget capped at _BUDGET_CAP = 2**61.
+The layout lives where it is read: _prefix gives L, L' and c, _charge the
+charge, which _decide compares with the budget before anything is built,
+and _first_conflict, the chunk loop, places the rectangle and its cell.
 No word is enumerated from an int64 range: a chunk's words are the digits
 of a Python int over one block of low digits (rules._patches), which the
 first and early chunks copy from a bounded cache instead of rebuilding it
 on every call.  The one int64 index left is a prefix number, the first
 prefix each rectangle keeps in the carry, and the prefixes number at most
-the charge, so every such index stays below 2**61, far from 2**63.  The spreading search keeps no
-index array; its counts are Python ints.
+the charge, so every such index stays below 2**61, far from 2**63.  The
+spreading search keeps no index array; its counts are Python ints.
 
 Prefixes are enumerated by rules._patches in lexicographic chunks, each
 an aligned block of size**e words.  The first chunk's size**e is the power
@@ -265,15 +268,11 @@ def _prefix(rule: LocalRule, dims: ExpansivityDims) -> tuple[int, int, int]:
     return seed_len, min(seed_len, c + dims.w + below * n), c
 
 
-def _decider_frame(rule: LocalRule, dims: ExpansivityDims) -> tuple:
-    """The decider's layout and charge: (L, L', rectangle column c, rectangle
-    row starts, determined index, charge).  Patch row k covers seed columns
-    [k*m, L-1-k*n]; the rectangle clears every row's left end."""
-    m, n, below = rule.memory, rule.anticipation, dims.h + dims.d
-    seed_len, read_len, c = _prefix(rule, dims)
-    charge = rule.alphabet.size**read_len * max(_cells(read_len, below, m + n), 1)
-    starts = [c - k * m for k in range(below + 1)]
-    return seed_len, read_len, c, starts, (c - 1) - dims.h * m, charge
+def _charge(rule: LocalRule, dims: ExpansivityDims, read_len: int) -> int:
+    """The decider's charge for a cell of read prefix length L': size**L'
+    prefixes times the cells below each top row, at least 1."""
+    cells = _cells(read_len, dims.h + dims.d, rule.memory + rule.anticipation)
+    return rule.alphabet.size**read_len * max(cells, 1)
 
 
 @lru_cache(maxsize=64)
@@ -313,16 +312,20 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return ordered[flag], order[flag], inverse
 
 
-def _first_conflict(rule: LocalRule, dims: ExpansivityDims, frame: tuple) -> Optional[tuple]:
-    """The decider's chunk loop: the first conflict as (chunk start, column,
-    reference prefix, reference value, rows, rectangle matrix), or None."""
-    size = rule.alphabet.size
-    _, read_len, _, starts, det_index, _ = frame
-    n_rows, w = len(starts), dims.w
+def _first_conflict(rule: LocalRule, dims: ExpansivityDims) -> Optional[tuple]:
+    """The decider's chunk loop: None, or the first conflict as (chunk
+    start, b's column j, prefix a, the determined values of a and b, the
+    chunk's top rows and rectangle matrix), prefix b being start + j and a
+    the first prefix with b's rectangle.  Patch row k covers seed columns
+    [k*m, L-1-k*n], its rectangle row starts at c - k*m and row h's
+    determined cell at c-1-h*m."""
+    size, m, w = rule.alphabet.size, rule.memory, dims.w
+    _, read_len, c = _prefix(rule, dims)
+    n_rows, det_index = dims.h + dims.d + 1, c - 1 - dims.h * m
     weights, key_type = _key_layout(size, n_rows * w)
     runs = []  # sorted (keys, values, first prefixes) runs of the earlier chunks' rectangles
     for first, rows in _patches(rule, read_len, n_rows - 1, 0, size**read_len, _CHUNK):
-        rect = np.concatenate([rows[k][starts[k]:starts[k] + w] for k in range(n_rows)])
+        rect = np.concatenate([rows[k][c - k * m:c - k * m + w] for k in range(n_rows)])
         keys = np.ascontiguousarray(np.einsum("ws,sn->nw", weights, rect)).view(key_type).ravel()
         vals = rows[dims.h][det_index]
         uniq, where, inverse = _first_occurrences(keys)
@@ -339,7 +342,8 @@ def _first_conflict(rule: LocalRule, dims: ExpansivityDims, frame: tuple) -> Opt
         clash = vals != ref_vals[inverse]
         j = int(clash.argmax())
         if clash[j]:
-            return first, j, int(ref_prefixes[inverse[j]]), int(ref_vals[inverse[j]]), rows, rect
+            return (first, j, int(ref_prefixes[inverse[j]]), int(ref_vals[inverse[j]]),
+                    int(vals[j]), rows[0], rect)
         run = (uniq[new], ref_vals[new], ref_prefixes[new])
         while runs and len(runs[-1][0]) <= 2 * len(run[0]):  # each run > twice the next
             older = runs.pop()
@@ -351,17 +355,16 @@ def _first_conflict(rule: LocalRule, dims: ExpansivityDims, frame: tuple) -> Opt
 
 
 def _decide(rule: LocalRule, dims: ExpansivityDims, budget: int) -> tuple:
-    """(frame, status, first conflict); UNKNOWN searches nothing.  Over two
-    or more symbols the charge is at least 2**L', so an L' longer than
-    budget.bit_length() answers UNKNOWN with no frame (None), before the
-    frame's power and row starts are built for a huge cell."""
-    if rule.alphabet.size > 1 and _prefix(rule, dims)[1] > budget.bit_length():
-        return None, Verdict.UNKNOWN, None
-    frame = _decider_frame(rule, dims)
-    if frame[-1] > budget:
-        return frame, Verdict.UNKNOWN, None
-    conflict = _first_conflict(rule, dims, frame)
-    return frame, Verdict.TRUE if conflict is None else Verdict.FALSE, conflict
+    """(status, first conflict of _first_conflict or None); UNKNOWN, over
+    budget, searches and builds nothing.  Over two or more symbols the
+    charge is at least 2**L', so an L' longer than budget.bit_length() is
+    UNKNOWN before the charge's power is built for a huge cell."""
+    read_len = _prefix(rule, dims)[1]
+    if rule.alphabet.size > 1 and read_len > budget.bit_length() or \
+            _charge(rule, dims, read_len) > budget:
+        return Verdict.UNKNOWN, None
+    conflict = _first_conflict(rule, dims)
+    return Verdict.TRUE if conflict is None else Verdict.FALSE, conflict
 
 
 def is_left_expansive(
@@ -373,29 +376,25 @@ def is_left_expansive(
     _BUDGET_CAP acts as the cap.
     """
     budget = _check_budget(budget)
-    rule = automaton.rule
-    size = rule.alphabet.size
-    frame, status, conflict = _decide(rule, dims, budget)
-    seed_len, read_len, c, starts, det_index, needed = frame or _decider_frame(rule, dims)
+    rule, size = automaton.rule, automaton.rule.alphabet.size
+    status, conflict = _decide(rule, dims, budget)
+    seed_len, read_len, c = _prefix(rule, dims)
     seed_space = size**seed_len
     name = f"left-expansive({dims.h},{dims.d},{dims.w})"
     if status is Verdict.UNKNOWN:
-        return PropertyVerdict(
-            name, status, dims, size, 0, seed_space, evals_needed=needed, budget=budget,
-        )
+        return PropertyVerdict(name, status, dims, size, 0, seed_space,
+                               evals_needed=_charge(rule, dims, read_len), budget=budget)
     if status is Verdict.TRUE:
         return PropertyVerdict(name, status, dims, size, seed_space, seed_space)
-    first, j, ref, ref_val, rows, rect = conflict
-    pad, n_rows, w = seed_len - read_len, len(starts), dims.w
-    top_a = rows[0][:, ref - first] if ref >= first else \
-        next(_patches(rule, read_len, 0, ref, ref + 1, 1))[1][0][:, 0]
+    first, j, a, value_a, value_b, top, rect = conflict
+    pad, w = seed_len - read_len, dims.w
+    top_a = top[:, a - first] if a >= first else \
+        next(_patches(rule, read_len, 0, a, a + 1, 1))[1][0][:, 0]
     column = rect[:, j].tobytes()  # the rectangle's rows, w symbols each
     cex = Counterexample(
-        seed_a=top_a.tobytes() + bytes(pad),
-        seed_b=rows[0][:, j].tobytes() + bytes(pad),
-        rectangle=tuple(column[k:k + w] for k in range(0, n_rows * w, w)),
-        value_a=ref_val, value_b=int(rows[dims.h][det_index][j]),
-        rect_col=c, det_col=c - 1, ref_row=dims.h,
+        seed_a=top_a.tobytes() + bytes(pad), seed_b=top[:, j].tobytes() + bytes(pad),
+        rectangle=tuple(column[k:k + w] for k in range(0, len(column), w)),
+        value_a=value_a, value_b=value_b, rect_col=c, det_col=c - 1, ref_row=dims.h,
     )
     return PropertyVerdict(name, Verdict.FALSE, dims, size,
                            (first + j) * size**pad + 1, seed_space, counterexample=cex)
@@ -444,7 +443,7 @@ def find_left_expansive_dims(
     if count == 0:
         return DimsSearch(None, False, 0)
     top = ExpansivityDims(max_h, max_d, max_w)  # the only cell with the largest h+d+w
-    top_status = _decide(automaton.rule, top, budget)[1]
+    top_status = _decide(automaton.rule, top, budget)[0]
     if top_status is Verdict.FALSE:
         return DimsSearch(None, False, count)
     budget_hit, checked = False, 0
@@ -454,7 +453,7 @@ def find_left_expansive_dims(
             for d in range(max(0, level - h - max_w), min(max_d, level - 1 - h) + 1):
                 dims = ExpansivityDims(h, d, level - h - d)
                 checked += 1
-                status = top_status if dims == top else _decide(automaton.rule, dims, budget)[1]
+                status = top_status if dims == top else _decide(automaton.rule, dims, budget)[0]
                 if status is Verdict.TRUE:
                     return DimsSearch(dims, budget_hit, checked)
                 budget_hit |= status is Verdict.UNKNOWN

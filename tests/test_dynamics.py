@@ -385,6 +385,19 @@ def test_propagation_validates_certificate():
         propagation_check(shift_rule(A2), ExpansivityDims(1, 0, 1), x, 0, bogus, 40)
 
 
+@pytest.mark.parametrize("cert", [PeriodCertificate(0, 0, 50), PeriodCertificate(-3, 2, 50)])
+def test_propagation_refuses_degenerate_certificates(monkeypatch, cert):
+    """Period 0 compares each row with itself, so it would "prove" that an
+    aperiodic rule-30 trace propagates, and a negative preperiod indexes
+    rows from the end: both are refused before a row is computed."""
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(dynamics, "columns", no_rows)
+    with pytest.raises(OutOfRange):
+        propagation_check(eca(30), ExpansivityDims(0, 1, 2), ONE, 0, cert, 50)
+
+
 # -- bound calculators ----------------------------------------------------------------
 
 

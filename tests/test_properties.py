@@ -21,6 +21,7 @@ from leftex import (
     estimate_spreading_speed,
     find_left_expansive_dims,
     fractional_multiplication_rule,
+    identity_rule,
     is_left_expansive,
     is_left_permutive,
     is_left_spreading_eca,
@@ -589,6 +590,11 @@ def test_find_dims_matches_linear_scan_on_random_rules(query):
         linear_dims_search_oracle(automaton, *bounds, budget=budget)
 
 
+def charge(rule, dims):
+    """The decider's charge for a cell, as its budget gate reads it."""
+    return properties._charge(rule, dims, properties._prefix(rule, dims)[1])
+
+
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3),
        st.integers(0, 3), st.integers(0, 3), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
@@ -597,11 +603,11 @@ def test_no_cell_costs_more_than_its_corner(size, m, n, max_h, max_d, max_w):
     dimension search skip every cell's charge once the corner fits, and
     stop at the first level whose every cell is over budget."""
     rule = LocalRule(Alphabet(size), m, n, bytes(size ** (m + n + 1)))
-    corner = properties._decider_frame(rule, ExpansivityDims(max_h, max_d, max_w))[-1]
+    corner = charge(rule, ExpansivityDims(max_h, max_d, max_w))
     for h in range(max_h + 1):
         for d in range(max_d + 1):
             for w in range(1, max_w + 1):
-                assert properties._decider_frame(rule, ExpansivityDims(h, d, w))[-1] <= corner
+                assert charge(rule, ExpansivityDims(h, d, w)) <= corner
 
 
 @given(small_dims_searches(), st.sampled_from([-1, 0]))
@@ -611,7 +617,7 @@ def test_find_dims_at_the_corner_budget_matches_linear_scan(query, offset):
     corner; one less walks every cell's charge."""
     automaton, bounds, _ = query
     assume(bounds[2] >= 1)
-    budget = properties._decider_frame(automaton.rule, ExpansivityDims(*bounds))[-1] + offset
+    budget = charge(automaton.rule, ExpansivityDims(*bounds)) + offset
     assume(budget <= 10**6)
     assert find_left_expansive_dims(automaton, *bounds, budget=budget) == \
         linear_dims_search_oracle(automaton, *bounds, budget=budget)
@@ -661,9 +667,9 @@ def test_refuting_probe_at_the_top_corner_settles_the_search(monkeypatch):
     calls = []
     decide = properties._first_conflict
 
-    def counting(rule, dims, frame):
+    def counting(rule, dims):
         calls.append(dims)
-        return decide(rule, dims, frame)
+        return decide(rule, dims)
 
     monkeypatch.setattr(properties, "_first_conflict", counting)
     assert find_left_expansive_dims(eca(110), 2, 2, 4) == DimsSearch(None, False, 36)
@@ -712,6 +718,25 @@ def test_budgets_above_the_cap_act_as_the_cap():
         find_left_expansive_dims(eca(30), 2, 2, 4)
     assert find_left_expansive_dims(eca(110), 2, 2, 4, budget=huge) == DimsSearch(None, False, 36)
     assert properties._left_spreading_search(STUCK.rule, huge)[0] is Verdict.UNKNOWN
+
+
+def test_cells_over_budget_place_no_rows_however_deep():
+    """A cell over budget is Unknown before its rectangle rows are placed,
+    also where the prefix-length gate does not apply: a width-1 rule, whose
+    L' is w+1 whatever h+d, and a one-symbol alphabet, whose charge has no
+    power to gate."""
+    tracemalloc.start()
+    try:
+        found = find_left_expansive_dims(identity_rule(A2), 0, 10**6, 1, budget=100)
+        verdict = is_left_expansive(identity_rule(Alphabet(1)), ExpansivityDims(0, 10**6, 1),
+                                    budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == DimsSearch(None, True, 10**6 + 1)
+    assert (verdict.status, verdict.evals_needed, verdict.seed_space) == \
+        (Verdict.UNKNOWN, 2 * 10**6, 1)
+    assert peak < 2**20, f"{peak} bytes traced"
 
 
 def test_classify_rejects_negative_search_bounds():
