@@ -57,21 +57,45 @@ together, a table block of digits at a time.
 
 The automaton multiplying by p/q composes the inverse shift with times-p
 first, so no product table has more than (pq)**3 entries (pq <= 215).
+The rule it builds carries an arithmetic column kernel (``_mul_columns``),
+which ``rules.columns`` hands a narrow window over a standard number-like
+x (no (pq-1)-tail): with B = pq, the word F^t(x)[i..j] is then
+floor(xi_t * B**(j+1)) mod B**(j-i+1), units digit at index -1, for
+xi_t = xi * (p/q)**t.  That is exact, by three facts:
+
+1. F is worth (p/q) * xi on every number-like x, which ``verify_mul``
+   checks against the automaton itself;
+2. F is quiescent, so F(x) is number-like;
+3. a standard x has a standard image: if F(x) ended in pq-1, (p/q) * xi
+   would be a B-adic fraction, and since 1/p = q/B so would xi be, so x
+   would end in zeros, and so would F(x).
+
+So F^t(x) is the standard expansion of xi_t.  The kernel scales xi by
+B**(j+1) when j >= -1, so that the window is the integer part of each
+row's value, divided by B**(-j-1) when j < -1, mod B**(j-i+1).  It keeps
+the value as I + r/D with 0 <= r < D and D = b * q**t, b the scaled
+value's denominator, and steps it in a few linear big-integer operations
+a row: (I*p) divmod q gives u + v/q, r becomes v*D + r*p over D*q, and
+at most ceil((p+q-1)/q) subtractions of the new D carry into u.  Adding
+a multiple of B**(j-i+1+max(-j-1, 0)) * q**(rows-1) to I moves no window
+of the rows asked for, so a larger I is reduced by it once, which keeps
+a window far right of the units digit as cheap as one near it.  A group
+of rows is split into digits by one numpy pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt, log2
-from typing import Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .configuration import Alphabet, Configuration
 from .errors import AlphabetMismatch, BadBase, BadSpec, NotNumberLike, NotPositive, OutOfRange
-from .rules import Automaton, LocalRule, _states, compose
+from .rules import _BIT_ROWS, _MAX_PREFIX, Automaton, LocalRule, _states, compose
 from .words import _factorize, cyclic_slice
 
 RationalLike = Union[int, Fraction]
@@ -493,7 +517,52 @@ def fractional_multiplication_rule(spec: MulSpec) -> Automaton:
     """
     times_p = multiplication_rule(spec)
     shifted = Automaton(LocalRule(times_p.alphabet, 1, 0, times_p.rule.table))
-    return replace(compose(shifted, times_p), name=f"mul:{spec.p}/{spec.q}")
+    automaton = replace(compose(shifted, times_p), name=f"mul:{spec.p}/{spec.q}")
+    # rules.columns' kernel for this rule; not a field, so equality, hashing
+    # and pickles ignore it, and an equal table built otherwise walks
+    object.__setattr__(automaton.rule, "_column_kernel", partial(_mul_columns, spec))
+    return automaton
+
+
+def _mul_columns(spec: MulSpec, x: Configuration, i: int, j: int,
+                 rows: int) -> Optional[Iterator[bytes]]:
+    """The words F^t(x)[i..j] for t < rows under mul:p/q, read off
+    xi * (p/q)**t (see the module docstring), or None where the call is not
+    the kernel's: x not number-like or ending in pq-1, a window wider than
+    one int64 limb, or x's anchor or the window more than _MAX_PREFIX cells
+    from index 0."""
+    base = spec.base
+    if not x.is_number_like or not x.right_period.strip(bytes([base - 1])) \
+            or j - i >= _pack_width(base) or max(abs(x.anchor), abs(i), abs(j)) > _MAX_PREFIX:
+        return None
+    return _mul_rows(spec.p, spec.q, config_to_rational(x, base), i, j, rows)
+
+
+def _mul_rows(p: int, q: int, xi: Fraction, i: int, j: int, rows: int) -> Iterator[bytes]:
+    """The digits i..j of xi * (p/q)**t in base pq for t < rows, computed
+    and split _BIT_ROWS rows at a time, so a caller that takes r words has
+    at most _BIT_ROWS-1 more rows computed, and none past rows-1."""
+    base, width = p * q, j - i + 1
+    cut, top = base ** max(-j - 1, 0), base ** width
+    xi *= base ** max(j + 1, 0)
+    den, k = xi.denominator, _pack_width(base)
+    whole, rem = divmod(xi.numerator, den)
+    span = max(rows - 1, 0)
+    if whole.bit_length() > span * (q.bit_length() - 1):  # else whole < q**span
+        whole %= cut * top * q**span  # moves no window of these rows
+    for start in range(0, rows, _BIT_ROWS):
+        windows = []
+        for t in range(start, min(start + _BIT_ROWS, rows)):
+            if t:
+                whole, v = divmod(whole * p, q)
+                rem = v * den + rem * p
+                den *= q
+                while rem >= den:
+                    rem -= den
+                    whole += 1
+            windows.append(whole % top if cut == 1 else whole // cut % top)
+        digits = _limbs_to_digits(windows, base)
+        yield from [digits[at - width:at] for at in range(k, len(digits) + 1, k)]
 
 
 def verify_mul(spec: MulSpec, value: RationalLike, steps: int) -> bool:

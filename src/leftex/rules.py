@@ -77,6 +77,14 @@ most _MAX_PREFIX cells: row t+r over [i, j] depends only on row t over
 [i-r*m, j+r*n].  Once that cone word is no wider than the word the next
 step would map, columns() cuts it off the state once and maps it down k
 rows per lookup, so the state is neither stepped nor canonicalized again.
+One family does not walk there: a mul:p/q rule built by
+numeric.fractional_multiplication_rule carries an arithmetic kernel (a
+private attribute, like its block, that equality, hashing and pickles
+ignore), and columns() offers it the call first.  The kernel reads a
+window of at most one int64 limb of digits over a standard number-like x
+off xi * (p/q)**t in exact integers and declines every other call, which
+walks; an equal table built any other way walks every call, to the same
+words.
 orbit() yields canonical configurations, for simulate and library
 callers; it steps each canonical image with apply(), which is _step
 followed by canonicalization and never steps a head longer than the
@@ -685,6 +693,10 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
     where k is _BIT_ROWS for a bit-sliced rule, _block_rows(rule) for
     another in a long walk and else 1.  No row past rows-1 is mapped.  A
     window of more than _MAX_PREFIX cells raises OutOfRange at the call.
+    A rule built by numeric.fractional_multiplication_rule first offers the
+    call, once its arguments are checked, to its arithmetic kernel
+    (numeric._mul_columns), which maps no row: it computes rows _BIT_ROWS
+    at a time, so k is _BIT_ROWS there too.
     """
     if i > j:
         raise EmptyInterval(f"empty interval [{i}, {j}]")
@@ -692,7 +704,9 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
         raise OutOfRange(f"column windows wider than {_MAX_PREFIX} cells are not supported")
     if rows < 0:
         raise OutOfRange("rows must be nonnegative")
-    return _cone_columns(automaton.rule, _parts(automaton, x), i, j, rows)
+    state, kernel = _parts(automaton, x), getattr(automaton.rule, "_column_kernel", None)
+    words = kernel(x, i, j, rows) if kernel else None
+    return _cone_columns(automaton.rule, state, i, j, rows) if words is None else words
 
 
 def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],

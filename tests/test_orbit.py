@@ -16,6 +16,9 @@ row past it, and one that stops early maps at most one lookup ahead, no
 longer than the rows it read.  The bit-sliced state walk is compared with
 the one-row walker it replaced (oracles.one_row_states_oracle) state by
 state, as configurations, since the two re-canonicalize at different rows.
+Narrow column windows of mul:p/q over standard number-like x map no row
+at all: they are read off xi * (p/q)**t by numeric's arithmetic kernel,
+and compared with the walker on a twin rule built without the kernel.
 """
 
 import contextlib
@@ -26,11 +29,13 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+import leftex.numeric
 import leftex.rules
 from leftex import (
     Alphabet,
@@ -48,6 +53,7 @@ from leftex import (
     left_spreading_witnesses,
     limit_point_census,
     orbit,
+    rational_to_config,
     recurrence_scan,
     render_to,
     verify_mul,
@@ -55,6 +61,7 @@ from leftex import (
 from leftex.cli import main
 from leftex.configuration import _window
 from leftex.errors import AlphabetMismatch, OutOfRange
+from leftex.numeric import _pack_width
 from leftex.rules import _BIT_ROWS, _MAX_PREFIX, _UNPACK_CELLS, _states
 
 from oracles import (
@@ -436,9 +443,13 @@ def test_mul_3_2_columns_match_the_canonical_orbit():
 
 
 def test_mul_5_2_columns_match_the_canonical_orbit(applied):
-    # mul:5/2 has a 1000-entry table, so every row is a numpy lookup, and a
-    # long walk maps two rows per lookup through its block of 10^5 words
+    # mul:5/2 has a 1000-entry table, so every row the walker maps is a numpy
+    # lookup, and a long walk maps two rows per lookup through its block of
+    # 10^5 words.  Narrow windows of mul:5/2 itself take the arithmetic
+    # kernel, so the block is walked by its twin, an equal table built
+    # without the kernel
     automaton = fractional_multiplication_rule(MulSpec(5, 2))
+    twin = walking_twin(automaton)
     x = Configuration(Alphabet(10), -1, b"\x00", b"\x01\x05\x03", b"\x00")
     for i, j, rows in ((-3, 3, 900), (-40, 40, 1200), (0, 0, 1)):
         got = list(columns(automaton, x, i, j, rows))
@@ -446,10 +457,12 @@ def test_mul_5_2_columns_match_the_canonical_orbit(applied):
     # a window left of the head, which the integer part reaches near t = 1000:
     # the walk steps single rows while the window is outside the cells a
     # two-row step maps, and two rows per lookup once it is inside
+    want = trace_oracle(automaton, x, -400, -390, 1200)
     applied.clear()
-    got = list(columns(automaton, x, -400, -390, 1200))
-    assert got == trace_oracle(automaton, x, -400, -390, 1200)
+    assert list(columns(twin, x, -400, -390, 1200)) == want
     assert applied[0][0] == 1 and {k for k, _ in applied} == {1, 2}
+    applied.clear()
+    assert list(columns(automaton, x, -400, -390, 1200)) == want and not applied
     # the rows of a zero-padded simulation, which uses no kernel of leftex
     want = simulate_zero_padded(
         {tuple(w): v for w, v in zip(itertools.product(range(10), repeat=3),
@@ -544,6 +557,115 @@ def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():
     assert back == mul and hash(back) == hash(mul) and not hasattr(back, "_block_tables")
     assert pickle.dumps(back) == pickle.dumps(mul)
     assert list(columns(Automaton(back), start, 0, 0, 1000)) == walked
+    # mul:5/2's arithmetic column kernel is ignored the same way, and a copy
+    # without it walks to the same words
+    mul = fractional_multiplication_rule(MulSpec(5, 2)).rule
+    twin = LocalRule(mul.alphabet, 1, 1, bytes(mul.table))
+    assert hasattr(mul, "_column_kernel") and not hasattr(twin, "_column_kernel")
+    assert twin == mul and hash(twin) == hash(mul) and repr(twin) == repr(mul)
+    assert "_column_kernel" not in repr(mul) and pickle.dumps(mul) == pickle.dumps(twin)
+    for back in (pickle.loads(pickle.dumps(mul)), copy.deepcopy(mul)):
+        assert back == mul and hash(back) == hash(mul) and not hasattr(back, "_column_kernel")
+        start = rational_to_config(Fraction(37, 7), 10)
+        with counting_steps() as mapped:
+            walked = list(columns(Automaton(back), start, 4, 11, 300))
+        assert mapped and walked == list(columns(Automaton(mul), start, 4, 11, 300))
+
+
+# -- the multiplication automata's arithmetic column kernel ------------------
+
+
+MUL_SPECS = [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (5, 4), (7, 5), (11, 3), (13, 11)]
+
+
+def walking_twin(automaton):
+    """An equal rule built without the kernel, so its column walks walk."""
+    rule = automaton.rule
+    return Automaton(LocalRule(rule.alphabet, rule.memory, rule.anticipation, rule.table))
+
+
+@st.composite
+def mul_column_cases(draw):
+    """mul:p/q, a standard number-like x worth an integer, a terminating
+    value (a power of pq as denominator), a purely periodic or a mixed
+    rational, a window of 1 up to a limb's width of cells at -30 .. 30
+    (integer digits, the radix point and cells right of the head) and
+    0 .. 600 rows."""
+    p, q = draw(st.sampled_from(MUL_SPECS))
+    base = p * q
+    coprime = st.integers(2, 5000).filter(lambda c: gcd(c, base) == 1)
+    kind = draw(st.sampled_from(["integer", "terminating", "periodic", "mixed"]))
+    if kind == "integer":
+        xi = Fraction(draw(st.integers(1, 10**15)))
+    elif kind == "terminating":
+        xi = Fraction(draw(st.integers(1, 10**15)), base ** draw(st.integers(0, 12)))
+    elif kind == "periodic":
+        c = draw(coprime)
+        xi = Fraction(draw(st.integers(1, c - 1)), c)
+    else:
+        den = draw(coprime) * draw(st.sampled_from([p, q, base])) ** draw(st.integers(1, 6))
+        xi = Fraction(draw(st.integers(1, 10**9)), den)
+    i = draw(st.integers(-30, 30))
+    j = i + draw(st.integers(1, _pack_width(base))) - 1
+    return fractional_multiplication_rule(MulSpec(p, q)), rational_to_config(xi, base), i, j, \
+        draw(st.integers(0, 600))
+
+
+@given(mul_column_cases())
+@settings(max_examples=300, deadline=None)
+@example((fractional_multiplication_rule(MulSpec(5, 2)), rational_to_config(Fraction(37), 10),
+          4, 11, 600))
+def test_mul_column_kernel_matches_the_walker(case):
+    """Narrow windows of a standard number-like x under mul:p/q are read
+    off xi * (p/q)**t and map no row; they equal the walker's words on the
+    kernel-less twin and, on short walks, the canonical orbit's."""
+    automaton, x, i, j, rows = case
+    with counting_steps() as mapped:
+        got = list(itertools.islice(columns(automaton, x, i, j, rows), rows + 1))
+    assert not mapped
+    assert got == list(columns(walking_twin(automaton), x, i, j, rows))
+    if rows <= 30:
+        assert got == trace_oracle(automaton, x, i, j, rows)
+
+
+def test_mul_column_kernel_is_lazy_to_within_one_group(monkeypatch):
+    automaton = fractional_multiplication_rule(MulSpec(3, 2))
+    x = rational_to_config(Fraction(5, 7), 6)
+    rows = 2 * _BIT_ROWS + 5
+    want = list(columns(walking_twin(automaton), x, -2, 5, rows))
+    split, computed = leftex.numeric._limbs_to_digits, []
+
+    def counting(limbs, base):
+        computed.append(len(limbs))
+        return split(limbs, base)
+
+    monkeypatch.setattr(leftex.numeric, "_limbs_to_digits", counting)
+    walk = columns(automaton, x, -2, 5, rows)
+    assert not computed
+    assert next(walk) == want[0] and computed == [_BIT_ROWS]
+    assert list(itertools.islice(walk, _BIT_ROWS)) == want[1:_BIT_ROWS + 1]
+    assert computed == [_BIT_ROWS] * 2
+    assert list(walk) == want[_BIT_ROWS + 1:] and computed == [_BIT_ROWS] * 2 + [5]
+
+
+@pytest.mark.parametrize("x, i, j", [
+    # a nonzero left tail and the all-zero configuration are not number-like
+    (Configuration(Alphabet(10), 0, b"\x03", b"\x01", b"\x00"), 0, 7),
+    (Configuration.zero(Alphabet(10)), 0, 7),
+    # a (pq-1)-tail: the walker reads its digits, not the standard ones of 0.2
+    (Configuration(Alphabet(10), 0, b"\x00", b"\x01", b"\x09"), 0, 7),
+    # a window one cell wider than an int64 limb of base-10 digits
+    (rational_to_config(Fraction(37, 7), 10), 0, _pack_width(10)),
+    # an anchor, or a window, past the prefix bound
+    (Configuration(Alphabet(10), _MAX_PREFIX + 1, b"\x00", b"\x01", b"\x00"), 0, 7),
+    (rational_to_config(Fraction(37, 7), 10), _MAX_PREFIX + 1, _MAX_PREFIX + 8),
+])
+def test_ineligible_mul_columns_walk(applied, x, i, j):
+    automaton = fractional_multiplication_rule(MulSpec(5, 2))
+    want = list(columns(walking_twin(automaton), x, i, j, 60))
+    applied.clear()
+    assert list(columns(automaton, x, i, j, 60)) == want
+    assert rows_of(applied) == 59
 
 
 # -- raw-state readers against the canonical orbit ---------------------------
