@@ -8,9 +8,7 @@ rules.columns, given the row count, so memory stays bounded by one raster
 row plus one stepped state (at most about twice the size of a canonical
 configuration) or, once columns maps the light cone of the remaining rows
 instead, that cone: no wider than the last stepped state's input and at
-most width + rows*(m+n) symbols.  A long walk of a rule that is not
-bit-sliced (every ECA is) adds the rule's block tables, at most
-8 * min(2^10 * the rule's table, 10^7) bytes (rules._block_rows).
+most width + rows*(m+n) symbols, for every rule.
 Each row is formatted by one bytes.translate (ASCII), one bytes.translate
 written into every other byte of a copy of a blank row (PBM), or one join
 over per-symbol gray labels (PGM).

@@ -23,7 +23,7 @@ mapped by lookup_windows, the one function that decides how a table is
 gathered, over the index of _radix_index.  A binary table of at most 8 entries
 (every ECA) is gathered by one shift of its bits, packed in one uint8,
 another table of at most 256 entries by bytes.translate over its uint8
-index's bytes, and a larger table by numpy's take, as a block is (below).
+index's bytes, and a larger table by numpy's take.
 
 Every such matrix of words in lexicographic order, and every row grown
 from it, comes from one generator, _patches, which yields a range of words
@@ -42,8 +42,7 @@ on few chunks while a short one stays short.  Its callers are the expansivity de
 read prefixes and the spreading search's start words (blocks from near
 2^10 words), compose(), which maps every word of the product width a block
 near 2^14 words at a time so that working memory does not grow with the
-table, _block (every word of its width, in the same blocks), and the
-decider's counterexample seed (a range of one word).
+table, and the decider's counterexample seed (a range of one word).
 
 One lazy walker, _walk, steps along an orbit: it computes its next raw
 state only when it is asked for, and besides apply() it is the only caller
@@ -68,18 +67,16 @@ rows in between over every cell the image spans; _flat, the one reader of
 that layout, cuts each of those rows' raw states.  The rows are unpacked
 one np.unpackbits call per group of about _UNPACK_CELLS cells, a group
 only once it is read, so a state walk holds one lookup's rows packed and
-one group unpacked.  Every other rule maps a state walk one row per
-lookup and a long column walk through its block (_block): tables over
-every neighborhood of width 1 + k*(m+n) that give the center of F^k and,
-under the window, the k-1 rows in between (k = 2 for mul:3/2 and
-mul:5/2).  A column walk reads only the light cone of its window, of at
-most _MAX_PREFIX cells: row t+r over [i, j] depends only on row t over
-[i-r*m, j+r*n].  Once that cone word is no wider than the word the next
-step would map, columns() cuts it off the state once and maps it down k
-rows per lookup, so the state is neither stepped nor canonicalized again.
+one group unpacked.  Every other rule maps one row per lookup, in state
+and column walks alike, and owns no table beyond its own either.  A column
+walk reads only the light cone of its window, of at most _MAX_PREFIX
+cells: row t+r over [i, j] depends only on row t over [i-r*m, j+r*n].
+Once that cone word is no wider than the word the next step would map,
+columns() cuts it off the state once and maps it down k rows per lookup,
+so the state is neither stepped nor canonicalized again.
 One family does not walk there: a mul:p/q rule built by
 numeric.fractional_multiplication_rule carries an arithmetic kernel (a
-private attribute, like its block, that equality, hashing and pickles
+private attribute, like its table view, that equality, hashing and pickles
 ignore), and columns() offers it the call first.  The kernel reads a
 window of at most one int64 limb of digits over a standard number-like x
 off xi * (p/q)**t in exact integers and declines every other call, which
@@ -119,13 +116,10 @@ DEFAULT_COMPOSE_GUARD = 10**7
 #: it maps blocks of the power of the alphabet size nearest this, which is
 #: also the size the chunks of _patches grow to
 _COMPOSE_CHUNK = 2**14
-#: a rule's block (see _block_rows) has at most this many times as many
-#: entries as the rule's own table
-_BLOCK_GROWTH = 2**10
 #: the most words in a block of low digits that _patches keeps resident
 #: (_low_words): the decider's and the spreading search's first and early
 #: chunks, not the grown ones nor the blocks near _COMPOSE_CHUNK words that
-#: compose() and _block map
+#: compose() maps
 _RESIDENT_LOW = 2**12
 #: longest word _map_short maps; lookup_windows maps longer ones.  On a 2-core
 #: VM (Python 3.11, numpy 2.4, best of 7) the two cross at about 1150-1400
@@ -288,32 +282,16 @@ def _radix_index(symbols: np.ndarray, size: int, width: int, dtype) -> np.ndarra
     """The radix index, in ``dtype``, of every length-``width`` window along
     axis 0 of a ``uint8`` symbol array (leftmost symbol most significant).
 
-    Up to width 3 this is Horner's rule in place, one pass per symbol.
-    Wider windows double instead: the indices of windows of length 1, 2, 4,
-    ... are each built from two of the last, and the lengths in the binary
-    spelling of ``width`` are joined left to right, so width 13 takes 5
-    passes instead of 12.  Doubling allocates where Horner works in place,
-    which costs more than it saves at width 3.  Every partial index stays
-    below size**width, so ``dtype`` only has to hold the full one.
+    This is Horner's rule in place, one pass per symbol, on a fresh array.
+    Every partial index stays below size**width, so ``dtype`` only has to
+    hold the full one.
     """
-    count = len(symbols)
-    if width <= 3:
-        idx = symbols[0:count - width + 1].astype(dtype)
-        for k in range(1, width):
-            idx *= size
-            idx += symbols[k:k + count - width + 1]
-        return idx
-    piece, span = symbols.astype(dtype), 1  # the windows of length span
-    idx, done = None, 0  # the windows of length done
-    while True:
-        if width & span:
-            idx = piece if idx is None else \
-                idx[:count - done - span + 1] * size**span + piece[done:count - span + 1]
-            done += span
-        if 2 * span > width:
-            return idx
-        piece = piece[:count - 2 * span + 1] * size**span + piece[span:count - span + 1]
-        span *= 2
+    count = len(symbols) - width + 1
+    idx = symbols[0:count].astype(dtype)
+    for k in range(1, width):
+        idx *= size
+        idx += symbols[k:k + count]
+    return idx
 
 
 def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
@@ -324,7 +302,7 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     ``count`` words column-wise and is mapped in one pass.  The result has
     m+n fewer rows and the table's ``uint8`` dtype.  It alone decides how a
     table is gathered, for every numpy row: the decider's, the spreading
-    search's, compose()'s, _block's and _map_rows' beyond _map_short.  The
+    search's, compose()'s and _map_rows' beyond _map_short.  The
     radix index is accumulated in the narrowest unsigned type that holds
     every table index.  A binary table of at most 8 entries (every ECA) is
     gathered in place by one shift of its packed bits (the rule's _packed)
@@ -335,7 +313,7 @@ def lookup_windows(rule: LocalRule, symbols: np.ndarray) -> np.ndarray:
     ``take``, which widens the index to ``intp``.
     """
     idx = _radix_index(symbols, rule.alphabet.size, rule.width, rule._index_dtype)
-    if rule._packed is not None:  # width <= 3, so Horner's astype made idx a fresh array
+    if rule._packed is not None:  # idx is a fresh array, so shift it in place
         np.right_shift(rule._packed, idx, out=idx)
         idx &= 1
         return idx
@@ -401,42 +379,6 @@ def _patches(rule: LocalRule, length: int, steps: int, first: int, last: int,
             low, words = low + 1, None
 
 
-def _block_rows(rule: LocalRule) -> int:
-    """The rows k one block lookup maps: the largest k <= 8 whose
-    neighborhood width 1 + k*(m+n) has at most _BLOCK_GROWTH times as many
-    words as the rule's table and at most DEFAULT_COMPOSE_GUARD, else 1
-    (2 for mul:3/2 and mul:5/2).  Column walks ask it only for rules that
-    are not bit-sliced; those build no block."""
-    size, span = rule.alphabet.size, rule.memory + rule.anticipation
-    bound = min(_BLOCK_GROWTH * len(rule.table), DEFAULT_COMPOSE_GUARD)
-    return max((k for k in range(2, 9) if size ** (1 + k * span) <= bound), default=1)
-
-
-def _block(rule: LocalRule) -> tuple[np.ndarray, np.ndarray, np.dtype]:
-    """The rule's block of k = _block_rows(rule) > 1 rows, built on first use
-    and kept on the rule like its table view (so equality, hashing and
-    pickles ignore it): over every word of width W = 1 + k*(m+n) in radix
-    order, the center symbol of F^k, the center symbols of F^1 .. F^(k-1)
-    as the rows of a (k-1, s^W) table, and the radix-index dtype for W.
-    compose() builds its table the same way, in chunks of about
-    _COMPOSE_CHUNK words, but the block is not trimmed: a column walk
-    relies on its width.
-    """
-    block = getattr(rule, "_block_tables", None)
-    if block is None:
-        size, m, k = rule.alphabet.size, rule.memory, _block_rows(rule)
-        width = 1 + k * (m + rule.anticipation)
-        total = size**width
-        # row q-1: the neighborhood's center after q rows, for q = 1 .. k
-        centers = np.empty((k, total), dtype=np.uint8)
-        for start, rows in _patches(rule, width, k, 0, total, _COMPOSE_CHUNK):
-            for q in range(1, k + 1):
-                centers[q - 1, start:start + rows[q].shape[1]] = rows[q][(k - q) * m]
-        block = (centers[-1], centers[:-1], np.min_scalar_type(total - 1))
-        object.__setattr__(rule, "_block_tables", block)
-    return block
-
-
 def _map_short(rule: LocalRule, symbols: bytes) -> bytes:
     """One row of a word of at most _SHORT_WORD symbols under a rule of at
     most 256 entries, with Python ints: read as one big-endian int x, the
@@ -453,11 +395,11 @@ def _map_short(rule: LocalRule, symbols: bytes) -> bytes:
 
 def _bit_form(rule: LocalRule) -> tuple[int, ...]:
     """A bit-sliced rule's table as its algebraic normal form over GF(2),
-    computed on first use and kept on the rule like its block: 8
-    coefficients, the one at i of the AND of the row shifted right by each
-    set bit b of i.  Index bit b is neighborhood cell m+n-b, which a row read
-    as an int (leftmost cell most significant) brings under the image cell
-    by a right shift of b.  The Moebius transform turns the table into the
+    computed on first use and kept on the rule, not a field, like its
+    table view: 8 coefficients, the one at i of the AND of the row shifted
+    right by each set bit b of i.  Index bit b is neighborhood cell m+n-b,
+    which a row read as an int (leftmost cell most significant) brings
+    under the image cell by a right shift of b.  The Moebius transform turns the table into the
     coefficients; a rule narrower than 3 cells pads them with zeros."""
     form = getattr(rule, "_bit_terms", None)
     if form is None:
@@ -527,25 +469,18 @@ def _map_bits(rule: LocalRule, symbols: bytes, k: int, lo: int,
 def _map_rows(rule: LocalRule, symbols: bytes, k: int = 1, lo: int = 0,
               width: int = 0) -> tuple[bytes, Iterable[bytes]]:
     """Map a word k rows down with one lookup: the word k rows down, and
-    rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1 (the rule's own
-    table), any k > 1 for a bit-sliced rule (_map_bits) or _block_rows(rule)
-    for another (its block).  Every row an orbit, a state walk or a column
-    walk maps comes from here.  One row of a short word under a table of at
-    most 256 entries is _map_short's, and every other row is
-    lookup_windows', which picks the gather; a block is gathered by numpy's
-    take.
+    rows 1 .. k-1 over its cells lo .. lo+width-1.  k is 1, the rule's own
+    table, for every rule but a bit-sliced one, which maps any k > 1
+    (_map_bits).  Every row an orbit, a state walk or a column walk maps
+    comes from here.  One row of a short word under a table of at most 256
+    entries is _map_short's, and every other row is lookup_windows', which
+    picks the gather.
     """
-    if k > 1 and rule._packed is not None:
+    if k > 1:
         return _map_bits(rule, symbols, k, lo, width)
-    if k == 1:
-        if rule._translation is not None and len(symbols) <= _SHORT_WORD:
-            return _map_short(rule, symbols), ()
-        return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
-    center, between, dtype = _block(rule)
-    idx = _radix_index(np.frombuffer(symbols, dtype=np.uint8), rule.alphabet.size,
-                       1 + k * (rule.memory + rule.anticipation), dtype)
-    rows = between.take(idx[lo:lo + width], axis=1).tobytes()
-    return center.take(idx).tobytes(), [rows[q:q + width] for q in range(0, len(rows), width)]
+    if rule._translation is not None and len(symbols) <= _SHORT_WORD:
+        return _map_short(rule, symbols), ()
+    return lookup_windows(rule, np.frombuffer(symbols, dtype=np.uint8)).tobytes(), ()
 
 
 def map_windows(rule: LocalRule, samples: bytes) -> bytes:
@@ -690,9 +625,9 @@ def columns(automaton: Automaton, x: Configuration, i: int, j: int,
     word the walker would map next, it walks the cone instead (see the
     module docstring).  A caller that takes r words has r-1 rows mapped,
     and at most k-1 more: the rest of the lookup its last word came from,
-    where k is _BIT_ROWS for a bit-sliced rule, _block_rows(rule) for
-    another in a long walk and else 1.  No row past rows-1 is mapped.  A
-    window of more than _MAX_PREFIX cells raises OutOfRange at the call.
+    where k is _BIT_ROWS for a bit-sliced rule and 1 for another.  No row
+    past rows-1 is mapped.  A window of more than _MAX_PREFIX cells raises
+    OutOfRange at the call.
     A rule built by numeric.fractional_multiplication_rule first offers the
     call, once its arguments are checked, to its arithmetic kernel
     (numeric._mul_columns), which maps no row: it computes rows _BIT_ROWS
@@ -718,22 +653,13 @@ def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],
     that cone is no wider than the word the next k-row step maps,
     L + H + R + 2k(m+n), or fewer than k rows are left, the cone is cut
     once and mapped down, k rows per lookup and its last r mod k rows in
-    one more lookup for a bit-sliced rule, one at a time for another; row
-    t+q is its slice at offset (r-q)*m.  k = _BIT_ROWS for a bit-sliced rule.
-    For another, k = _block_rows(rule) when the symbols the rows would map
-    one at a time, about r * (cone + width) / 2 from row 0, are at least the
-    k * s^W * (W+1) / 2 that building the block maps, else 1, so short walks
-    never build it.
+    one more lookup; row t+q is its slice at offset (r-q)*m.  k = _BIT_ROWS
+    for a bit-sliced rule and 1 for another.
     """
     if not rows:
         return
-    m, n = rule.memory, rule.anticipation
-    size, width, bits = rule.alphabet.size, j - i + 1, rule._packed is not None
-    k = _BIT_ROWS if bits else _block_rows(rule)
-    block_width = 1 + k * (m + n)
-    if not bits and (rows - 1) * (2 * width + (rows - 1) * (m + n)) < \
-            k * size**block_width * (block_width + 1):
-        k = 1
+    m, n, width = rule.memory, rule.anticipation, j - i + 1
+    k = 1 if rule._packed is None else _BIT_ROWS
     left = rows - 1  # rows below the state reached
     for state, between, stepped in _walk(rule, state, repeat(k), i, j):
         yield from between
@@ -743,7 +669,7 @@ def _cone_columns(rule: LocalRule, state: tuple[int, bytes, bytes, bytes],
             word = _window(*state, i - left * m, j + left * n)
             yield word[left * m:left * m + width]
             while left:
-                step = min(left, k) if bits or left >= k else 1
+                step = min(left, k)
                 left -= step
                 word, between = _map_rows(rule, word, step, left * m, width)
                 yield from between

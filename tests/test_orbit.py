@@ -6,21 +6,22 @@ reads a window off each, or walks the light cone of its window once that
 is narrower, and the spreading and recurrence scans read a left edge or a
 tail off each state of rules._states.  rules.orbit steps canonical
 configurations with rules.apply.  Every row any of them maps comes from
-one rules._map_rows call: a rules._step call maps one row, or k rows in a
-column walk (bit-sliced, or through the rule's block in a long walk) or in
-a state walk of a bit-sliced rule (1, 2, 4, ... up to 64 rows), and a cone
-maps k rows per call and its last rows in one more call (bit-sliced) or
-one per call.  Counting the rows of those calls pins each consumer to the
-number of images it needs: a walk that reads its whole row count maps no
-row past it, and one that stops early maps at most one lookup ahead, no
-longer than the rows it read.  The bit-sliced state walk is compared with
-the one-row walker it replaced (oracles.one_row_states_oracle) state by
-state, as configurations, since the two re-canonicalize at different rows.
+one rules._map_rows call: a rules._step call maps one row, or, for a
+bit-sliced rule, k rows in a column walk (64) or in a state walk (1, 2,
+4, ... up to 64 rows), and a cone maps k rows per call and its last rows
+in one more call (bit-sliced) or one per call.  Counting the rows of
+those calls pins each consumer to the number of images it needs: a walk
+that reads its whole row count maps no row past it, and one that stops
+early maps at most one lookup ahead, no longer than the rows it read.
+The bit-sliced state walk is compared with the one-row walker it replaced
+(oracles.one_row_states_oracle) state by state, as configurations, since
+the two re-canonicalize at different rows.
 Narrow column windows of mul:p/q over standard number-like x map no row
 at all: they are read off xi * (p/q)**t by numeric's arithmetic kernel,
 and compared with the walker on a twin rule built without the kernel.
 """
 
+import collections
 import contextlib
 import copy
 import io
@@ -59,7 +60,7 @@ from leftex import (
     verify_mul,
 )
 from leftex.cli import main
-from leftex.configuration import _window
+from leftex.configuration import _window, parse_configuration
 from leftex.errors import AlphabetMismatch, OutOfRange
 from leftex.numeric import _pack_width
 from leftex.rules import _BIT_ROWS, _MAX_PREFIX, _UNPACK_CELLS, _states
@@ -352,6 +353,23 @@ def test_bit_sliced_state_walks_match_the_one_row_walker(case):
     assert taken - 1 <= rows_of(mapped) <= max(2 * (taken - 1) - 1, 0)
 
 
+def test_a_long_walk_of_a_non_binary_rule_holds_no_table():
+    """The traced peak of an 8 001-row, 8-column walk of mul:5/2's twin
+    without the arithmetic kernel, from 37, stays under 256 KB: the walk
+    maps one row per lookup through the rule's own table, where a table
+    over every neighborhood of two rows (10^5 words) would alone take
+    about 200 KB."""
+    twin = walking_twin(fractional_multiplication_rule(MulSpec(5, 2)))
+    x = parse_configuration("[L:0] 37 [R:0] @0", twin.alphabet)
+    tracemalloc.start()
+    try:
+        last = collections.deque(columns(twin, x, 0, 7, 8001), maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last and peak < 256 * 2**10
+
+
 def test_state_walk_memory_holds_one_lookup_of_packed_rows():
     """The traced peak of a 20 000-row eca:90 recurrence scan, whose last
     state spans about 40 000 cells, holds the packed rows of one lookup
@@ -377,8 +395,8 @@ def cone_cases(draw):
     rule over 10 symbols like mul:5/2, a raw configuration, a window that
     may be far from the head or wider than the whole state, and a row count
     from 0 up to past the walker's re-canonicalizations, up to enough rows
-    that the walk is mapped through the rule's block, with single rows
-    where the window leaves the stepped state and in the cone's tail."""
+    that a bit-sliced rule maps whole 64-row lookups, and single rows where
+    the window leaves the stepped state and in the cone's tail."""
     size = draw(st.sampled_from([2, 3, 10]))
     if size == 10:
         m, n = 1, 1
@@ -444,10 +462,9 @@ def test_mul_3_2_columns_match_the_canonical_orbit():
 
 def test_mul_5_2_columns_match_the_canonical_orbit(applied):
     # mul:5/2 has a 1000-entry table, so every row the walker maps is a numpy
-    # lookup, and a long walk maps two rows per lookup through its block of
-    # 10^5 words.  Narrow windows of mul:5/2 itself take the arithmetic
-    # kernel, so the block is walked by its twin, an equal table built
-    # without the kernel
+    # lookup of one row.  Narrow windows of mul:5/2 itself take the
+    # arithmetic kernel, so the walk is read off its twin, an equal table
+    # built without the kernel
     automaton = fractional_multiplication_rule(MulSpec(5, 2))
     twin = walking_twin(automaton)
     x = Configuration(Alphabet(10), -1, b"\x00", b"\x01\x05\x03", b"\x00")
@@ -455,12 +472,11 @@ def test_mul_5_2_columns_match_the_canonical_orbit(applied):
         got = list(columns(automaton, x, i, j, rows))
         assert got == trace_oracle(automaton, x, i, j, rows)
     # a window left of the head, which the integer part reaches near t = 1000:
-    # the walk steps single rows while the window is outside the cells a
-    # two-row step maps, and two rows per lookup once it is inside
+    # the walk steps one row per lookup, outside the stepped cells and inside
     want = trace_oracle(automaton, x, -400, -390, 1200)
     applied.clear()
     assert list(columns(twin, x, -400, -390, 1200)) == want
-    assert applied[0][0] == 1 and {k for k, _ in applied} == {1, 2}
+    assert {k for k, _ in applied} == {1}
     applied.clear()
     assert list(columns(automaton, x, -400, -390, 1200)) == want and not applied
     # the rows of a zero-padded simulation, which uses no kernel of leftex
@@ -547,14 +563,17 @@ def test_rule_equality_hash_and_pickle_ignore_the_kernel_arrays():
     assert list(columns(Automaton(back), ONE, -3, 3, 5)) == \
         list(columns(eca(30), ONE, -3, 3, 5))
     assert list(columns(Automaton(back), ONE, 0, 0, 3000)) == walked
-    # a rule that is not bit-sliced keeps a block, which is ignored the same way
+    # a long walk of a rule that is not bit-sliced leaves nothing on the rule
+    # beyond the arrays it was built with
     mul = fractional_multiplication_rule(MulSpec(3, 2)).rule
     mul = LocalRule(mul.alphabet, mul.memory, mul.anticipation, mul.table)
     start = Configuration.single(mul.alphabet, 1)
-    walked = list(columns(Automaton(mul), start, 0, 0, 1000))  # builds mul:3/2's block
-    assert hasattr(mul, "_block_tables") and not hasattr(mul, "_bit_terms")
+    walked = list(columns(Automaton(mul), start, 0, 0, 1000))
+    assert sorted(vars(mul)) == sorted(["alphabet", "memory", "anticipation", "table",
+                                        "_table_array", "_index_dtype", "_translation",
+                                        "_packed"])
     back = pickle.loads(pickle.dumps(mul))
-    assert back == mul and hash(back) == hash(mul) and not hasattr(back, "_block_tables")
+    assert back == mul and hash(back) == hash(mul) and sorted(vars(back)) == sorted(vars(mul))
     assert pickle.dumps(back) == pickle.dumps(mul)
     assert list(columns(Automaton(back), start, 0, 0, 1000)) == walked
     # mul:5/2's arithmetic column kernel is ignored the same way, and a copy

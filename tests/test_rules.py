@@ -26,15 +26,11 @@ from leftex import (
 )
 from leftex.rules import (
     Automaton,
-    DEFAULT_COMPOSE_GUARD,
     LocalRule,
     _BIT_ROWS,
-    _BLOCK_GROWTH,
     _COMPOSE_CHUNK,
     _RESIDENT_LOW,
     _SHORT_WORD,
-    _block,
-    _block_rows,
     _chunk_digits,
     _low_words,
     _map_rows,
@@ -454,9 +450,9 @@ def test_lookup_windows_matches_the_oracle_on_matrices():
 
 def test_low_blocks_are_resident_read_only_and_bounded():
     """A resident block of low digits is the low rows of the oracle's words,
-    read-only, and the same object on every call; the blocks compose() and
-    _block build, above _RESIDENT_LOW words, leave nothing resident, while
-    the decider's first chunks do stay."""
+    read-only, and the same object on every call; the blocks compose()
+    builds, above _RESIDENT_LOW words, leave nothing resident, while the
+    decider's first chunks do stay."""
     for size, digits in ((1, 0), (2, 1), (2, 10), (2, 12), (3, 6), (4, 5), (16, 3)):
         block = _low_words(size, digits)
         assert np.array_equal(block, lex_words_oracle(0, size**digits, size, digits + 2)[2:])
@@ -469,7 +465,6 @@ def test_low_blocks_are_resident_read_only_and_bounded():
     _low_words.cache_clear()
     for rule in (compose(mul32, mul32), compose(four_times, twice)):  # 6**5 and 2**13 words
         assert len(rule.rule.table) > _RESIDENT_LOW
-    _block(LocalRule(mul32.rule.alphabet, 1, 1, mul32.rule.table))  # a fresh rule: 6**5 words
     assert _low_words.cache_info().currsize == 0
     is_left_expansive(eca(30), ExpansivityDims(2, 2, 4))
     assert 0 < _low_words.cache_info().currsize <= _low_words.cache_info().maxsize
@@ -480,8 +475,8 @@ def test_low_blocks_are_resident_read_only_and_bounded():
        st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_radix_index_matches_horner(size, width, extra, count, matrix, rng):
-    """Horner up to width 3 and doubling beyond, on words and on word
-    matrices, in the narrowest dtype that holds size**width - 1."""
+    """Horner's rule at every width, on words and on word matrices, in the
+    narrowest dtype that holds size**width - 1."""
     shape = (width + extra, count) if matrix else (width + extra,)
     symbols = np.array([rng.randrange(size) for _ in range(np.prod(shape))],
                        dtype=np.uint8).reshape(shape)
@@ -575,53 +570,13 @@ def test_chunks_grow_from_the_target_to_the_cap():
     assert [n for _, n in sizes(2, 12, 0, 2**12)] == [2**10, 2**10, 2**11]
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_block_tables_are_k_rule_applications(data):
-    """For a sample of neighborhoods, the block's F^k table and its rows
-    1..k-1 are the center of k rolling-index applications of the rule, and
-    k is the most rows the bound allows.  Tables have up to 1000 entries
-    over up to 10 symbols, whose blocks of up to 10^5 words are built in
-    several chunks.  Binary tables of at most 8 entries are left out: they
-    are bit-sliced (_map_bits) and build no block."""
-    size = data.draw(st.integers(2, 10))
-    # a binary rule of at most 8 entries is bit-sliced and has no block
-    span = data.draw(st.integers(3 if size == 2 else 0,
-                                 max(s for s in range(5) if size ** (s + 1) <= 1000)))
-    m = data.draw(st.integers(0, span))
-    rng = data.draw(st.randoms(use_true_random=False))
-    table = bytes(rng.randrange(size) for _ in range(size ** (span + 1)))
-    rule = LocalRule(Alphabet(size), m, span - m, table)
-    k = _block_rows(rule)
-    bound = min(_BLOCK_GROWTH * len(table), DEFAULT_COMPOSE_GUARD)
-    width = 1 + k * span
-    assert k == 1 or size**width <= bound
-    assert k == 8 or size ** (width + span) > bound
-    if k == 1:
-        return
-    center, between, dtype = _block(rule)
-    assert center.shape == (size**width,) and between.shape == (k - 1, size**width)
-    assert dtype == np.min_scalar_type(size**width - 1)
-    for v in {0, size**width - 1, *(rng.randrange(size**width) for _ in range(64))}:
-        row = bytes(v // size**p % size for p in range(width - 1, -1, -1))
-        for q in range(1, k + 1):
-            row = map_windows_oracle(rule, row)
-            want = between[q - 1][v] if q < k else center[v]
-            assert row[(k - q) * m] == want
-
-
-def test_block_rows_of_the_paper_rules():
-    for p in (3, 5):
-        assert _block_rows(fractional_multiplication_rule(MulSpec(p, 2)).rule) == 2
-    # two rows of a (0,1) rule over 256 symbols would tabulate 256^3 > 10^7 words
-    assert _block_rows(LocalRule(Alphabet(256), 0, 1, bytes(256 * 256))) == 1
-    # a walk long enough to pay for a six-row block of rule 30 (2**13 words)
-    # maps _BIT_ROWS rows per lookup instead and builds no block
+def test_a_long_rule_30_column_is_bit_sliced():
+    """A 1 000-row rule-30 column maps _BIT_ROWS rows per lookup through the
+    rule's normal form, which the walk computes and keeps on the rule."""
     rule = LocalRule(A2, 1, 1, eca(30).rule.table)
-    with mock.patch("leftex.rules._block", side_effect=AssertionError("a block was built")):
-        rows = list(columns(Automaton(rule), ONE, 0, 0, 1000))
+    rows = list(columns(Automaton(rule), ONE, 0, 0, 1000))
     assert rows == trace_oracle(eca(30), ONE, 0, 0, 1000)
-    assert not hasattr(rule, "_block_tables") and hasattr(rule, "_bit_terms")
+    assert hasattr(rule, "_bit_terms")
 
 
 def test_building_an_eca_computes_no_bit_form():
@@ -696,22 +651,6 @@ def test_columns_of_every_eca_match_the_trace_oracle():
         j = i + rng.randint(0, 6)
         rows = rng.randint(1, 150)
         assert list(columns(eca(number), x, i, j, rows)) == trace_oracle(eca(number), x, i, j, rows)
-
-
-def test_a_block_is_built_in_chunks():
-    """mul:5/2's block maps 10^5 words of 5 symbols two rows down, in chunks
-    of 10^4 words: the build peaks under 1 MB, where mapping every word at
-    once would take its 8-byte gather indices alone, 2.4 MB."""
-    mul = fractional_multiplication_rule(MulSpec(5, 2)).rule
-    rule = LocalRule(mul.alphabet, mul.memory, mul.anticipation, mul.table)  # no block yet
-    tracemalloc.start()
-    try:
-        center, between, _ = _block(rule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert center.shape == (10**5,) and between.shape == (1, 10**5)
-    assert peak < 2**20
 
 
 @given(st.data())
